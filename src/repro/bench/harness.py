@@ -155,7 +155,7 @@ def compare_engines(index, pairs, repeat=1):
     }
 
 
-def _timed_build(graph, engine, ordering, workers, repeat):
+def _timed_build(graph, engine, ordering, repeat):
     """Best-of-repeat construction; returns ``(result_dict, last_index)``."""
     from repro.core.index import SPCIndex
 
@@ -165,14 +165,13 @@ def _timed_build(graph, engine, ordering, workers, repeat):
     index = None
     for _ in range(repeat):
         built = SPCIndex.build(graph, ordering=ordering, collect_stats=True,
-                               workers=workers, engine=engine)
+                               engine=engine)
         if built.build_seconds < best_seconds:
             best_seconds = built.build_seconds
             index = built
     result = {
         "engine": engine,
         "ordering": ordering,
-        "workers": workers,
         "repeats": repeat,
         "seconds": best_seconds,
         "entries": index.total_entries(),
@@ -181,21 +180,20 @@ def _timed_build(graph, engine, ordering, workers, repeat):
     return result, index
 
 
-def time_construction(graph, engine="python", ordering="degree", workers=1,
-                      repeat=1):
+def time_construction(graph, engine="python", ordering="degree", repeat=1):
     """Time index construction; best of ``repeat`` builds.
 
-    Returns a dict with ``engine``/``ordering``/``workers``/``repeats``,
+    Returns a dict with ``engine``/``ordering``/``repeats``,
     the best build's wall ``seconds``, the labeling's ``entries``, and
     the :meth:`~repro.core.hp_spc.BuildStats.as_dict` counters of the
     fastest build (counters are deterministic, so every build agrees).
     """
-    result, _ = _timed_build(graph, engine, ordering, workers, repeat)
+    result, _ = _timed_build(graph, engine, ordering, repeat)
     return result
 
 
 def compare_builders(graph, engines=("python", "csr"), ordering="degree",
-                     workers=1, repeat=1, check_identical=True):
+                     repeat=1, check_identical=True):
     """Time several construction engines on one graph.
 
     Returns ``{"engines": {name: time_construction-dict}, "speedup",
@@ -210,7 +208,7 @@ def compare_builders(graph, engines=("python", "csr"), ordering="degree",
     results = {}
     flats = []
     for engine in engines:
-        result, index = _timed_build(graph, engine, ordering, workers, repeat)
+        result, index = _timed_build(graph, engine, ordering, repeat)
         results[engine] = result
         if check_identical:
             flats.append(index.to_flat())

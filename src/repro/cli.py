@@ -4,7 +4,7 @@ Usage (also available as ``python -m repro``):
 
     repro-spc info   graph.txt
     repro-spc build  graph.txt index.bin --ordering significant-path
-    repro-spc build  graph.txt index.bin --workers 4
+    repro-spc build  graph.txt index.bin --engine csr
     repro-spc query  index.bin 12 9075
     repro-spc query  index.bin --random 5 --graph graph.txt --engine flat
     repro-spc stats  index.bin
@@ -113,15 +113,7 @@ def _cmd_build(args):
     if args.resume and args.weighted:
         print("--resume is not supported for weighted builds", file=sys.stderr)
         return 2
-    if args.resume and args.workers > 1:
-        print("--resume needs a sequential build (--workers 1); the parallel "
-              "builder retries failed tasks on its own", file=sys.stderr)
-        return 2
     if args.engine == "csr-batch":
-        if args.workers > 1:
-            print("--engine csr-batch is single-process (its parallelism is "
-                  "in-process rank batching); drop --workers", file=sys.stderr)
-            return 2
         if args.resume:
             print("--resume is not supported for --engine csr-batch; its "
                   "builds stream to --spill instead", file=sys.stderr)
@@ -163,10 +155,9 @@ def _cmd_build(args):
                                                  every=args.checkpoint_every)
                     if os.path.exists(checkpoint.path):
                         print(f"resuming from checkpoint {checkpoint.path}")
-                parallel_note = f", workers: {args.workers}" if args.workers > 1 else ""
                 print(f"building HP-SPC over {graph.n} vertices / {graph.m} edges "
-                      f"(ordering: {args.ordering}, engine: {args.engine}{parallel_note})...")
-                index = SPCIndex.build(graph, ordering=args.ordering, workers=args.workers,
+                      f"(ordering: {args.ordering}, engine: {args.engine})...")
+                index = SPCIndex.build(graph, ordering=args.ordering,
                                        engine=args.engine, checkpoint=checkpoint,
                                        batch_size=args.batch_size,
                                        spill_dir=args.spill)
@@ -709,8 +700,6 @@ def build_parser():
                    help="fail on 31-bit count overflow instead of saturating")
     p.add_argument("--weighted", action="store_true",
                    help="treat the third edge-list column as edge weights")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="parallel construction processes (static orderings only)")
     p.add_argument("--engine", default="python",
                    choices=["python", "csr", "csr-batch"],
                    help="construction engine: scalar python, vectorized csr "

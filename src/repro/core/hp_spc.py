@@ -39,18 +39,14 @@ INF = float("inf")
 class BuildStats:
     """Construction counters used by the experiment harness.
 
-    Beyond the paper's work counters, fault-tolerant builds record their
+    Beyond the paper's work counters, checkpointed builds record their
     lifecycle here: ``checkpoint_saves`` / ``resumed_pushes`` for the
-    rank-watermark checkpoint layer, and ``worker_retries`` /
-    ``worker_timeouts`` / ``worker_failures`` / ``sequential_fallbacks``
-    for the supervised parallel builder.
+    rank-watermark checkpoint layer.
     """
 
     __slots__ = (
         "pushes", "visits", "prunes", "join_terms", "label_entries",
         "checkpoint_saves", "resumed_pushes",
-        "worker_retries", "worker_timeouts", "worker_failures",
-        "sequential_fallbacks",
     )
 
     def __init__(self):
@@ -61,10 +57,6 @@ class BuildStats:
         self.label_entries = 0
         self.checkpoint_saves = 0
         self.resumed_pushes = 0
-        self.worker_retries = 0
-        self.worker_timeouts = 0
-        self.worker_failures = 0
-        self.sequential_fallbacks = 0
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -132,7 +124,8 @@ def build_labels(
         orderings, pruned unit-multiplicity builds only). Every engine
         produces entry-for-entry identical labels; ``python`` and ``csr``
         also produce identical ``stats`` counters, while ``csr-batch``
-        follows the parallel builder's counter convention.
+        counts its batched sweep and in-order merge separately (see
+        :mod:`repro.kernels.batch_push`).
     checkpoint:
         Optional :class:`~repro.io.checkpoint.BuildCheckpoint`. Every
         ``checkpoint.every`` completed pushes the partial labeling is

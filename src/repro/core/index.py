@@ -37,29 +37,26 @@ class SPCIndex:
         self._stale_reason = None
 
     @classmethod
-    def build(cls, graph, ordering="degree", collect_stats=False, workers=1,
+    def build(cls, graph, ordering="degree", collect_stats=False,
               engine="python", checkpoint=None, batch_size=None,
               spill_dir=None, mmap_dir=None):
         """Run HP-SPC on ``graph`` under ``ordering`` and wrap the labels.
 
-        ``workers > 1`` partitions the hub pushes across that many
-        processes (:mod:`repro.parallel`); ``engine="csr"`` builds with the
-        vectorized kernels of :mod:`repro.kernels.hub_push` (static
-        orderings, int64 counts) and keeps the frozen
-        :class:`~repro.core.flat_labels.FlatLabels` as the primary store —
-        the tuple-based :class:`LabelSet` is thawed lazily on first use of
-        a python-engine query. ``engine="csr-batch"`` is the rank-batched
-        large-graph engine (:mod:`repro.kernels.batch_push`): single
-        process, freeze-free, memory-frugal columns, with ``batch_size``
-        (ranks per shared sweep, auto-sized by default), ``spill_dir``
-        (stream emission chunks to disk during the build) and ``mmap_dir``
-        (memory-map the final label columns) knobs. Every combination
-        produces bit-identical labels under the same static ordering.
+        ``engine="csr"`` builds with the vectorized kernels of
+        :mod:`repro.kernels.hub_push` (static orderings, int64 counts) and
+        keeps the frozen :class:`~repro.core.flat_labels.FlatLabels` as the
+        primary store — the tuple-based :class:`LabelSet` is thawed lazily
+        on first use of a python-engine query. ``engine="csr-batch"`` is
+        the rank-batched large-graph engine (:mod:`repro.kernels.batch_push`):
+        single process, freeze-free, memory-frugal columns, with
+        ``batch_size`` (ranks per shared sweep, auto-sized by default),
+        ``spill_dir`` (stream emission chunks to disk during the build) and
+        ``mmap_dir`` (memory-map the final label columns) knobs. Every
+        engine produces bit-identical labels under the same static ordering.
 
         ``checkpoint`` (a :class:`~repro.io.checkpoint.BuildCheckpoint`)
         periodically persists rank-watermark progress and resumes an
-        interrupted build from it; sequential ``python``/``csr`` engines
-        only — the parallel builder has its own retry/fallback supervision.
+        interrupted build from it; ``python``/``csr`` engines only.
         """
         import time
 
@@ -75,11 +72,6 @@ class SPCIndex:
         if engine == "csr-batch":
             from repro.kernels.batch_push import build_flat_labels_batched
 
-            if workers is None or workers > 1:
-                raise ValueError(
-                    "engine='csr-batch' is single-process (its parallelism "
-                    "is in-process rank batching); use workers=1"
-                )
             if checkpoint is not None:
                 from repro.core.hp_spc import _reject_batch_knobs
 
@@ -89,23 +81,6 @@ class SPCIndex:
                 spill_dir=spill_dir, mmap_dir=mmap_dir,
             )
             labels = None
-        elif workers is None or workers > 1:
-            if checkpoint is not None:
-                raise ValueError(
-                    "checkpoint resume is only supported for sequential builds "
-                    "(workers=1); the parallel builder supervises its own tasks"
-                )
-            from repro.parallel import build_labels_parallel
-
-            result = build_labels_parallel(
-                graph, workers=workers, ordering=ordering, stats=stats,
-                engine=engine, as_flat=(engine == "csr"),
-            )
-            if engine == "csr":
-                flat = result  # freeze-free: keep the CSR columns primary
-                labels = None
-            else:
-                labels = result
         elif engine == "csr":
             from repro.kernels.hub_push import build_flat_labels_csr
 

@@ -283,9 +283,9 @@ def resolve_static_order(graph, ordering="degree"):
 
     Drives the strategy without push trees, so any tree-free strategy
     (degree, betweenness, explicit lists) works; adaptive strategies raise
-    :class:`OrderingError`. This is the entry point shared by the parallel
-    builder and the vectorized CSR construction kernels, both of which need
-    the whole order up front.
+    :class:`OrderingError`. This is the entry point of the vectorized CSR
+    construction kernels and the checkpointed builds, which need the whole
+    order up front.
     """
     strategy = resolve_ordering(ordering)
     if strategy.wants_tree:

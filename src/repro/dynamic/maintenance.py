@@ -15,12 +15,11 @@ tier:
   a versioned journal.
 * **rebuild behind** — a supervisor thread watches the pending count and
   mutation age; when a rebuild is due it snapshots the logical graph and
-  builds fresh labels in a *worker process* (default ``csr`` engine)
-  under the same supervision contract as the parallel builder: task
-  timeout with a hard kill, bounded retries with linear backoff, and a
-  rank-watermark SPCK checkpoint so a crashed attempt *resumes* instead
-  of restarting (a corrupt checkpoint is detected by its CRC and
-  discarded, never trusted).
+  builds fresh labels in a *supervised worker process* (default ``csr``
+  engine): task timeout with a hard kill, bounded retries with linear
+  backoff, and a rank-watermark SPCK checkpoint so a crashed attempt
+  *resumes* instead of restarting (a corrupt checkpoint is detected by
+  its CRC and discarded, never trusted).
 * **publish** — the worker saves the index atomically (temp file, fsync,
   rename) to ``index_path`` (plus an optional raw SPCF ``arena_path``
   for :class:`~repro.serving.cluster.ClusterService`); the parent

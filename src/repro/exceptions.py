@@ -83,11 +83,6 @@ class StaleIndexError(SerializationError):
         self.found = found
 
 
-class ParallelBuildError(ReproError):
-    """Parallel construction could not complete even after worker retries
-    (and sequential fallback was disabled)."""
-
-
 class QueryError(ReproError):
     """Base class for declarative query-layer failures (:mod:`repro.query`)."""
 

@@ -14,11 +14,7 @@ from repro.kernels.bfs import (
     count_guard_threshold,
     expand_ranges,
 )
-from repro.kernels.hub_push import (
-    build_flat_labels_csr,
-    merge_candidates_csr,
-    push_block_csr,
-)
+from repro.kernels.hub_push import build_flat_labels_csr
 
 __all__ = [
     "bfs_count_csr",
@@ -26,6 +22,4 @@ __all__ = [
     "build_flat_labels_csr",
     "count_guard_threshold",
     "expand_ranges",
-    "merge_candidates_csr",
-    "push_block_csr",
 ]

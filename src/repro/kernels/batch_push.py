@@ -1,16 +1,13 @@
-"""Rank-batched parallel hub-push: shared-array vertex parallelism.
+"""Rank-batched hub-push: shared-array vertex parallelism in one process.
 
 :func:`build_flat_labels_batched` is the large-graph construction engine
-(``engine="csr-batch"``). Instead of fanning each push out to a worker
-process (:mod:`repro.parallel.builder`) it processes *batches of
-consecutive ranks* inside one address space, PSPC-style: all roots of a
-batch run a single level-synchronous sweep over shared composite-indexed
-frontier arrays, so the per-level numpy call overhead — what dominates
-the sequential csr engine once frontiers are small — amortizes across
-the whole batch.
+(``engine="csr-batch"``). It processes *batches of consecutive ranks*
+inside one address space, PSPC-style: all roots of a batch run a single
+level-synchronous sweep over shared composite-indexed frontier arrays,
+so the per-level numpy call overhead — what dominates the sequential csr
+engine once frontiers are small — amortizes across the whole batch.
 
-The two phases per batch mirror the process-parallel builder's soundness
-argument, with a stronger phase-1 join:
+Each batch runs in two phases:
 
 1. **Batched sweep** (phase 1): every root ``r`` in ``[base, base+B)``
    explores its rank-restricted ball ``G_r`` simultaneously. Vertex ``v``
@@ -24,21 +21,21 @@ argument, with a stronger phase-1 join:
    values of every entry the merge later keeps are exact.
 2. **In-order merge** (phase 2): ranks replay in increasing order
    against the now-complete canonical store, classifying each candidate
-   canonical / non-canonical / pruned exactly as
-   :func:`repro.kernels.hub_push.merge_candidates_csr` does. Labels are
-   therefore bit-identical to the sequential csr engine; with
-   ``batch_size=1`` the whole scheme degenerates to it.
+   canonical (``best > d``) / non-canonical (``best == d``) / pruned
+   (``best < d``) with the line-8 join. Labels are therefore
+   bit-identical to the sequential csr engine; with ``batch_size=1`` the
+   whole scheme degenerates to it.
 
 Emission streams through a :class:`~repro.core.label_store.LabelStore`
 (freeze-free, optionally disk-spilled, optionally memory-mapped output
 columns), and the canonical join store uses uint32 rows — together this
 is what lets a million-vertex Barabási–Albert build fit one box.
 
-Construction counters follow the parallel builder's convention: sweep
-discoveries count as ``visits``; ``pushes`` / ``prunes`` /
-``label_entries`` (including root self-entries) are counted by the
-merge, and ``join_terms`` counts phase-1 join terms plus the merge's
-in-batch suffix terms.
+Construction counters follow the two-phase split: sweep discoveries
+count as ``visits``; ``pushes`` / ``prunes`` / ``label_entries``
+(including root self-entries) are counted by the merge, and
+``join_terms`` counts phase-1 join terms plus the merge's in-batch
+suffix terms.
 """
 
 from time import perf_counter

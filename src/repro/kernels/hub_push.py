@@ -26,11 +26,6 @@ is:
    forwarding), ``best == d`` emits non-canonical, ``best > d`` emits
    canonical and extends the join store.
 
-The same sweep primitives serve the multiprocessing builder: workers run
-:func:`push_block_csr` (phase-1 candidate generation with block-local
-pruning) and the coordinator replays :func:`merge_candidates_csr`
-(phase-2 classification), mirroring :mod:`repro.parallel.builder`.
-
 Counts are int64 with the rigorous overflow guard of
 :func:`repro.kernels.bfs.count_guard_threshold`; graphs whose counts
 exceed it must use the arbitrary-precision Python engine.
@@ -539,130 +534,3 @@ def build_flat_labels_csr(
             perf_counter() - build_start
         )
     return flat
-
-
-def push_block_csr(rindptr, rindices, block_ranks):
-    """Phase-1 candidate generation for one worker block (rank space).
-
-    The vectorized counterpart of the deque loop in
-    :mod:`repro.parallel.builder`: for each root rank in ``block_ranks``
-    (increasing), run the rank-restricted sweep pruning against
-    *block-local* candidate labels only, and collect every surviving
-    ``(vertex, dist, count)``. Returns a list of
-    ``(rank, verts, dists, counts, visits)`` with arrays in rank space.
-    """
-    n = rindptr.size - 1
-    rows = _CanonicalRows(n)
-    rank_dist = np.full(n + 2, INF_SENT, dtype=INT)
-    dist = np.full(n, -1, dtype=INT)
-    count = np.zeros(n, dtype=INT)
-    max_degree = int((rindptr[1:] - rindptr[:-1]).max()) if n else 0
-    threshold = count_guard_threshold(max_degree)
-    exact_threshold = int(_FLOAT_EXACT) // (max_degree + 1)
-    out = []
-    empty = np.empty(0, dtype=INT)
-
-    for r in block_ranks:
-        root_ranks, root_dists = rows.row(r)
-        if root_ranks.size:
-            rank_dist[root_ranks] = root_dists
-        dist[r] = 0
-        count[r] = 1
-        root = np.array([r], dtype=INT)
-        visited = [root]
-        frontier = root
-        cand_verts, cand_dists, cand_counts = [], [], []
-        visits = 1
-        depth = 0
-        while frontier.size:
-            starts = rindptr[frontier]
-            degrees = rindptr[frontier + 1] - starts
-            neighbors = rindices[expand_ranges(starts, degrees)]
-            forwarded = np.repeat(count[frontier], degrees)
-            keep = neighbors > r
-            neighbors = neighbors[keep]
-            forwarded = forwarded[keep]
-            open_mask = dist[neighbors] < 0
-            neighbors = neighbors[open_mask]
-            if neighbors.size == 0:
-                break
-            _scatter_add_counts(count, neighbors, forwarded[open_mask], n,
-                                exact_threshold)
-            new = np.unique(neighbors)
-            depth += 1
-            dist[new] = depth
-            visited.append(new)
-            visits += new.size
-            if int(count[new].max()) > threshold:
-                raise LabelingError(
-                    "shortest-path count exceeds the int64 kernel guard; "
-                    "use the python engine for this graph"
-                )
-            best, _ = rows.gather_best(new, rank_dist)
-            kept = new[best >= depth]  # a block-local prune is always sound
-            if kept.size:
-                cand_verts.append(kept)
-                cand_dists.append(np.full(kept.size, depth, dtype=INT))
-                cand_counts.append(count[kept])
-                rows.append(kept, r, depth)  # every candidate joins later pruning
-            frontier = kept
-        for touched in visited:
-            dist[touched] = -1
-            count[touched] = 0
-        if root_ranks.size:
-            rank_dist[root_ranks] = INF_SENT
-        out.append((
-            r,
-            np.concatenate(cand_verts) if cand_verts else empty,
-            np.concatenate(cand_dists) if cand_dists else empty,
-            np.concatenate(cand_counts) if cand_counts else empty,
-            visits,
-        ))
-    return out
-
-
-def merge_candidates_csr(n, order_np, candidates_by_rank, stats=None):
-    """Phase-2: replay the pruning joins in rank order, vectorized per push.
-
-    ``candidates_by_rank[r]`` is ``(verts, dists, counts)`` in rank space
-    (any order within a push — the stable finalize sorts rows by vertex).
-    One batched join classifies a whole push's candidates at once; appends
-    happen in the same rank order as the scalar merge, so the result is
-    entry-for-entry identical. Returns a :class:`FlatLabels`.
-    """
-    rows = _CanonicalRows(n)
-    rank_dist = np.full(n + 2, INF_SENT, dtype=INT)
-    chunks = []
-    zero = np.zeros(1, dtype=INT)
-    one = np.ones(1, dtype=INT)
-    for r in range(n):
-        if stats is not None:
-            stats.pushes += 1
-        root_ranks, root_dists = rows.row(r)
-        if root_ranks.size:
-            rank_dist[root_ranks] = root_dists
-        chunks.append((r, np.array([r], dtype=INT), zero, one, True))
-        if stats is not None:
-            stats.label_entries += 1  # the scalar merge counts the self-entry
-        verts, dists, counts = candidates_by_rank[r]
-        if verts.size:
-            best, lengths = rows.gather_best(verts, rank_dist)
-            if stats is not None:
-                stats.join_terms += int(lengths.sum())
-            canonical_mask = best > dists
-            noncanonical_mask = best == dists
-            emit_can = verts[canonical_mask]
-            emit_non = verts[noncanonical_mask]
-            if stats is not None:
-                stats.prunes += int((best < dists).sum())
-                stats.label_entries += emit_can.size + emit_non.size
-            if emit_can.size:
-                can_dists = dists[canonical_mask]
-                chunks.append((r, emit_can, can_dists, counts[canonical_mask], True))
-                rows.append(emit_can, r, can_dists)
-            if emit_non.size:
-                chunks.append((r, emit_non, dists[noncanonical_mask],
-                               counts[noncanonical_mask], False))
-        if root_ranks.size:
-            rank_dist[root_ranks] = INF_SENT
-    return _finalize_flat(n, order_np, chunks)

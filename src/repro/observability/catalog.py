@@ -86,24 +86,6 @@ METRICS = (
         "Whole-build wall time per construction run.",
     ),
     MetricSpec(
-        "spc_build_sequential_fallbacks_total", "counter", (),
-        "Parallel builds that fell back to the sequential engine after "
-        "their worker pool kept failing.",
-    ),
-    MetricSpec(
-        "spc_build_worker_failures_total", "counter", (),
-        "Parallel worker block tasks that raised.",
-    ),
-    MetricSpec(
-        "spc_build_worker_retries_total", "counter", (),
-        "Parallel worker block tasks resubmitted after a failure or "
-        "timeout.",
-    ),
-    MetricSpec(
-        "spc_build_worker_timeouts_total", "counter", (),
-        "Parallel worker block tasks that exceeded their task timeout.",
-    ),
-    MetricSpec(
         "spc_checkpoint_saves_total", "counter", (),
         "Build checkpoints persisted (rank-watermark saves).",
     ),

@@ -4,7 +4,6 @@ from repro.testing.faults import (
     CrashingCheckpoint,
     SimulatedKill,
     TransientIOErrors,
-    WorkerFault,
     corrupt_bytes,
     flip_bit,
     truncate_file,
@@ -14,7 +13,6 @@ __all__ = [
     "CrashingCheckpoint",
     "SimulatedKill",
     "TransientIOErrors",
-    "WorkerFault",
     "corrupt_bytes",
     "flip_bit",
     "truncate_file",

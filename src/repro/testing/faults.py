@@ -10,10 +10,6 @@ deterministic, so the chaos tests can assert the *exact* recovery path:
 * :class:`TransientIOErrors` — a flaky filesystem: the first ``failures``
   reads raise ``OSError``, then reads succeed. Loaders with ``retries``
   must recover; :class:`~repro.resilience.ResilientSPCIndex` must degrade.
-* :class:`WorkerFault` — a crashing / hanging pool worker for
-  :func:`~repro.parallel.builder.build_labels_parallel`'s ``_fault`` hook.
-  Firing is counted in marker files so a retried block behaves on its next
-  attempt — exactly the transient-failure shape supervision must absorb.
 * :class:`CrashingCheckpoint` — SIGKILL between checkpoints: the save
   succeeds, then :class:`SimulatedKill` (a ``BaseException``, so no
   library ``except ReproError`` can swallow it) tears the build down.
@@ -127,54 +123,6 @@ class TransientIOErrors:
         return False
 
 
-class WorkerFault:
-    """Picklable worker fault for ``build_labels_parallel(_fault=...)``.
-
-    ``kind``:
-
-    * ``"exception"`` — the worker raises (an ordinary task failure);
-    * ``"exit"`` — the worker dies with ``os._exit`` (a hard crash: the
-      pool never hears back, so only a ``task_timeout`` catches it);
-    * ``"hang"`` — the worker sleeps ``hang_seconds`` (a wedged task).
-
-    Each block in ``blocks`` fires ``times`` times, counted via exclusive
-    marker-file creation in ``marker_dir`` — atomic across processes, so
-    retried blocks deterministically misbehave exactly ``times`` times and
-    then succeed.
-    """
-
-    def __init__(self, kind, blocks, marker_dir, times=1, hang_seconds=30.0):
-        if kind not in ("exception", "exit", "hang"):
-            raise ValueError(f"unknown worker fault kind {kind!r}")
-        self.kind = kind
-        self.blocks = tuple(blocks)
-        self.marker_dir = os.fspath(marker_dir)
-        self.times = times
-        self.hang_seconds = hang_seconds
-
-    def trigger(self, block_index):
-        """Called by the pool worker at the start of a block task."""
-        if block_index not in self.blocks:
-            return
-        for attempt in range(self.times):
-            marker = os.path.join(
-                self.marker_dir, f"fault-{self.kind}-{block_index}-{attempt}"
-            )
-            try:
-                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-            except FileExistsError:
-                continue  # this firing already happened on an earlier attempt
-            if self.kind == "exception":
-                raise RuntimeError(
-                    f"injected worker fault on block {block_index} "
-                    f"(firing {attempt + 1}/{self.times})"
-                )
-            if self.kind == "exit":
-                os._exit(17)
-            time.sleep(self.hang_seconds)
-            return
-
-
 class SlowFallback:
     """Context manager stalling every BFS-fallback query by ``seconds``.
 
@@ -249,13 +197,13 @@ class KillDuringRebuild:
     via its ``_fault`` test hook: the rebuild worker process calls
     :meth:`trigger` after every *completed* checkpoint save. Once
     ``after_saves`` saves have landed the fault fires ``times`` times —
-    counted via exclusive marker files in ``marker_dir`` exactly like
-    :class:`WorkerFault`, atomic across the supervised retries, so the
-    worker deterministically misbehaves ``times`` times and then builds
-    cleanly. ``kind="kill"`` dies with ``os._exit`` (SIGKILL between
-    checkpoints: the save survives on disk and the next attempt must
-    resume from it); ``kind="hang"`` sleeps ``hang_seconds`` so only the
-    controller's task timeout can reap the worker.
+    counted via exclusive marker-file creation in ``marker_dir``, atomic
+    across the supervised retries, so the worker deterministically
+    misbehaves ``times`` times and then builds cleanly. ``kind="kill"``
+    dies with ``os._exit`` (SIGKILL between checkpoints: the save survives
+    on disk and the next attempt must resume from it); ``kind="hang"``
+    sleeps ``hang_seconds`` so only the controller's task timeout can reap
+    the worker.
     """
 
     def __init__(self, marker_dir, after_saves=1, times=1, kind="kill",
@@ -294,7 +242,7 @@ class StalledWorker:
     before sending each successful batch reply. From ``after_replies``
     replies on, the fault fires ``times`` times — counted via exclusive
     marker files in ``marker_dir`` (atomic across respawned worker
-    incarnations, the :class:`WorkerFault` idiom) — and the process
+    incarnations, like :class:`KillDuringRebuild`) — and the process
     stops itself with ``SIGSTOP``. A stopped process is alive but
     silent: its pipe stays open, so only heartbeat/stall supervision
     (not EOF) can detect it, and ``SIGKILL`` still reaps it. Call

@@ -145,8 +145,6 @@ def test_unsupported_knobs_raise():
         build_labels(graph, engine="csr-batch", skip={0})
     with pytest.raises(ValueError, match="prun"):
         build_labels(graph, engine="csr-batch", prune=False)
-    with pytest.raises(ValueError, match="workers"):
-        SPCIndex.build(graph, engine="csr-batch", workers=4)
     with pytest.raises(ValueError, match="csr-batch"):
         SPCIndex.build(graph, engine="csr", batch_size=4)
     with pytest.raises(ValueError, match="csr-batch"):

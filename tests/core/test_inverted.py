@@ -1,15 +1,28 @@
 """Tests for the inverted label index and single-source sweeps."""
 
+import networkx as nx
 import pytest
 
+from repro.applications.centrality import all_closeness
+from repro.core.flat_labels import FlatLabels
 from repro.core.hp_spc import build_labels
 from repro.core.inverted import InvertedLabelIndex
+from repro.exceptions import LabelingError
 from repro.generators.classic import cycle_graph, grid_graph, star_graph
 from repro.generators.random_graphs import gnp_random_graph
 from repro.graph.graph import Graph
 from repro.graph.traversal import bfs_count_from
 
 INF = float("inf")
+
+
+def diamond_chain(k):
+    """``k`` diamonds joined end to end: ``2^k`` shortest paths, length ``2k``."""
+    edges = []
+    for i in range(k):
+        left, top, bottom, right = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(left, top), (left, bottom), (top, right), (bottom, right)]
+    return Graph.from_edges(3 * k + 1, edges)
 
 
 class TestSingleSource:
@@ -43,6 +56,33 @@ class TestSingleSource:
         inverted = InvertedLabelIndex(build_labels(g))
         dist, count = inverted.single_source(0)
         assert count[15] == 20  # C(6, 3)
+
+
+class TestBeyondInt64:
+    """The inverted index is the single-source path for counts >= 2^63.
+
+    The flat columns hold int64 counts, so a labeling with a larger count
+    cannot be frozen; the inverted index sweeps the python labels with
+    arbitrary-precision counts instead.
+    """
+
+    def test_single_source_past_int64(self):
+        g = diamond_chain(64)
+        assert g.n == 193
+        labels = build_labels(g)
+        with pytest.raises(LabelingError):
+            FlatLabels.from_label_set(labels)
+        dist, count = InvertedLabelIndex(labels).single_source(0)
+        assert dist[192] == 128
+        assert count[192] == 2 ** 64
+
+    def test_closeness_matches_networkx(self):
+        g = diamond_chain(64)
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(range(g.n))
+        nx_graph.add_edges_from(g.edges())
+        expected = nx.closeness_centrality(nx_graph)
+        assert all_closeness(build_labels(g)) == [expected[v] for v in range(g.n)]
 
 
 class TestPostings:

@@ -9,10 +9,11 @@ from repro.core.ordering import (
     SignificantPathOrdering,
     StaticOrdering,
     resolve_ordering,
+    resolve_static_order,
 )
 from repro.exceptions import OrderingError
-from repro.generators.classic import path_graph, star_graph
-from repro.generators.random_graphs import gnp_random_graph
+from repro.generators.classic import grid_graph, path_graph, star_graph
+from repro.generators.random_graphs import barabasi_albert_graph, gnp_random_graph
 from repro.graph.builders import disjoint_union
 from repro.graph.graph import Graph
 
@@ -69,6 +70,18 @@ class TestResolveOrdering:
     def test_rejects_garbage(self):
         with pytest.raises(OrderingError, match="cannot interpret"):
             resolve_ordering(42)
+
+
+class TestResolveStaticOrder:
+    def test_matches_degree(self):
+        graph = barabasi_albert_graph(30, 2, seed=1)
+        order = resolve_static_order(graph, "degree")
+        assert sorted(order) == list(range(graph.n))
+        assert tuple(order) == build_labels(graph).order
+
+    def test_adaptive_ordering_rejected(self):
+        with pytest.raises(OrderingError):
+            resolve_static_order(grid_graph(3, 3), "significant-path")
 
 
 class TestPushTree:

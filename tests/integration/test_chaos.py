@@ -3,9 +3,8 @@ answer or a typed ReproError — never a crash, never a wrong count.
 
 The fault matrix covers the index lifecycle end to end: on-disk damage
 (truncation, bit-flips), missing files, stale indexes, flaky reads,
-crashing/hanging build workers, and a process killed between
-checkpoints. :class:`ResilientSPCIndex` is the system under test for the
-query side; the checkpointing builders and supervised parallel builder
+and a process killed between checkpoints. :class:`ResilientSPCIndex` is
+the system under test for the query side; the checkpointing builders
 for the construction side.
 """
 

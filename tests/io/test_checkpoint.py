@@ -4,13 +4,13 @@ uninterrupted one, and damaged checkpoints must be rejected, not resumed."""
 import pytest
 
 from repro.core.hp_spc import BuildStats, build_labels
+from repro.core.ordering import resolve_static_order
 from repro.exceptions import CheckpointError
 from repro.generators.classic import grid_graph
 from repro.generators.random_graphs import barabasi_albert_graph, gnp_random_graph
 from repro.io.checkpoint import BuildCheckpoint, decode_checkpoint, encode_checkpoint
 from repro.io.serialize import graph_fingerprint
 from repro.kernels.hub_push import build_flat_labels_csr
-from repro.parallel import resolve_static_order
 from repro.testing.faults import CrashingCheckpoint, SimulatedKill, flip_bit
 
 

@@ -1,9 +1,9 @@
-"""Property-based tests for the flat/batched engine and parallel builder.
+"""Property-based tests for the flat/batched query and construction engines.
 
 On arbitrary random graphs and orders, the vectorized paths must agree
 with the tuple-based reference engine pair-for-pair, round trips through
-the flat store and the packed byte format must be lossless, and the
-parallel candidate/merge construction must reproduce sequential HP-SPC.
+the flat store and the packed byte format must be lossless, and the csr
+construction kernels must reproduce sequential HP-SPC.
 """
 
 import random
@@ -17,7 +17,6 @@ from repro.core.hp_spc import build_labels
 from repro.core.query import count_query, count_set_query
 from repro.graph.graph import Graph
 from repro.io.serialize import labels_from_bytes, labels_to_bytes
-from repro.parallel import build_labels_parallel
 
 SETTINGS = dict(
     max_examples=25,
@@ -106,18 +105,6 @@ def test_flat_round_trip_through_serialized_form(graph_and_order):
         assert thawed.noncanonical(v) == labels.noncanonical(v)
     reloaded, _ = labels_from_bytes(labels_to_bytes(thawed))
     assert FlatLabels.from_label_set(reloaded).equals(flat)
-
-
-@given(graphs_with_orders(), st.integers(min_value=2, max_value=4))
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_parallel_build_identical_on_random_graphs(graph_and_order, workers):
-    graph, order = graph_and_order
-    sequential = build_labels(graph, ordering=order)
-    parallel = build_labels_parallel(graph, workers=workers, ordering=order)
-    assert sequential.order == parallel.order
-    for v in range(graph.n):
-        assert sequential.canonical(v) == parallel.canonical(v)
-        assert sequential.noncanonical(v) == parallel.noncanonical(v)
 
 
 @given(graphs_with_orders())

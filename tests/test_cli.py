@@ -202,13 +202,6 @@ class TestBuildRobustness:
         for v in range(graph.n):
             assert loaded.canonical(v) == reference.canonical(v)
 
-    def test_resume_rejects_parallel(self, graph_file, tmp_path, capsys):
-        path, _ = graph_file
-        rc = main(["build", path, str(tmp_path / "g.idx"), "--resume",
-                   "--workers", "2"])
-        assert rc == 2
-        assert "sequential" in capsys.readouterr().err
-
     def test_failed_build_removes_partial_output(self, tmp_path, capsys):
         bad_graph = tmp_path / "bad.txt"
         bad_graph.write_text("0 not_a_vertex\n")

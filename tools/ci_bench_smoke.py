@@ -33,8 +33,6 @@ def main(argv=None):
     parser.add_argument("--queries", type=int, default=20000,
                         help="random query pairs (default 20000)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="construction processes (default 1)")
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="fail below this flat/python speedup (default 1.0)")
     parser.add_argument("--max-plan-overhead", type=float, default=0.05,
@@ -54,10 +52,9 @@ def main(argv=None):
     graph = barabasi_albert_graph(args.vertices, args.attach, seed=args.seed)
     print(f"graph: barabasi_albert(n={graph.n}, m={graph.m})")
     started = time.perf_counter()
-    index = SPCIndex.build(graph, workers=args.workers, collect_stats=True)
+    index = SPCIndex.build(graph, collect_stats=True)
     build_seconds = time.perf_counter() - started
-    print(f"build: {build_seconds:.1f}s, {index.total_entries()} entries "
-          f"({args.workers} worker(s))")
+    print(f"build: {build_seconds:.1f}s, {index.total_entries()} entries")
 
     started = time.perf_counter()
     index.to_flat()  # freeze outside the timed comparison
@@ -100,7 +97,6 @@ def main(argv=None):
         "graph": {"family": "barabasi_albert", "n": graph.n, "m": graph.m,
                   "attach": args.attach, "seed": args.seed},
         "build_seconds": round(build_seconds, 3),
-        "build_workers": args.workers,
         "build_stats": index.build_stats.as_dict(),
         "label_entries": index.total_entries(),
         "freeze_seconds": round(freeze_seconds, 3),

@@ -7,7 +7,7 @@
 #   tests       the tier-1 pytest suite with PYTHONPATH=src (current python
 #               only; CI runs the 3.10/3.11/3.12 matrix)
 #   chaos-smoke tools/ci_chaos_smoke.py fault-injection gate (corrupt files,
-#               killed builds, crashing workers)
+#               killed builds)
 #   serving-smoke tools/ci_serving_smoke.py SPCService gate (deadlines,
 #               shedding, circuit breaker, hot reload), writing
 #               BENCH_serving.json

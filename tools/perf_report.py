@@ -118,8 +118,7 @@ def render_ci_smoke(record):
         f"{_fmt(record.get('queries'))} random query pairs.",
         "",
         "| Metric | Value |", "|---|---|",
-        f"| Build seconds ({_fmt(record.get('build_workers'))} worker(s)) | "
-        f"{_fmt(record.get('build_seconds'), '.2f')} |",
+        f"| Build seconds | {_fmt(record.get('build_seconds'), '.2f')} |",
         f"| Freeze seconds | {_fmt(record.get('freeze_seconds'), '.3f')} |",
         f"| python engine | "
         f"{_fmt(record.get('python_us_per_query'), '.2f')} µs/query |",
@@ -242,7 +241,7 @@ def render_streaming(record):
     if streaming:
         config = streaming.get("config", {})
         lines += [
-            f"{_fmt(config.get('vertices'))}-vertex graph under "
+            f"{_fmt(config.get('n'))}-vertex graph under "
             f"{_fmt(config.get('duration'), '.0f')} s of mixed insert/delete "
             f"churn ({_fmt(config.get('churn_per_second'), '.0f')} "
             f"mutations/s, delete fraction "
