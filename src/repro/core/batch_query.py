@@ -1,18 +1,23 @@
 """Batched query evaluation over :class:`~repro.core.flat_labels.FlatLabels`.
 
 Where :mod:`repro.core.query` walks two Python lists per query, everything
-here is array-at-a-time. Pair batches are grouped by source: the source
-label is *scattered* into dense rank-indexed arrays once per distinct
-source, and each target row then joins with a handful of vectorized
-gathers — no per-entry Python, and repeated sources (single-source-heavy
-workloads) pay the scatter only once. Single-source and set-to-set queries
-scatter one side's hubs the same way and sweep label columns in bulk.
+here is array-at-a-time. A pair batch is Algorithm 2's merge join done for
+many pairs at once: the label rows of a chunk of pairs are gathered, every
+entry is keyed ``pair_index·n + rank`` (the source keys and the target
+keys each come out sorted), one stable sort merges the two key runs so
+that common hubs sit side by side, and segmented ``minimum``/``add``
+reductions take each pair's distance and count. No per-pair Python and no shared buffer, so concurrent callers need
+no coordination. Single-source and set-to-set queries scatter one side's
+hubs into dense rank-indexed arrays and sweep label columns in bulk.
 
 Semantics match :mod:`repro.core.query` exactly for the plain (unreduced)
 index: disconnected pairs answer ``(inf, 0)``, ``s == t`` answers
-``(0, 1)``, and counts are exact as long as they fit int64 (the flat store
-refuses wider counts at freeze time). The λ-weighted ``multiplicity``
-evaluation of the reductions stays on the tuple-based path.
+``(0, 1)``, and pair counts are exact at any size. The join runs in int64
+only where :attr:`FlatLabels.overflow_free
+<repro.core.flat_labels.FlatLabels.overflow_free>` or a per-pair bound
+proves it cannot wrap; other pairs take a python-int merge. The
+λ-weighted ``multiplicity`` evaluation of the reductions stays on the
+tuple-based path.
 """
 
 import contextlib
@@ -21,11 +26,14 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.exceptions import VertexError
+from repro.core.flat_labels import JOIN_BOUND
+from repro.core.query import merge_join_rows
+from repro.exceptions import LabelingError, VertexError
 from repro.observability.metrics import get_registry
 
 INF = float("inf")
 INT = np.int64
+INT_MAX = int(np.iinfo(INT).max)
 
 
 def _validate_ids(flat, vertices):
@@ -34,12 +42,13 @@ def _validate_ids(flat, vertices):
     Batched queries index rank-space arrays directly; an out-of-range id
     would otherwise surface as an opaque numpy ``IndexError`` (or, worse,
     a negative id would silently wrap around and answer for the wrong
-    vertex). The happy path is two allocation-free reductions (min and
-    max); only an actual violation pays for the offender search.
+    vertex). The happy path is one allocation-free reduction: viewed as
+    unsigned, a negative id is huge, so the maximum catches both ends. Only
+    an actual violation pays for the offender search.
     """
     if vertices.size == 0:
         return
-    if int(vertices.min()) >= 0 and int(vertices.max()) < flat.n:
+    if int(np.maximum.reduce(vertices.view(np.uint64))) < flat.n:
         return
     bad = (vertices < 0) | (vertices >= flat.n)
     offender = int(vertices[bad][0])
@@ -49,11 +58,12 @@ def _validate_ids(flat, vertices):
 class _QueryScratch:
     """Reusable rank-indexed scatter buffers for one :class:`FlatLabels`.
 
-    The batched queries scatter a label row into dense ``(dist, count)``
-    arrays of length ``n``; allocating those per call dominates small
-    batches. One clean pair is cached on the flat store and borrowed
-    under a non-blocking lock — concurrent callers simply allocate a
-    private pair, so reuse is a fast path, never a serialization point.
+    Single-source and set-to-set queries scatter a label row into dense
+    ``(dist, count)`` arrays of length ``n``; allocating those per call
+    dominates small queries. One clean pair is cached on the flat store
+    and borrowed under a non-blocking lock — concurrent callers simply
+    allocate a private pair, so reuse is a fast path, never a
+    serialization point.
 
     Invariant: outside a borrow, ``hub_dist`` is all ``inf`` and
     ``hub_count`` all zero. Borrowers restore the positions they
@@ -87,141 +97,206 @@ def _borrow_scratch(flat):
         yield np.full(flat.n, INF), np.zeros(flat.n, dtype=INT)
 
 
-def _gather_rows(flat, vertices):
-    """Concatenate the label rows of ``vertices``.
+def _row_spans(indptr, vertices):
+    """``(starts, lens)``: where each row of ``vertices`` sits in the columns."""
+    starts = indptr[vertices]
+    return starts, indptr[vertices + 1] - starts
 
-    Returns ``(entry_idx, seg_ptr)`` where ``entry_idx`` indexes the flat
-    columns and ``seg_ptr[i]:seg_ptr[i+1]`` delimits the row of
-    ``vertices[i]`` inside ``entry_idx``.
+
+def _gather_rows(starts, lens):
+    """Concatenate label rows given by :func:`_row_spans`.
+
+    Returns ``(entry_idx, ends)`` where ``entry_idx`` indexes the flat
+    columns and row ``i`` ends at ``ends[i]`` inside ``entry_idx``.
     """
-    starts = flat.indptr[vertices]
-    lens = flat.indptr[vertices + 1] - starts
-    seg_ptr = np.zeros(len(vertices) + 1, dtype=INT)
-    np.cumsum(lens, out=seg_ptr[1:])
-    total = int(seg_ptr[-1])
-    entry_idx = np.repeat(starts - seg_ptr[:-1], lens) + np.arange(total, dtype=INT)
-    return entry_idx, seg_ptr
+    ends = lens.cumsum()
+    entry_idx = np.arange(ends[-1]) + (starts + lens - ends).repeat(lens)
+    return entry_idx, ends
+
+
+#: Label entries (source plus target rows) one join chunk gathers at most,
+#: bounding the join's temporaries whatever the batch size. A pair whose
+#: two rows alone exceed it still forms a chunk of its own.
+CHUNK_ENTRIES = 1 << 17
+
+
+def _join_chunk(n, rank, dist, count, starts, lens, out_dist, out_count):
+    """Answer one chunk of pairs into the ``out_*`` slices (Algorithm 2).
+
+    ``starts``/``lens`` span the chunk's source rows, then its target rows.
+    Every entry is keyed ``pair_index·n + rank``. Ranks increase within a
+    row and stay below ``n``, so the source keys and the target keys are
+    two sorted runs of unique keys, and a common hub of a pair is a key in
+    both. One stable sort merges the runs (NumPy's stable sort of int64 is
+    timsort, which finds the two runs and merges them in linear time) and
+    leaves each common hub as an adjacent equal pair, source first. The per-pair minimum of ``δ(s,h)+δ(h,t)`` and the sum of
+    ``σ(s,h)·σ(h,t)`` at it are two segmented reductions over the matches.
+    """
+    pairs = len(out_dist)
+    idx, ends = _gather_rows(starts, lens)
+    split = int(ends[pairs - 1])
+    base = np.arange(0, pairs * n, n, dtype=INT)
+    keys = np.concatenate((base, base)).repeat(lens) + rank[idx]
+    order = keys.argsort(kind="stable")
+    merged = keys[order]
+    at = (merged[1:] == merged[:-1]).nonzero()[0]
+    src = idx[order[at]]
+    # Target positions of the matches rise with their keys, so each pair's
+    # matches form one contiguous run.
+    hit = order[1:][at] - split
+    runs = hit.searchsorted(ends[pairs - 1:] - split)
+    run_len = runs[1:] - runs[:-1]
+    met = run_len > 0
+    tgt = idx[split:][hit]
+    totals = np.add(dist[src], dist[tgt], dtype=INT)
+    run_start = runs[:-1][met]
+    best = np.minimum.reduceat(totals, run_start)
+    terms = np.multiply(count[src], count[tgt], dtype=INT)
+    terms *= totals == best.repeat(run_len[met])
+    out_dist[met] = best
+    out_count[met] = np.add.reduceat(terms, run_start)
+
+
+def _exact_pair(flat, s, t):
+    """Python-int merge join of ``L(s)`` and ``L(t)``: never wraps."""
+    rows = []
+    for v in (s, t):
+        lo, hi = int(flat.indptr[v]), int(flat.indptr[v + 1])
+        rank = flat.rank[lo:hi].tolist()
+        # merge_join_rows reads (rank, hub, dist, count); the hub slot only
+        # matters for λ-weighting, so the rank stands in for it.
+        rows.append(list(zip(rank, rank, flat.dist[lo:hi].tolist(),
+                             flat.count[lo:hi].tolist())))
+    return merge_join_rows(rows[0], rows[1], s, t)
+
+
+def _join(flat, sources, targets, deadline):
+    """Shared body of :func:`count_many_arrays` and :func:`count_many`.
+
+    Returns ``(dist, count, exact)``: the int64 answer columns plus
+    ``{pair_index: (dist, count)}`` python-int answers for the pairs the
+    overflow bound rerouted to :func:`_exact_pair` (their column slots are
+    not meaningful).
+    """
+    registry = get_registry()
+    metered = registry.enabled
+    if metered:
+        batch_start = perf_counter()
+    sources = np.asarray(sources, dtype=INT)
+    targets = np.asarray(targets, dtype=INT)
+    if sources.shape != targets.shape or sources.ndim != 1:
+        raise ValueError("sources and targets must be 1-d arrays of equal length")
+    vertices = np.concatenate((sources, targets))
+    _validate_ids(flat, vertices)
+    pairs = len(sources)
+    out_dist = np.full(pairs, INF)
+    out_count = np.zeros(pairs, dtype=INT)
+    exact = {}
+    if pairs == 0:
+        return out_dist, out_count, exact
+
+    # Plain ndarray views: indexing through np.memmap's Python-level
+    # __getitem__ would cost more than the join itself on small batches.
+    indptr, rank, dist, count = (np.asarray(column) for column in
+                                 (flat.indptr, flat.rank, flat.dist, flat.count))
+    diagonal = sources == targets
+    starts, lens = _row_spans(indptr, vertices)
+    len_s = lens[:pairs]
+    len_t = lens[pairs:]
+    if not flat.overflow_free:
+        # The bound caps the pair's sum of products; float rounding is
+        # harmless because JOIN_BOUND sits a factor of two below int64's.
+        row_max = flat.row_max_count
+        bound = (row_max[sources].astype(np.float64) * row_max[targets]
+                 * np.minimum(len_s, len_t))
+        for i in np.flatnonzero((bound >= JOIN_BOUND) & ~diagonal).tolist():
+            exact[i] = _exact_pair(flat, int(sources[i]), int(targets[i]))
+    ends = (len_s + len_t).cumsum()
+    chunks = 0
+    lo = 0
+    while lo < pairs:
+        if deadline is not None:
+            deadline.check()
+        limit = (int(ends[lo - 1]) if lo else 0) + CHUNK_ENTRIES
+        hi = max(lo + 1, int(ends.searchsorted(limit, side="right")))
+        if hi - lo == pairs:
+            spans = starts, lens  # one chunk: no copy of the spans
+        else:
+            spans = (np.concatenate((starts[lo:hi], starts[pairs + lo:pairs + hi])),
+                     np.concatenate((len_s[lo:hi], len_t[lo:hi])))
+        _join_chunk(flat.n, rank, dist, count, *spans,
+                    out_dist[lo:hi], out_count[lo:hi])
+        chunks += 1
+        lo = hi
+
+    # Algorithm 2's special case: the empty path, not a hub meeting.
+    out_dist[diagonal] = 0.0
+    out_count[diagonal] = 1
+    if metered:
+        registry.counter("spc_queries_total", engine="flat",
+                         kind="pair").inc(pairs)
+        registry.counter("spc_query_scan_chunks_total").inc(chunks)
+        if exact:
+            registry.counter("spc_query_exact_reroutes_total").inc(len(exact))
+        registry.histogram("spc_batch_query_seconds").observe(
+            perf_counter() - batch_start
+        )
+    return out_dist, out_count, exact
 
 
 def count_many_arrays(flat, sources, targets, deadline=None):
     """``(dist, count)`` numpy columns for a batch of pairs.
 
     ``dist`` is float64 (``inf`` marks disconnected pairs), ``count`` is
-    int64. Pairs are processed grouped by source: each distinct source's
-    label is scattered into rank-indexed ``(dist, count)`` arrays, and every
-    target row of that group joins via dense gathers — the per-query cost is
-    a few small-array numpy ops instead of a per-entry Python merge join.
+    int64. Pairs are answered in chunks of at most :data:`CHUNK_ENTRIES`
+    gathered label entries, each one vectorized sort-merge join (see
+    :func:`_join_chunk`); no per-pair Python and no shared buffer, so
+    concurrent callers need no coordination.
 
-    ``deadline`` (duck-typed ``check()``) is consulted every few dozen
-    pairs, between label-scan chunks, so a huge batch under a per-request
-    budget raises :class:`~repro.exceptions.DeadlineExceeded` promptly
-    rather than running to completion.
+    Counts are exact: a pair whose int64 arithmetic the store cannot rule
+    out is answered by a python-int merge instead, and if its exact count
+    does not fit int64 this raises :class:`~repro.exceptions.LabelingError`
+    naming the pair (:func:`count_many` returns such counts as python ints).
+
+    ``deadline`` (duck-typed ``check()``) is consulted before every chunk,
+    so a huge batch under a per-request budget raises
+    :class:`~repro.exceptions.DeadlineExceeded` promptly rather than
+    running to completion.
     """
-    registry = get_registry()
-    metered = registry.enabled
-    if metered:
-        batch_start = perf_counter()
-        scan_chunks = 0
-    sources = np.asarray(sources, dtype=INT)
-    targets = np.asarray(targets, dtype=INT)
-    if sources.shape != targets.shape or sources.ndim != 1:
-        raise ValueError("sources and targets must be 1-d arrays of equal length")
-    _validate_ids(flat, sources)
-    _validate_ids(flat, targets)
-    pairs = len(sources)
-    out_dist = np.full(pairs, INF)
-    out_count = np.zeros(pairs, dtype=INT)
-    if pairs == 0:
-        return out_dist, out_count
-
-    rows = flat.rows()
-    grouped = np.argsort(sources, kind="stable").tolist()
-    source_list = sources.tolist()
-    target_list = targets.tolist()
-    intp = np.intp
-    f64 = np.float64
-    with _borrow_scratch(flat) as (hub_dist, hub_count):
-        current = -1
-        scattered = None
-        try:
-            for done, i in enumerate(grouped):
-                if deadline is not None and not done & 0x3F:
-                    deadline.check()
-                s = source_list[i]
-                if s != current:
-                    if scattered is not None:
-                        hub_dist[scattered] = INF
-                    rank_s, dist_s, count_s = rows[s]
-                    # Fancy indexing converts a non-intp index array on
-                    # every call; converting once and reusing it for the
-                    # scatter and the reset halves the scatter cost.
-                    # Value dtypes are hoisted for the same reason: an
-                    # in-place uint16->float64 cast inside the scatter is
-                    # several times slower than astype + same-dtype store.
-                    rank_i = rank_s.astype(intp)
-                    hub_dist[rank_i] = dist_s.astype(f64)
-                    hub_count[rank_i] = count_s.astype(INT)
-                    scattered = rank_i
-                    current = s
-                    if metered:
-                        scan_chunks += 1
-                rank_t, dist_t, count_t = rows[target_list[i]]
-                rank_ti = rank_t.astype(intp)
-                totals = hub_dist[rank_ti] + dist_t
-                if totals.size:
-                    best = totals.min()
-                    if best < INF:
-                        # Stale hub_count entries from earlier sources are
-                        # unreadable here: at_best requires a finite
-                        # hub_dist, which only freshly scattered positions
-                        # have — so hub_count needs no per-source reset,
-                        # just the one fill(0) on the way out.
-                        at_best = totals == best
-                        out_dist[i] = best
-                        # dot, not (a * b).sum(): one BLAS-free fused pass
-                        # instead of a temporary product array plus a
-                        # reduction — measurably faster on wide tie sets.
-                        out_count[i] = np.dot(
-                            hub_count[rank_ti[at_best]],
-                            count_t[at_best].astype(INT),
-                        )
-        finally:
-            if scattered is not None:
-                hub_dist[scattered] = INF
-                hub_count.fill(0)
-
-    # Algorithm 2's special case: the empty path, not a hub meeting.
-    diagonal = sources == targets
-    out_dist[diagonal] = 0.0
-    out_count[diagonal] = 1
-    if metered:
-        registry.counter("spc_queries_total", engine="flat",
-                         kind="pair").inc(pairs)
-        registry.counter("spc_query_scan_chunks_total").inc(scan_chunks)
-        registry.histogram("spc_batch_query_seconds").observe(
-            perf_counter() - batch_start
-        )
-    return out_dist, out_count
+    dist, count, exact = _join(flat, sources, targets, deadline)
+    for i, (d, c) in exact.items():
+        if c > INT_MAX:
+            s, t = int(np.asarray(sources)[i]), int(np.asarray(targets)[i])
+            raise LabelingError(
+                f"pair ({s}, {t}) has {c} shortest paths, which does not fit "
+                "int64; use count_many for python-int counts"
+            )
+        dist[i] = d
+        count[i] = c
+    return dist, count
 
 
 def count_many(flat, pairs, deadline=None):
     """Batched ``count_query``: list of ``(sd(s,t), spc(s,t))`` tuples.
 
     Python-native results — ``(inf, 0)`` for disconnected pairs, integer
-    distances otherwise — so elements compare equal to
-    :func:`repro.core.query.count_query` output. ``deadline`` is threaded
-    through to :func:`count_many_arrays`.
+    distances otherwise, exact python-int counts even past int64 — so
+    elements compare equal to :func:`repro.core.query.count_query` output.
+    ``deadline`` is threaded through to the join.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     sources = np.fromiter((s for s, _ in pairs), dtype=INT, count=len(pairs))
     targets = np.fromiter((t for _, t in pairs), dtype=INT, count=len(pairs))
-    dist, count = count_many_arrays(flat, sources, targets, deadline=deadline)
-    return [
+    dist, count, exact = _join(flat, sources, targets, deadline)
+    answers = [
         (int(d), int(c)) if c else (INF, 0)
         for d, c in zip(dist.tolist(), count.tolist())
     ]
+    for i, answer in exact.items():
+        answers[i] = answer
+    return answers
 
 
 def single_source_range(flat, s, lo, hi, deadline=None):
@@ -312,7 +387,7 @@ def count_set_to_set(flat, sources, targets):
     if sources.size == 0 or targets.size == 0:
         return INF, 0
 
-    idx_s, _ = _gather_rows(flat, sources)
+    idx_s, _ = _gather_rows(*_row_spans(flat.indptr, sources))
     ranks_s = flat.rank[idx_s]
     with _borrow_scratch(flat) as (hub_best, hub_count):
         try:
@@ -321,7 +396,7 @@ def count_set_to_set(flat, sources, targets):
             np.add.at(hub_count, flat.rank[idx_s[at_best]],
                       flat.count[idx_s[at_best]])
 
-            idx_t, _ = _gather_rows(flat, targets)
+            idx_t, _ = _gather_rows(*_row_spans(flat.indptr, targets))
             ranks_t = flat.rank[idx_t]
             totals = hub_best[ranks_t] + flat.dist[idx_t]
             reachable = np.isfinite(totals)

@@ -4,8 +4,8 @@
 into contiguous numpy columns in CSR layout: ``indptr[v]:indptr[v+1]``
 delimits the merged label ``L(v) = L^c(v) ∪ L^nc(v)``, and within each row
 the ``rank`` column is strictly increasing (a hub appears at most once per
-vertex), so batched queries in :mod:`repro.core.batch_query` can intersect
-rows with ``np.searchsorted`` instead of per-entry Python merge joins.
+vertex), so batched queries in :mod:`repro.core.batch_query` can merge
+many rows with one stable sort instead of per-entry Python merge joins.
 
 The canonical / non-canonical split survives the freeze as a boolean
 column, so the round trip ``LabelSet -> FlatLabels -> LabelSet`` is exact
@@ -21,6 +21,12 @@ from repro.exceptions import LabelingError
 from repro.io.serialize import DEFAULT_BITS, pack_entries
 
 INT = np.int64
+
+#: About half of int64's maximum. A pair join whose bound
+#: ``max σ(s,·) · max σ(t,·) · min(|L(s)|, |L(t)|)`` stays below it cannot
+#: wrap its int64 products or their sum (see
+#: :attr:`FlatLabels.overflow_free`).
+JOIN_BOUND = 1 << 62
 
 
 class FlatLabels:
@@ -45,7 +51,7 @@ class FlatLabels:
     """
 
     __slots__ = ("n", "indptr", "rank", "dist", "count", "canonical", "order",
-                 "_hub", "_rows", "_scratch")
+                 "_hub", "_row_max_count", "_overflow_free", "_scratch")
 
     def __init__(self, n, indptr, rank, hub, dist, count, canonical, order):
         self.n = n
@@ -56,7 +62,8 @@ class FlatLabels:
         self.count = count
         self.canonical = canonical
         self.order = order
-        self._rows = None
+        self._row_max_count = None
+        self._overflow_free = None
         # Reusable rank-indexed scatter buffers, owned and managed by
         # repro.core.batch_query (borrowed per call, restored clean).
         self._scratch = None
@@ -72,6 +79,39 @@ class FlatLabels:
             else:
                 self._hub = np.empty(0, dtype=INT)
         return self._hub
+
+    @property
+    def row_max_count(self):
+        """Largest ``σ`` of each row (int64, 0 for an empty row).
+
+        Derived from the ``count`` column on first access and cached, like
+        ``hub``; the batched pair join bounds its int64 arithmetic with it.
+        """
+        if self._row_max_count is None:
+            row_max = np.zeros(self.n, dtype=INT)
+            nonempty = np.diff(self.indptr) > 0
+            if nonempty.any():
+                # Empty rows are skipped, so each start's segment is
+                # exactly its row.
+                row_max[nonempty] = np.maximum.reduceat(
+                    self.count, self.indptr[:-1][nonempty]
+                )
+            self._row_max_count = row_max
+        return self._row_max_count
+
+    @property
+    def overflow_free(self):
+        """True when no pair join over this store can leave int64.
+
+        Whole-store proof: ``max σ² · max |L(v)| < JOIN_BOUND`` bounds every
+        pair's sum of products, so the batched join skips its per-pair
+        checks. Cached after the first call.
+        """
+        if self._overflow_free is None:
+            max_count = int(self.row_max_count.max()) if self.n else 0
+            max_len = int(np.diff(self.indptr).max()) if self.n else 0
+            self._overflow_free = max_count * max_count * max_len < JOIN_BOUND
+        return self._overflow_free
 
     # -- construction --------------------------------------------------------
 
@@ -153,20 +193,6 @@ class FlatLabels:
         """``(rank, hub, dist, count)`` column views of ``L(v)``."""
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.rank[lo:hi], self.hub[lo:hi], self.dist[lo:hi], self.count[lo:hi]
-
-    def rows(self):
-        """Per-vertex ``(rank, dist, count)`` views, cached for the hot path.
-
-        Slicing ``indptr`` per query costs more than the queries themselves
-        on small labels; the batch engine grabs this list once instead.
-        """
-        if self._rows is None:
-            indptr = self.indptr.tolist()
-            self._rows = [
-                (self.rank[lo:hi], self.dist[lo:hi], self.count[lo:hi])
-                for lo, hi in zip(indptr, indptr[1:])
-            ]
-        return self._rows
 
     def label_size(self, v):
         """|L(v)|: number of entries of ``v``."""

@@ -313,6 +313,11 @@ METRICS = (
         "token.",
     ),
     MetricSpec(
+        "spc_query_exact_reroutes_total", "counter", (),
+        "Pairs the batched join answered with an exact python-int merge "
+        "because the store could not rule out int64 overflow for them.",
+    ),
+    MetricSpec(
         "spc_query_plans_total", "counter", ("operator",),
         "Query plans produced, labelled by the root operator (count, "
         "distance, exists, single_source, set_to_set, relevance, "
@@ -321,7 +326,7 @@ METRICS = (
     MetricSpec(
         "spc_query_scan_chunks_total", "counter", (),
         "Label-scan chunks executed by the batched engine (one per "
-        "distinct-source scatter group).",
+        "join chunk).",
     ),
     MetricSpec(
         "spc_queued_requests", "gauge", (),

@@ -224,10 +224,13 @@ class SPCService:
         if self._watcher is None:
             return False
         with self._reload_lock:
+            # poll() adopted the signature it saw as the baseline. Marking
+            # again after the load could adopt a later write the load never
+            # saw (a restore racing a failed load would then leave the
+            # service degraded for good); the next poll reloads it instead.
             if not self._watcher.poll():
                 return False
             ok = self._resilient.reload()
-            self._watcher.mark()
         with self._stats_lock:
             self.counters["reloads" if ok else "reload_failures"] += 1
         registry = get_registry()

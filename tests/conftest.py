@@ -84,3 +84,24 @@ def assert_oracle_exact(oracle, graph, pairs=None):
         want = spc_bfs(graph, s, t)
         got = oracle.count_with_distance(s, t)
         assert got == want, f"({s},{t}): oracle {got} != bfs {want}"
+
+
+def diamond_chains_through_hub(k=32, leaves=58):
+    """Two chains of ``k`` diamonds whose far ends meet at one hub vertex.
+
+    Returns ``(graph, s, t)`` with ``s`` and ``t`` the free chain ends:
+    ``sd(s, t) = 4k + 2`` and ``spc(s, t) = 2^(2k)``. The ``leaves`` extra
+    leaves make the hub the top-ranked vertex, so with the defaults (253
+    vertices) the only meeting hub of ``s`` and ``t`` multiplies two
+    counts of ``2^32`` into ``2^64``, past int64.
+    """
+    edges = []
+    for offset in (0, 3 * k + 1):
+        for i in range(k):
+            left = offset + 3 * i
+            edges += [(left, left + 1), (left, left + 2),
+                      (left + 1, left + 3), (left + 2, left + 3)]
+    hub = 6 * k + 2
+    edges += [(hub, 3 * k), (hub, 6 * k + 1)]
+    edges += [(hub, hub + 1 + j) for j in range(leaves)]
+    return Graph.from_edges(hub + 1 + leaves, edges), 0, 3 * k + 1

@@ -1,5 +1,7 @@
 """Batched flat-engine queries agree with the tuple-based reference engine."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -246,7 +248,8 @@ class TestSingleSourceRange:
 
 
 class TestScratchReuse:
-    """Per-flat scratch buffers: reused across calls, always left clean."""
+    """Per-flat scratch buffers (borrowed by single-source and set-to-set
+    queries): reused across calls, always left clean."""
 
     @pytest.fixture(scope="class")
     def flat(self):
@@ -254,13 +257,18 @@ class TestScratchReuse:
         return SPCIndex.build(graph).to_flat()
 
     def test_scratch_cached_and_clean_between_calls(self, flat):
-        pairs = _all_pairs(12)
-        first = count_many(flat, pairs)
+        def run():
+            sweeps = [single_source(flat, s) for s in range(12)]
+            return sweeps, count_set_to_set(flat, [0, 3], [7, 11])
+
+        first_sweeps, first_set = run()
         scratch = flat._scratch
         assert scratch is not None
-        second = count_many(flat, pairs)
+        second_sweeps, second_set = run()
         assert flat._scratch is scratch  # reused, not reallocated
-        assert first == second
+        assert first_set == second_set
+        for (d1, c1), (d2, c2) in zip(first_sweeps, second_sweeps):
+            assert np.array_equal(d1, d2) and np.array_equal(c1, c2)
         assert np.all(np.isinf(scratch.hub_dist))
         assert np.all(scratch.hub_count == 0)
 
@@ -289,8 +297,218 @@ class TestScratchReuse:
     def test_validation_failure_leaves_scratch_clean(self, flat):
         from repro.exceptions import VertexError
 
-        count_many(flat, [(0, 1)])  # materialise the scratch
+        single_source(flat, 0)  # materialise the scratch
         with pytest.raises(VertexError):
-            count_many(flat, [(0, flat.n)])
+            single_source(flat, flat.n)
+        with pytest.raises(VertexError):
+            count_set_to_set(flat, [0], [flat.n])
         assert np.all(np.isinf(flat._scratch.hub_dist))
         assert np.all(flat._scratch.hub_count == 0)
+
+
+def _join_graph():
+    """BA core plus a separate cycle and an isolated vertex, so random
+    batches mix connected and disconnected pairs."""
+    core = barabasi_albert_graph(60, 2, seed=4)
+    edges = list(core.edges())
+    edges += [(60 + i, 60 + (i + 1) % 6) for i in range(6)]
+    return Graph.from_edges(67, edges)
+
+
+def _mixed_pairs(n, size, seed):
+    """Repeated sources, diagonals and disconnected pairs, shuffled together."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < size:
+        s = rng.randrange(n)
+        roll = rng.random()
+        if roll < 0.15:
+            pairs.append((s, s))
+        elif roll < 0.3:
+            pairs.append((s, n - 1))  # the isolated vertex
+        elif roll < 0.6:
+            pairs += [(s, rng.randrange(n)) for _ in range(3)]
+        else:
+            pairs.append((s, rng.randrange(n)))
+    return pairs[:size]
+
+
+def _first_chunk(flat, pairs, cap):
+    """How many leading pairs the join packs into its first chunk."""
+    used = 0
+    for k, (s, t) in enumerate(pairs):
+        used += flat.label_size(s) + flat.label_size(t)
+        if used > cap:
+            return max(k, 1)
+    return len(pairs)
+
+
+def _chunks_of(flat, pairs):
+    """Deadline checks (one per chunk) a full run of ``pairs`` makes."""
+    from repro.serving.deadline import Deadline
+
+    ticks = iter(range(10**6))
+    counting = Deadline(float(10**6), clock=lambda: next(ticks))
+    count_many(flat, pairs, deadline=counting)
+    return next(ticks) - 1
+
+
+class TestJoinChunks:
+    """The join answers chunk by chunk; no boundary may change an answer."""
+
+    CAP = 300
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        labels = build_labels(_join_graph())
+        return labels, FlatLabels.from_label_set(labels)
+
+    @pytest.fixture()
+    def small_chunks(self, monkeypatch):
+        from repro.core import batch_query
+
+        monkeypatch.setattr(batch_query, "CHUNK_ENTRIES", self.CAP)
+
+    def _check(self, labels, flat, pairs):
+        want = [count_query(labels, s, t) for s, t in pairs]
+        assert count_many(flat, pairs) == want
+        dist, count = count_many_arrays(flat, [s for s, _ in pairs],
+                                        [t for _, t in pairs])
+        assert [(d, c) if c else (float("inf"), 0)
+                for d, c in zip(dist.tolist(), count.tolist())] == want
+
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_tiny_batches(self, built, small_chunks, size):
+        labels, flat = built
+        self._check(labels, flat, _mixed_pairs(flat.n, size, seed=size))
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_around_the_first_chunk_boundary(self, built, small_chunks, delta):
+        labels, flat = built
+        pool = _mixed_pairs(flat.n, 200, seed=7)
+        chunk = _first_chunk(flat, pool, self.CAP)
+        assert 2 <= chunk < len(pool) - 1
+        self._check(labels, flat, pool[:chunk + delta])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_chunks_mixed_batch(self, built, small_chunks, seed):
+        labels, flat = built
+        self._check(labels, flat, _mixed_pairs(flat.n, 150, seed=seed))
+
+    def test_rows_larger_than_a_chunk(self, built, monkeypatch):
+        from repro.core import batch_query
+
+        monkeypatch.setattr(batch_query, "CHUNK_ENTRIES", 1)
+        labels, flat = built
+        self._check(labels, flat, _mixed_pairs(flat.n, 40, seed=11))
+
+    def test_one_scan_chunk_metric_per_chunk(self, built, small_chunks):
+        from repro.observability.metrics import MetricsRegistry, scoped_registry
+
+        labels, flat = built
+        pairs = _mixed_pairs(flat.n, 120, seed=5)
+        chunks = _chunks_of(flat, pairs)
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            count_many(flat, pairs)
+        assert registry.sum_values("spc_query_scan_chunks_total") == chunks > 1
+
+
+class TestDeadline:
+    """A deadline that expires mid-batch stops the join between chunks."""
+
+    def test_expires_before_the_batch_finishes(self, monkeypatch):
+        from repro.core import batch_query
+        from repro.exceptions import DeadlineExceeded
+        from repro.serving.deadline import Deadline
+
+        monkeypatch.setattr(batch_query, "CHUNK_ENTRIES", 200)
+        flat = FlatLabels.from_label_set(build_labels(_join_graph()))
+        pairs = _mixed_pairs(flat.n, 150, seed=2)
+        chunks = _chunks_of(flat, pairs)
+        assert chunks > 4
+        # The clock ticks once per check: construction reads 0, checks
+        # 1 and 2 pass, check 3 finds the 2.5 s budget spent.
+        ticks = iter(range(10**6))
+        deadline = Deadline(2.5, clock=lambda: next(ticks))
+        with pytest.raises(DeadlineExceeded):
+            count_many(flat, pairs, deadline=deadline)
+        assert next(ticks) - 1 == 3 < chunks
+
+
+class TestOverflowExact:
+    """Counts past int64 come back exact or raise; they never wrap.
+
+    Two 32-diamond chains meeting at a hub: ``spc(s, t) = 2^64`` through
+    one hub whose two label counts are ``2^32`` each.
+    """
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        from tests.conftest import diamond_chains_through_hub
+
+        graph, s, t = diamond_chains_through_hub()
+        assert graph.n == 253
+        return graph, s, t, SPCIndex.build(graph, engine="csr")
+
+    def test_count_many_is_exact(self, chains):
+        from repro.graph.traversal import spc_bfs
+
+        graph, s, t, index = chains
+        assert spc_bfs(graph, s, t) == (130, 2 ** 64)
+        assert index.count_many([(s, t)]) == [(130, 2 ** 64)]
+        python = SPCIndex.build(graph, engine="python")
+        assert python.count_with_distance(s, t) == (130, 2 ** 64)
+
+    def test_query_engine_flat_backend(self, chains):
+        from repro.query.ast import Batch, Count
+        from repro.query.engine import QueryEngine
+
+        _, s, t, index = chains
+        engine = QueryEngine(index=index, cache=None, backends=("flat",))
+        answers = engine.run(Batch((Count(s, t), Count(t, s), Count(s, s))))
+        assert list(answers) == [(130, 2 ** 64), (130, 2 ** 64), (0, 1)]
+
+    def test_arrays_raise_rather_than_wrap(self, chains):
+        from repro.exceptions import LabelingError
+
+        _, s, t, index = chains
+        with pytest.raises(LabelingError, match=rf"pair \({s}, {t}\)"):
+            count_many_arrays(index.to_flat(), [1, s], [2, t])
+
+    def test_rerouted_pairs_match_reference_and_are_counted(self, chains):
+        from repro.observability.metrics import MetricsRegistry, scoped_registry
+
+        graph, _, _, index = chains
+        flat = index.to_flat()
+        assert not flat.overflow_free
+        labels = flat.to_label_set()
+        pairs = [(s, t) for s in range(0, graph.n, 7) for t in range(0, graph.n, 5)]
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            answers = count_many(flat, pairs)
+        assert answers == [count_query(labels, s, t) for s, t in pairs]
+        assert registry.sum_values("spc_query_exact_reroutes_total") > 0
+
+    def test_rerouted_count_that_fits_int64_is_kept(self, chains):
+        _, s, t, index = chains
+        # One diamond in from each free end: 2^31 · 2^31 = 2^62 paths.
+        dist, count = count_many_arrays(index.to_flat(), [s + 3], [t + 3])
+        assert (dist.tolist(), count.tolist()) == ([126.0], [2 ** 62])
+
+    def test_proven_store_skips_the_checks(self):
+        from repro.observability.metrics import MetricsRegistry, scoped_registry
+
+        flat = SPCIndex.build(barabasi_albert_graph(200, 3, seed=2)).to_flat()
+        assert flat.overflow_free
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            count_many(flat, _all_pairs(30))
+        assert registry.sum_values("spc_query_exact_reroutes_total") == 0
+
+    def test_row_max_count(self, chains):
+        _, _, _, index = chains
+        flat = index.to_flat()
+        want = [max(flat.row(v)[3].tolist(), default=0) for v in range(flat.n)]
+        assert flat.row_max_count.tolist() == want
+        assert flat.row_max_count is flat.row_max_count  # derived once

@@ -139,6 +139,25 @@ class TestPairServing:
         assert [tuple(r.answer) for r in results] == [tuple(w) for w in want]
 
 
+class TestCountsPastInt64:
+    def test_worker_answers_exactly(self, tmp_path):
+        """Two 32-diamond chains meeting at a hub: 2^64 shortest paths."""
+        from tests.conftest import diamond_chains_through_hub
+
+        graph, s, t = diamond_chains_through_hub()
+        path = tmp_path / "chains.spcf"
+        save_flat_labels(SPCIndex.build(graph, engine="csr").to_flat(), path,
+                         encoding="raw")
+        with ClusterService(str(path), workers=1) as service:
+            single = service.submit(s, t, timeout=30)
+            batch = service.submit_many([(s, t), (t, s), (s, s)], timeout=30)
+        assert single.status == SERVED_INDEX, single.error
+        assert tuple(single.answer) == (130, 2 ** 64)
+        assert batch.status == SERVED_INDEX, batch.error
+        assert [tuple(a) for a in batch.answer] == [(130, 2 ** 64),
+                                                    (130, 2 ** 64), (0, 1)]
+
+
 class TestScatterGather:
     def test_single_source_concatenates_shards(self, cluster, flat):
         for s in (0, 7, N - 1):
