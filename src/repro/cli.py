@@ -12,16 +12,17 @@ Usage (also available as ``python -m repro``):
     repro-spc bench  index.bin --queries 2000 --engine both
     repro-spc serve-smoke index.bin graph.txt --random 500 --deadline-ms 20
     repro-spc build  graph.txt index.bin --engine csr --trace build-trace.json
-    repro-spc build  graph.txt index.spcf --engine csr-batch --format flat
+    repro-spc build  graph.txt index.spcf --engine csr-batch
     repro-spc query  index.spcf --random 5 --engine flat --mmap
     repro-spc churn-smoke --vertices 800 --duration 5 --rate 8
     repro-spc metrics --vertices 500 --format prom
 
 Graphs are whitespace edge lists (SNAP/KONECT style; ``#``/``%``
-comments). ``build`` writes the paper's packed 64-bit binary format, so
-indexes built here load anywhere the library runs. The CLI wraps the
+comments). ``build`` writes an SPCF index file (exact counts, mmap-able;
+``--weighted`` builds write wide-packed SPCL labels instead), the one
+format every command and both serving tiers read. The CLI wraps the
 plain HP-SPC index; the reduced variants are library-level APIs (their
-query path needs reduction state that the binary format does not carry).
+query path needs reduction state that the index file does not carry).
 
 Failures exit with *distinct* codes so scripts can branch on the cause:
 ``1`` unexpected library/I/O error, ``2`` usage, ``3`` graph parse error,
@@ -122,10 +123,6 @@ def _cmd_build(args):
         print("--batch-size/--spill require --engine csr-batch",
               file=sys.stderr)
         return 2
-    if args.format != "packed" and args.weighted:
-        print("--format flat needs an unweighted build (flat columns store "
-              "integer distances)", file=sys.stderr)
-        return 2
 
     with _maybe_trace(args.trace):
         # On failure, never leave a partial/stale artifact behind — but only
@@ -143,7 +140,7 @@ def _cmd_build(args):
                 labels = build_weighted_labels(graph, ordering="degree")
                 elapsed = time.perf_counter() - started
                 # Weighted distances can exceed the 10-bit field: use the wide packing.
-                written = save_labels(labels, args.index, bits=WIDE_BITS, strict=args.strict)
+                written = save_labels(labels, args.index, bits=WIDE_BITS)
                 entries = labels.total_entries()
             else:
                 graph, _ = read_edge_list(args.graph)
@@ -161,15 +158,7 @@ def _cmd_build(args):
                                        engine=args.engine, checkpoint=checkpoint,
                                        batch_size=args.batch_size,
                                        spill_dir=args.spill)
-                if args.format == "packed":
-                    written = save_index(index, args.index, strict=args.strict,
-                                         graph=graph)
-                else:
-                    from repro.io.flat_store import save_flat_labels
-
-                    encoding = "delta" if args.format == "flat-delta" else "raw"
-                    written = save_flat_labels(index.to_flat(), args.index,
-                                               graph=graph, encoding=encoding)
+                written = save_index(index, args.index, graph=graph)
                 elapsed = index.build_seconds
                 entries = index.total_entries()
         except BaseException:
@@ -696,8 +685,6 @@ def build_parser():
     p.add_argument("index")
     p.add_argument("--ordering", default="degree",
                    choices=["degree", "significant-path"])
-    p.add_argument("--strict", action="store_true",
-                   help="fail on 31-bit count overflow instead of saturating")
     p.add_argument("--weighted", action="store_true",
                    help="treat the third edge-list column as edge weights")
     p.add_argument("--engine", default="python",
@@ -711,11 +698,6 @@ def build_parser():
     p.add_argument("--spill", default=None, metavar="DIR",
                    help="csr-batch: stream label emission chunks to DIR "
                         "instead of holding them in RAM")
-    p.add_argument("--format", default="packed",
-                   choices=["packed", "flat", "flat-delta"],
-                   help="output format: the paper's packed 64-bit entries, or "
-                        "SPCF flat columns (exact counts, mmap-able; "
-                        "flat-delta also delta-compresses the rank column)")
     p.add_argument("--resume", action="store_true",
                    help="checkpoint progress to INDEX.ckpt and resume from it "
                         "if a previous build was interrupted (sequential only)")
@@ -745,8 +727,8 @@ def build_parser():
     p.add_argument("--engine", default="python", choices=["python", "flat"],
                    help="tuple-based merge joins or the vectorized flat engine")
     p.add_argument("--mmap", action="store_true",
-                   help="memory-map SPCF flat indexes instead of loading "
-                        "them into RAM (ignored for packed files)")
+                   help="memory-map the SPCF index instead of loading it "
+                        "into RAM (ignored for --weighted SPCL files)")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("stats", help="print label statistics of an index")
@@ -769,8 +751,8 @@ def build_parser():
     p.add_argument("--engine", default="python", choices=["python", "flat", "both"],
                    help="which query engine(s) to time")
     p.add_argument("--mmap", action="store_true",
-                   help="memory-map SPCF flat indexes instead of loading "
-                        "them into RAM (ignored for packed files)")
+                   help="memory-map the SPCF index instead of loading it "
+                        "into RAM (ignored for --weighted SPCL files)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("serve-smoke",
@@ -805,7 +787,7 @@ def build_parser():
     p = sub.add_parser("serve-cluster",
                        help="drive a request burst through the "
                             "multiprocess shared-memory cluster")
-    p.add_argument("index", help="SPCF flat label file (raw encoding)")
+    p.add_argument("index", help="SPCF index file (as written by build)")
     p.add_argument("--workers", type=int, default=2,
                    help="worker processes mapping the shared arena")
     p.add_argument("--shards", type=int, default=1,

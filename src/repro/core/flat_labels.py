@@ -9,8 +9,8 @@ many rows with one stable sort instead of per-entry Python merge joins.
 
 The canonical / non-canonical split survives the freeze as a boolean
 column, so the round trip ``LabelSet -> FlatLabels -> LabelSet`` is exact
-and the frozen form serializes through the same packed 64-bit entry
-encoding as :mod:`repro.io.serialize` (see :meth:`FlatLabels.packed_words`).
+and the frozen form is exactly what an SPCF index file stores
+(:mod:`repro.io.flat_store`).
 """
 
 from time import perf_counter
@@ -18,7 +18,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.exceptions import LabelingError
-from repro.io.serialize import DEFAULT_BITS, pack_entries
 
 INT = np.int64
 
@@ -161,18 +160,22 @@ class FlatLabels:
     def to_label_set(self):
         """Thaw back into a finalized :class:`LabelSet` (exact inverse).
 
-        Bulk-converts the columns with ``.tolist()`` once and slices per
-        row, so thawing a construction-sized labeling costs a fraction of
-        the build instead of dominating it (numpy scalar indexing per entry
-        is ~10x slower).
+        Bulk-converts the columns with ``.tolist()`` once and walks them
+        per row, so thawing a construction-sized labeling costs a fraction
+        of the build instead of dominating it (numpy scalar indexing per
+        entry is ~10x slower). The entry tuples are drawn from the ``zip``
+        one at a time: a single ``list(zip(...))`` call holds the
+        interpreter lock for tens of milliseconds on a 10^5-entry labeling,
+        stalling every other thread of a process that thaws a freshly
+        published index.
         """
         from repro.core.labels import LabelSet
 
         labels = LabelSet(self.n)
         labels.set_order(self.order.tolist())
         indptr = self.indptr.tolist()
-        entries = list(zip(self.rank.tolist(), self.hub.tolist(),
-                           self.dist.tolist(), self.count.tolist()))
+        entries = zip(self.rank.tolist(), self.hub.tolist(),
+                      self.dist.tolist(), self.count.tolist())
         flags = self.canonical.tolist()
         canonical_rows = labels._canonical  # construction-time fill; LabelSet owns
         noncanonical_rows = labels._noncanonical
@@ -181,9 +184,9 @@ class FlatLabels:
             noncanonical_row = noncanonical_rows[v]
             for i in range(indptr[v], indptr[v + 1]):
                 if flags[i]:
-                    canonical_row.append(entries[i])
+                    canonical_row.append(next(entries))
                 else:
-                    noncanonical_row.append(entries[i])
+                    noncanonical_row.append(next(entries))
         labels.finalize()
         return labels
 
@@ -262,16 +265,7 @@ class FlatLabels:
             np.asarray(self.order, dtype=INT),
         )
 
-    # -- packed encoding -----------------------------------------------------
-
-    def packed_words(self, bits=DEFAULT_BITS, strict=False):
-        """All entries under the paper's packed 64-bit encoding (§6).
-
-        One ``uint64`` word per entry, row-major in CSR order — the same
-        hub|dist|count field layout (and count saturation rule) as
-        :func:`repro.io.serialize.pack_entry`.
-        """
-        return pack_entries(self.hub, self.dist, self.count, bits=bits, strict=strict)
+    # -- size accounting -----------------------------------------------------
 
     def packed_size_bytes(self, entry_bits=64):
         """Index size in bytes under the packed encoding (parity with LabelSet)."""

@@ -21,14 +21,15 @@ tier:
   *resumes* instead of restarting (a corrupt checkpoint is detected by
   its CRC and discarded, never trusted).
 * **publish** — the worker saves the index atomically (temp file, fsync,
-  rename) to ``index_path`` (plus an optional raw SPCF ``arena_path``
-  for :class:`~repro.serving.cluster.ClusterService`); the parent
-  re-loads it through the checksummed loader, adopts it into the facade,
-  and replays the journal tail so not one mutation is lost across the
-  swap. Serving layers pick the file up through their existing
-  :class:`~repro.serving.reload.IndexWatcher` generation machinery —
-  call :meth:`SPCService.set_graph` then ``check_reload()`` from
-  ``on_publish`` and the swap is atomic per generation.
+  rename) to ``index_path`` as one SPCF file, which serves both
+  :class:`~repro.serving.service.SPCService` and
+  :class:`~repro.serving.cluster.ClusterService`; the parent re-loads it
+  through the checksummed loader, thaws its tuple labels, adopts it into
+  the facade, and replays the journal tail so not one mutation is lost
+  across the swap. Serving layers pick the file up through their
+  existing :class:`~repro.serving.reload.IndexWatcher` generation
+  machinery — call :meth:`SPCService.set_graph` then ``check_reload()``
+  from ``on_publish`` and the swap is atomic per generation.
 * **observe** — a max-staleness SLO (seconds *and* pending mutations) is
   tracked continuously and exported through the metric catalog
   (``spc_maintenance_*``); ``counters`` / :meth:`stats` are the
@@ -48,7 +49,6 @@ from repro.core.index import SPCIndex
 from repro.dynamic.incremental import DynamicSPCIndex
 from repro.exceptions import CheckpointError
 from repro.io.checkpoint import BuildCheckpoint
-from repro.io.flat_store import save_flat_labels
 from repro.io.serialize import load_index, save_index
 from repro.observability.events import get_event_log
 from repro.observability.metrics import get_registry
@@ -99,7 +99,7 @@ class _HookedCheckpoint(BuildCheckpoint):
         self._fault.trigger(self.saves)
 
 
-def _rebuild_worker(conn, graph, ordering, engine, index_path, arena_path,
+def _rebuild_worker(conn, graph, ordering, engine, index_path,
                     checkpoint_path, checkpoint_every, fault):
     """Worker-process entry point: build labels for ``graph`` and publish.
 
@@ -133,9 +133,6 @@ def _rebuild_worker(conn, graph, ordering, engine, index_path, arena_path,
         index = SPCIndex.build(graph, ordering=ordering, engine=engine,
                                checkpoint=checkpoint, collect_stats=True)
         save_index(index, index_path, graph=graph)
-        if arena_path is not None:
-            save_flat_labels(index.to_flat(), arena_path, graph=graph,
-                             encoding="raw")
         stats = index.build_stats
         conn.send({
             "ok": True,
@@ -164,11 +161,9 @@ class MaintenanceController:
         ``index_path`` before the constructor returns, so a service can
         load it immediately.
     index_path:
-        Where finished indexes are published (SPCL, atomic replace) —
-        point the serving tier's :class:`IndexWatcher` here.
-    arena_path:
-        Optional SPCF (raw encoding) publish target for
-        :class:`~repro.serving.cluster.ClusterService`.
+        Where finished indexes are published (SPCF, atomic replace) —
+        point :class:`~repro.serving.service.SPCService` or
+        :class:`~repro.serving.cluster.ClusterService` here.
     ordering / engine:
         Forwarded to every build (default ``csr``).
     rebuild_threshold:
@@ -204,8 +199,7 @@ class MaintenanceController:
         the chaos tier uses it to corrupt the surviving checkpoint.
     """
 
-    def __init__(self, graph, index_path, *, arena_path=None,
-                 ordering="degree", engine="csr", rebuild_threshold=16,
+    def __init__(self, graph, index_path, *, ordering="degree", engine="csr", rebuild_threshold=16,
                  rebuild_after_seconds=None, slo=None,
                  task_timeout=300.0, max_retries=2, retry_backoff=0.5,
                  checkpoint_every=512, poll_interval=0.05, on_publish=None,
@@ -216,7 +210,6 @@ class MaintenanceController:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self._index_path = os.fspath(index_path)
-        self._arena_path = None if arena_path is None else os.fspath(arena_path)
         self._checkpoint_path = self._index_path + ".rebuild.ckpt"
         self._ordering = ordering
         self._engine = engine
@@ -272,9 +265,6 @@ class MaintenanceController:
         # Publish the initial index synchronously so the serving tier has
         # a generation-0 artifact before any churn starts.
         save_index(self._dynamic.base_index, self._index_path, graph=graph)
-        if self._arena_path is not None:
-            save_flat_labels(self._dynamic.base_index.to_flat(),
-                             self._arena_path, graph=graph, encoding="raw")
         self._publish_gauges_locked()
         if start:
             self.start()
@@ -510,8 +500,7 @@ class MaintenanceController:
         proc = ctx.Process(
             target=_rebuild_worker,
             args=(send, graph, self._ordering, self._engine, self._index_path,
-                  self._arena_path, self._checkpoint_path,
-                  self._checkpoint_every, self._fault),
+                  self._checkpoint_path, self._checkpoint_every, self._fault),
             daemon=True,
         )
         with self._lock:
@@ -542,8 +531,11 @@ class MaintenanceController:
 
     def _adopt(self, covered, graph, info, seconds):
         # Parent-side verification: re-read the published file through the
-        # checksummed loader before trusting it with live queries.
+        # checksummed loader before trusting it with live queries. The
+        # facade answers from tuple labels; thaw them here, outside the
+        # lock, so no read pays for it.
         index = load_index(self._index_path)
+        index.labels
         with self._lock:
             tail = [entry for entry in self._journal if entry[0] > covered]
             replay = [(op, u, v) for (_ver, op, u, v, _at) in tail]
@@ -642,10 +634,6 @@ class MaintenanceController:
         return self._index_path
 
     @property
-    def arena_path(self):
-        return self._arena_path
-
-    @property
     def checkpoint_path(self):
         """Where the rebuild worker checkpoints (the chaos tier corrupts it)."""
         return self._checkpoint_path
@@ -672,7 +660,6 @@ class MaintenanceController:
                 "counters": dict(self.counters),
                 "last_error": self._last_error,
                 "index_path": self._index_path,
-                "arena_path": self._arena_path,
             }
 
     def __repr__(self):

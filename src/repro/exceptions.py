@@ -52,8 +52,9 @@ class SerializationError(ReproError):
 class CountOverflowError(SerializationError):
     """A shortest-path count does not fit in the configured bit width.
 
-    The paper caps 31-bit counts at ``2**31 - 1``; strict mode raises this
-    instead of saturating.
+    Raised when a packed SPCL entry (:func:`repro.io.serialize.pack_entry`)
+    would need more count bits than its encoding has; counts are never
+    saturated, so a file never holds a count it cannot answer exactly.
     """
 
     def __init__(self, count, bits):

@@ -1,41 +1,45 @@
-"""SPCF v4: columnar, checksummed, mmap-able flat label files.
+"""SPCF v4: the one index file format — columnar, checksummed, mmap-able.
 
-The packed SPCL v3 format (:mod:`repro.io.serialize`) materializes every
-entry as a 64-bit word with saturating counts — fine for 10k-vertex
-indexes, wasteful and lossy at millions of vertices. SPCF stores the
-:class:`~repro.core.flat_labels.FlatLabels` CSR columns directly:
+Every unweighted index is written to and served from an SPCF file:
+``repro-spc build``, :func:`repro.io.serialize.save_index`, the
+rebuild-behind publish of :class:`~repro.dynamic.maintenance
+.MaintenanceController`, :class:`~repro.serving.service.SPCService` and
+:class:`~repro.serving.cluster.ClusterService` all use it. The file
+stores the :class:`~repro.core.flat_labels.FlatLabels` CSR columns
+directly:
 
 ``````
 SPCF | header (56 B) | header CRC32 |
   order   n x int64          | CRC32 |
   indptr  (n+1) x int64      | CRC32 |
-  rank    entries x uint32   | CRC32 |   (raw encoding)
-          entries x uint16 deltas | CRC32 | exceptions | CRC32 |  (delta)
+  rank    entries x uint32   | CRC32 |
   dist    entries x {uint16|uint32} | CRC32 |
   count   entries x {uint32|int64}  | CRC32 |
   canonical entries x uint8  | CRC32 |
 ``````
 
-Properties the large-graph path needs:
+Properties the serving path needs:
 
 * **No hub column.** ``hub == order[rank]`` always, so hubs are
   re-derived lazily after load instead of costing 8 bytes an entry.
 * **Exact counts.** uint32 with the explicit int64 overflow escape —
-  never SPCL's saturation.
-* **mmap-able.** With ``encoding="raw"`` every section is a contiguous
-  typed slab at a known offset, so ``load_flat_labels(path, mmap=True)``
-  memory-maps the columns and a million-vertex index serves queries
-  without residing in RAM.
-* **Delta-compact.** ``encoding="delta"`` stores the rank column as
-  per-row uint16 deltas (rank columns are strictly increasing within a
-  row) with a ``0xFFFF`` escape marker and an exception list for the
-  rare wider gaps; decoding is one patched cumsum. Delta files must be
-  decoded, so they load into RAM.
+  never a saturated count. (The paper's packed 64-bit entries of §6
+  survive only as the index-size accounting of
+  :meth:`FlatLabels.packed_size_bytes`.)
+* **mmap-able.** Every section is a contiguous typed slab at a known
+  offset, so ``load_flat_labels(path, mmap=True)`` memory-maps the
+  columns and a million-vertex index serves queries without residing
+  in RAM.
 * **Crash-safe, corruption-loud.** Streamed atomic writes (temp file +
   fsync + rename) and per-section CRC32s, same discipline as SPCL v3.
 
+The header's encoding byte and exceptions count must both be 0; any
+other value is a :class:`SerializationError` at parse time, so a file
+whose columns this reader does not lay out is never misread.
+
 ``load_index``/``load_labels`` in :mod:`repro.io.serialize` dispatch on
-the magic, so every existing CLI/serving path opens either format.
+the magic, so every CLI/serving path opens SPCF as well as the SPCL
+files that weighted and directed labelings still use.
 """
 
 import os
@@ -46,6 +50,7 @@ import zlib
 
 import numpy as np
 
+from repro.core.flat_labels import FlatLabels
 from repro.exceptions import SerializationError
 from repro.io.serialize import (
     NO_FINGERPRINT,
@@ -60,50 +65,40 @@ INT = np.int64
 FLAT_MAGIC = b"SPCF"
 FLAT_VERSION = 4
 
-#: header after the magic: version, encoding, rank/dist/count dtype codes,
-#: reserved u8 + u16, then n, entries, n_exceptions, fingerprint triple.
+#: header after the magic: version, encoding (always 0), rank/dist/count
+#: dtype codes, reserved u8 + u16, then n, entries, n_exceptions (always
+#: 0), fingerprint triple.
 _HEADER_FMT = "<6BH6Q"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
-
-_ENC_RAW = 0
-_ENC_DELTA = 1
-_ENCODINGS = {"raw": _ENC_RAW, "delta": _ENC_DELTA}
 
 #: dtype codes are itemsizes; signedness is fixed per column (int64 only
 #: ever appears as the count escape).
 _DTYPE_BY_CODE = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: INT}
 _CODE_BY_DTYPE = {np.dtype(d): c for c, d in _DTYPE_BY_CODE.items()}
 
-#: uint16 delta escape marker: the true delta lives in the exception list.
-_DELTA_ESCAPE = 0xFFFF
-
 _CHUNK = 16 << 20  # streaming write/verify granularity (bytes)
 
 
 class FlatFileMeta:
-    """Parsed SPCF header: shape, encoding, column dtypes, fingerprint."""
+    """Parsed SPCF header: shape, column dtypes, fingerprint."""
 
-    __slots__ = ("version", "n", "entries", "encoding", "rank_dtype",
-                 "dist_dtype", "count_dtype", "n_exceptions", "fingerprint",
-                 "total_bytes")
+    __slots__ = ("version", "n", "entries", "rank_dtype", "dist_dtype",
+                 "count_dtype", "fingerprint", "total_bytes")
 
-    def __init__(self, version, n, entries, encoding, rank_dtype, dist_dtype,
-                 count_dtype, n_exceptions, fingerprint, total_bytes):
+    def __init__(self, version, n, entries, rank_dtype, dist_dtype,
+                 count_dtype, fingerprint, total_bytes):
         self.version = version
         self.n = n
         self.entries = entries
-        self.encoding = encoding
         self.rank_dtype = rank_dtype
         self.dist_dtype = dist_dtype
         self.count_dtype = count_dtype
-        self.n_exceptions = n_exceptions
         self.fingerprint = fingerprint
         self.total_bytes = total_bytes
 
     def __repr__(self):
         return (f"FlatFileMeta(version={self.version}, n={self.n}, "
-                f"entries={self.entries}, encoding={self.encoding!r}, "
-                f"fingerprint={self.fingerprint})")
+                f"entries={self.entries}, fingerprint={self.fingerprint})")
 
 
 def _narrow_dtypes(flat):
@@ -114,42 +109,6 @@ def _narrow_dtypes(flat):
     count_dtype = (np.uint32 if max_count <= int(np.iinfo(np.uint32).max)
                    else INT)
     return dist_dtype, count_dtype
-
-
-def _delta_encode(rank, indptr):
-    """``(uint16 deltas, exception positions u64, exception values u64)``.
-
-    Row starts carry their absolute rank (rows are independent); interior
-    entries carry the gap to the previous entry (strictly positive —
-    rank columns strictly increase within a row). Values ``>= 0xFFFF``
-    are stored as the escape marker with the true value in the exception
-    list.
-    """
-    entries = rank.size
-    delta = rank.astype(INT, copy=True)
-    if entries:
-        delta[1:] -= rank[:-1].astype(INT, copy=False)
-        starts = indptr[:-1]
-        starts = starts[starts < entries]
-        delta[starts] = rank[starts]
-    exc_pos = np.flatnonzero(delta >= _DELTA_ESCAPE).astype(np.uint64)
-    exc_val = delta[exc_pos.astype(INT)].astype(np.uint64)
-    stored = np.minimum(delta, _DELTA_ESCAPE).astype(np.uint16)
-    return stored, exc_pos, exc_val
-
-
-def _delta_decode(stored, exc_pos, exc_val, indptr):
-    """Inverse of :func:`_delta_encode`: the uint32 rank column."""
-    delta = stored.astype(INT)
-    if exc_pos.size:
-        delta[exc_pos.astype(INT)] = exc_val.astype(INT)
-    cumulative = np.cumsum(delta)
-    row_lens = np.diff(indptr)
-    nonempty = row_lens > 0
-    starts = indptr[:-1][nonempty]
-    bases = cumulative[starts] - delta[starts]
-    rank = cumulative - np.repeat(bases, row_lens[nonempty])
-    return rank.astype(np.uint32)
 
 
 class _SectionWriter:
@@ -179,52 +138,45 @@ class _SectionWriter:
 def save_flat_labels(flat, path, graph=None, fingerprint=None, encoding="raw"):
     """Atomically write ``flat`` as an SPCF v4 file; returns bytes written.
 
-    ``encoding="raw"`` keeps every column a contiguous typed slab
-    (mmap-able on load); ``"delta"`` delta-encodes the rank column for
-    smaller files. Column dtypes are narrowed to the smallest lossless
-    width on the way out, so saving an int64-column labeling produces
-    the same file as saving its :meth:`FlatLabels.compact` twin. Pass
-    ``graph`` (or a ``fingerprint`` triple) to embed the graph
-    fingerprint for staleness detection.
+    Column dtypes are narrowed to the smallest lossless width on the way
+    out, so saving an int64-column labeling produces the same file as
+    saving its :meth:`FlatLabels.compact` twin. Pass ``graph`` (or a
+    ``fingerprint`` triple) to embed the graph fingerprint for staleness
+    detection. ``encoding`` accepts only ``"raw"``, the one SPCF
+    encoding; the keyword stays for callers that name it.
     """
-    if encoding not in _ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}; "
-                         "expected 'raw' or 'delta'")
+    if encoding != "raw":
+        raise ValueError(f"unknown encoding {encoding!r}; SPCF has only 'raw'")
+    return write_flat(flat, path, graph=graph, fingerprint=fingerprint)
+
+
+def write_flat(flat, path, graph=None, fingerprint=None):
+    """The SPCF writer behind :func:`save_flat_labels` and
+    :func:`repro.io.serialize.save_index`; returns bytes written."""
     registry = get_registry()
     save_start = time.perf_counter() if registry.enabled else None
     if fingerprint is None and graph is not None:
         fingerprint = graph_fingerprint(graph)
     fp = fingerprint if fingerprint is not None else (NO_FINGERPRINT,) * 3
-    n = flat.n
-    entries = flat.total_entries()
     indptr = np.ascontiguousarray(flat.indptr, dtype=INT)
     order = np.ascontiguousarray(flat.order, dtype=INT)
+    rank = np.ascontiguousarray(flat.rank, dtype=np.uint32)
     dist_dtype, count_dtype = _narrow_dtypes(flat)
     if count_dtype == INT and registry.enabled:
         registry.counter("spc_count_overflow_escapes_total").inc()
 
-    if _ENCODINGS[encoding] == _ENC_DELTA:
-        stored_rank, exc_pos, exc_val = _delta_encode(
-            np.asarray(flat.rank), indptr
-        )
-        n_exceptions = int(exc_pos.size)
-    else:
-        stored_rank = np.ascontiguousarray(flat.rank, dtype=np.uint32)
-        exc_pos = exc_val = None
-        n_exceptions = 0
-
     header = struct.pack(
         _HEADER_FMT,
         FLAT_VERSION,
-        _ENCODINGS[encoding],
-        _CODE_BY_DTYPE[stored_rank.dtype],
+        0,  # encoding: raw
+        _CODE_BY_DTYPE[rank.dtype],
         _CODE_BY_DTYPE[np.dtype(dist_dtype)],
         _CODE_BY_DTYPE[np.dtype(count_dtype)],
         0,
         0,
-        n,
-        entries,
-        n_exceptions,
+        flat.n,
+        flat.total_entries(),
+        0,  # n_exceptions
         fp[0], fp[1], fp[2],
     )
 
@@ -240,12 +192,7 @@ def save_flat_labels(flat, path, graph=None, fingerprint=None, encoding="raw"):
             writer.raw(struct.pack("<I", zlib.crc32(header) & 0xFFFFFFFF))
             writer.section(order)
             writer.section(indptr)
-            writer.section(stored_rank)
-            if exc_pos is not None:
-                exceptions = np.empty(2 * n_exceptions, dtype=np.uint64)
-                exceptions[0::2] = exc_pos
-                exceptions[1::2] = exc_val
-                writer.section(exceptions)
+            writer.section(rank)
             writer.section(np.asarray(flat.dist).astype(dist_dtype,
                                                         copy=False))
             writer.section(np.asarray(flat.count).astype(count_dtype,
@@ -288,8 +235,11 @@ def _parse_header(blob, context):
             f"{context}: unsupported SPCF version {version} "
             f"(this reader handles {FLAT_VERSION})"
         )
-    if encoding not in (_ENC_RAW, _ENC_DELTA):
-        raise SerializationError(f"{context}: unknown encoding {encoding}")
+    if encoding != 0 or n_exceptions != 0:
+        raise SerializationError(
+            f"{context}: unsupported SPCF encoding {encoding} with "
+            f"{n_exceptions} exceptions (this reader handles raw columns only)"
+        )
     for what, code in (("rank", rank_code), ("dist", dist_code),
                        ("count", count_code)):
         if code not in _DTYPE_BY_CODE:
@@ -298,31 +248,24 @@ def _parse_header(blob, context):
             )
     fingerprint = (None if fp_n == NO_FINGERPRINT
                    else (fp_n, fp_m, fp_deg))
-    encoding_name = "raw" if encoding == _ENC_RAW else "delta"
-    return FlatFileMeta(version, n, entries, encoding_name,
+    return FlatFileMeta(version, n, entries,
                         np.dtype(_DTYPE_BY_CODE[rank_code]),
                         np.dtype(_DTYPE_BY_CODE[dist_code]),
                         np.dtype(_DTYPE_BY_CODE[count_code]),
-                        n_exceptions, fingerprint, 0)
+                        fingerprint, 0)
 
 
 def _section_layout(meta):
     """``[(name, dtype, count), ...]`` in file order for this header."""
     n, entries = meta.n, meta.entries
-    layout = [
+    return [
         ("order", np.dtype(INT), n),
         ("indptr", np.dtype(INT), n + 1),
         ("rank", meta.rank_dtype, entries),
-    ]
-    if meta.encoding == "delta":
-        layout.append(("exceptions", np.dtype(np.uint64),
-                       2 * meta.n_exceptions))
-    layout += [
         ("dist", meta.dist_dtype, entries),
         ("count", meta.count_dtype, entries),
         ("canonical", np.dtype(np.uint8), entries),
     ]
-    return layout
 
 
 def _verify_sections(path, meta, layout, offsets, context):
@@ -411,18 +354,8 @@ def load_flat_labels_with_meta(path, mmap=False, verify=True, retries=0,
         raise SerializationError(
             f"{context}: indptr column is not a valid CSR row index"
         )
-    if meta.encoding == "delta":
-        exceptions = columns["exceptions"]
-        rank = _delta_decode(columns["rank"], exceptions[0::2],
-                             exceptions[1::2], np.asarray(indptr, dtype=INT))
-    else:
-        rank = columns["rank"]
-    # deferred: flat_labels imports repro.io.serialize at module load,
-    # so a top-level import here would be circular.
-    from repro.core.flat_labels import FlatLabels
-
     canonical = columns["canonical"].view(np.bool_)
-    flat = FlatLabels(meta.n, indptr, rank, None, columns["dist"],
+    flat = FlatLabels(meta.n, indptr, columns["rank"], None, columns["dist"],
                       columns["count"], canonical, columns["order"])
     if load_start is not None:
         registry.histogram("spc_io_seconds", op="load").observe(
@@ -440,11 +373,10 @@ def load_flat_labels(path, mmap=False, verify=True, retries=0,
                      retry_wait=0.01):
     """Read a :class:`FlatLabels` written by :func:`save_flat_labels`.
 
-    ``mmap=True`` memory-maps the columns (raw encoding; delta files
-    decode their rank column into RAM but keep the rest mapped) so
-    opening a multi-GB index is O(1) in resident memory. ``verify=True``
-    (default) checks every section CRC first — one streaming pass;
-    ``verify=False`` trusts the file for fastest possible opens.
+    ``mmap=True`` memory-maps the columns so opening a multi-GB index
+    is O(1) in resident memory. ``verify=True`` (default) checks every
+    section CRC first — one streaming pass; ``verify=False`` trusts the
+    file for fastest possible opens.
     ``retries`` re-reads after transient ``OSError`` like the SPCL
     loader; corruption and truncation raise :class:`SerializationError`.
     """
@@ -471,9 +403,6 @@ def open_shared(path, verify=True):
 
     The serving-cluster contract on top of plain ``mmap=True`` loading:
 
-    * **raw encoding only** — delta files decode their rank column into
-      private RAM, which silently duplicates per worker exactly what the
-      cluster exists to share; refusing is louder than a 10x RSS bill.
     * **read-only columns** — every mapped column is hardened against
       writes (``writeable=False``), so a worker bug can never corrupt
       the arena other processes serve from.
@@ -488,12 +417,6 @@ def open_shared(path, verify=True):
     context = str(path)
     before = file_signature(path)
     flat, meta = load_flat_labels_with_meta(path, mmap=True, verify=verify)
-    if meta.encoding != "raw":
-        raise SerializationError(
-            f"{context}: shared open needs encoding='raw' (delta files "
-            "decode their rank column into private per-process RAM; "
-            "re-save with save_flat_labels(..., encoding='raw'))"
-        )
     after = file_signature(path)
     if before != after:
         raise SerializationError(

@@ -1,12 +1,17 @@
-"""Binary label serialization using the paper's packed entry encodings (§6).
+"""Binary index and label files: SPCF for indexes, packed SPCL for labelings.
 
-A label entry ``(w, sd(v,w), σ_{v,w})`` packs into one 64-bit word —
-23 bits of hub id, 10 bits of distance, 31 bits of count — with counts
-*saturated* at ``2^31 - 1`` exactly as the paper does ("in the rare case
-that σ is greater than 2^31 − 1, it is treated as 2^31 − 1"). The wide
-Exp-6 variant uses 32 + 32 + 128 bits. ``strict=True`` turns saturation
-into :class:`~repro.exceptions.CountOverflowError` for callers that must
-not lose precision.
+An unweighted :class:`~repro.core.index.SPCIndex` has one file format:
+:func:`save_index` writes, and :func:`load_index` reads, the exact
+columnar SPCF v4 file of :mod:`repro.io.flat_store`. Builds, the
+rebuild-behind publish and both serving tiers all use it.
+
+The SPCL format of this module holds the :class:`LabelSet` files SPCF
+does not cover: weighted labelings (the wide Exp-6 packing, 32 + 32 +
+128 bits) and directed label pairs (``SPCD``, two SPCL blobs). A label entry ``(w, sd(v,w), σ_{v,w})`` packs into
+``sum(bits)`` bits — the paper's default is 23 bits of hub id, 10 bits
+of distance and 31 bits of count (§6). A count that does not fit its
+field raises :class:`~repro.exceptions.CountOverflowError`; nothing is
+ever saturated, so a file never holds a count it cannot answer exactly.
 
 File layout, version 3 (little-endian)::
 
@@ -26,7 +31,7 @@ stale indexes. Version-2 files (no checksums, no fingerprint) still load.
 
 All writers go through :func:`atomic_write_bytes` — write to a temp file
 in the destination directory, flush + fsync, then ``os.replace`` — so a
-crashed or killed save never leaves a half-written index at the target
+crashed or killed save never leaves a half-written file at the target
 path.
 """
 
@@ -64,20 +69,22 @@ def _entry_bytes(bits):
     return total // 8
 
 
-def pack_entry(hub, dist, count, bits=DEFAULT_BITS, strict=False):
-    """Pack one entry into an int of ``sum(bits)`` bits (hub|dist|count)."""
+def pack_entry(hub, dist, count, bits=DEFAULT_BITS):
+    """Pack one entry into an int of ``sum(bits)`` bits (hub|dist|count).
+
+    Every field must fit its width: a count past ``2^count_bits - 1``
+    raises :class:`CountOverflowError`, the other fields
+    :class:`SerializationError`.
+    """
     hub_bits, dist_bits, count_bits = bits
     if not 0 <= hub < (1 << hub_bits):
         raise SerializationError(f"hub {hub} does not fit in {hub_bits} bits")
     if not 0 <= dist < (1 << dist_bits):
         raise SerializationError(f"distance {dist} does not fit in {dist_bits} bits")
-    cap = (1 << count_bits) - 1
     if count < 0:
         raise SerializationError(f"negative count {count}")
-    if count > cap:
-        if strict:
-            raise CountOverflowError(count, count_bits)
-        count = cap  # the paper's saturation rule
+    if count >= (1 << count_bits):
+        raise CountOverflowError(count, count_bits)
     return (hub << (dist_bits + count_bits)) | (dist << count_bits) | count
 
 
@@ -90,60 +97,6 @@ def unpack_entry(word, bits=DEFAULT_BITS):
     if hub >= (1 << hub_bits):
         raise SerializationError("word wider than the declared encoding")
     return hub, dist, count
-
-
-def pack_entries(hubs, dists, counts, bits=DEFAULT_BITS, strict=False):
-    """Vectorized :func:`pack_entry` over numpy columns.
-
-    Returns one ``uint64`` word per entry (``sum(bits)`` must be <= 64;
-    the wide Exp-6 encoding needs the scalar path). Counts saturate at
-    ``2^count_bits - 1`` exactly like the scalar packer; ``strict=True``
-    raises :class:`CountOverflowError` instead.
-    """
-    import numpy as np
-
-    hub_bits, dist_bits, count_bits = bits
-    if hub_bits + dist_bits + count_bits > 64:
-        raise SerializationError("pack_entries only supports encodings up to 64 bits")
-    for name, column in (("hub", hubs), ("distance", dists), ("count", counts)):
-        signed = np.asarray(column)
-        if signed.size and signed.dtype.kind == "i" and int(signed.min()) < 0:
-            raise SerializationError(f"negative {name} in packed column")
-    hubs = np.asarray(hubs, dtype=np.uint64)
-    dists = np.asarray(dists, dtype=np.uint64)
-    counts = np.asarray(counts, dtype=np.uint64)
-    if hubs.size and int(hubs.max(initial=0)) >= (1 << hub_bits):
-        raise SerializationError(f"hub does not fit in {hub_bits} bits")
-    if dists.size and int(dists.max(initial=0)) >= (1 << dist_bits):
-        raise SerializationError(f"distance does not fit in {dist_bits} bits")
-    cap = np.uint64((1 << count_bits) - 1)
-    if counts.size and counts.max(initial=np.uint64(0)) > cap:
-        if strict:
-            raise CountOverflowError(int(counts.max()), count_bits)
-        counts = np.minimum(counts, cap)  # the paper's saturation rule
-    shift_hub = np.uint64(dist_bits + count_bits)
-    shift_dist = np.uint64(count_bits)
-    return (hubs << shift_hub) | (dists << shift_dist) | counts
-
-
-def unpack_entries(words, bits=DEFAULT_BITS):
-    """Vectorized :func:`unpack_entry`: ``(hubs, dists, counts)`` int64 columns."""
-    import numpy as np
-
-    hub_bits, dist_bits, count_bits = bits
-    if hub_bits + dist_bits + count_bits > 64:
-        raise SerializationError("unpack_entries only supports encodings up to 64 bits")
-    words = np.asarray(words, dtype=np.uint64)
-    counts = words & np.uint64((1 << count_bits) - 1)
-    dists = (words >> np.uint64(count_bits)) & np.uint64((1 << dist_bits) - 1)
-    hubs = words >> np.uint64(dist_bits + count_bits)
-    if hubs.size and int(hubs.max(initial=0)) >= (1 << hub_bits):
-        raise SerializationError("word wider than the declared encoding")
-    return (
-        hubs.astype(np.int64),
-        dists.astype(np.int64),
-        counts.astype(np.int64),
-    )
 
 
 # -- integrity helpers ---------------------------------------------------------
@@ -277,7 +230,7 @@ def _crc(payload):
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 
-def _entries_payload(labels, bits, strict):
+def _entries_payload(labels, bits):
     """The per-vertex counters + packed entries body (shared by v2/v3)."""
     entry_bytes = _entry_bytes(bits)
     parts = []
@@ -287,12 +240,12 @@ def _entries_payload(labels, bits, strict):
         parts.append(struct.pack("<II", len(canonical), len(noncanonical)))
         for row in (canonical, noncanonical):
             for _, hub, dist, count in row:
-                word = pack_entry(hub, dist, count, bits, strict)
+                word = pack_entry(hub, dist, count, bits)
                 parts.append(word.to_bytes(entry_bytes, "little"))
     return b"".join(parts)
 
 
-def labels_to_bytes(labels, bits=DEFAULT_BITS, strict=False, fingerprint=None):
+def labels_to_bytes(labels, bits=DEFAULT_BITS, fingerprint=None):
     """Encode a finalized :class:`LabelSet` as a standalone v3 byte blob.
 
     ``fingerprint`` is an optional ``(n, m, degree_hash)`` triple from
@@ -306,7 +259,7 @@ def labels_to_bytes(labels, bits=DEFAULT_BITS, strict=False, fingerprint=None):
     else:
         fp_n, fp_m, fp_deg = fingerprint
     order_payload = struct.pack(f"<{labels.n}Q", *labels.order)
-    entries_payload = _entries_payload(labels, bits, strict)
+    entries_payload = _entries_payload(labels, bits)
     head = MAGIC + struct.pack("<I", VERSION)
     header = struct.pack(
         _HEADER_FMT,
@@ -475,8 +428,7 @@ def labels_from_bytes_with_meta(blob, context="<bytes>"):
     return labels, reader.offset, meta
 
 
-def save_labels(labels, path, bits=DEFAULT_BITS, strict=False, graph=None,
-                fingerprint=None):
+def save_labels(labels, path, bits=DEFAULT_BITS, graph=None, fingerprint=None):
     """Atomically write a finalized :class:`LabelSet`; returns bytes written.
 
     Pass ``graph`` (or a precomputed ``fingerprint`` triple) to embed the
@@ -486,7 +438,7 @@ def save_labels(labels, path, bits=DEFAULT_BITS, strict=False, graph=None,
     save_start = time.perf_counter() if registry.enabled else None
     if fingerprint is None and graph is not None:
         fingerprint = graph_fingerprint(graph)
-    blob = labels_to_bytes(labels, bits=bits, strict=strict, fingerprint=fingerprint)
+    blob = labels_to_bytes(labels, bits=bits, fingerprint=fingerprint)
     written = atomic_write_bytes(path, blob)
     if save_start is not None:
         registry.histogram("spc_io_seconds", op="save").observe(
@@ -513,9 +465,9 @@ def _peek_magic(path, retries=0, retry_wait=0.01):
 def load_labels(path, retries=0, retry_wait=0.01):
     """Read a :class:`LabelSet` written by :func:`save_labels`.
 
-    Dispatches on the file magic, so SPCF flat files
-    (:func:`repro.io.flat_store.save_flat_labels`) load here too — their
-    columns are thawed into an exact tuple-based :class:`LabelSet`.
+    Dispatches on the file magic, so SPCF index files (:func:`save_index`)
+    load here too — their columns are thawed into an exact tuple-based
+    :class:`LabelSet`.
     ``retries`` re-reads the file after transient ``OSError`` (with linear
     backoff); corruption and truncation raise :class:`SerializationError`.
     """
@@ -553,22 +505,28 @@ def load_labels_with_meta(path, retries=0, retry_wait=0.01):
     return labels, meta
 
 
-def save_index(index, path, bits=DEFAULT_BITS, strict=False, graph=None,
-               fingerprint=None):
-    """Persist a plain :class:`~repro.core.index.SPCIndex`'s labels."""
-    return save_labels(index.labels, path, bits=bits, strict=strict,
-                       graph=graph, fingerprint=fingerprint)
+def save_index(index, path, graph=None, fingerprint=None):
+    """Atomically write a plain :class:`~repro.core.index.SPCIndex` as an
+    SPCF v4 file (:mod:`repro.io.flat_store`); returns bytes written.
+
+    Counts are stored exactly. Pass ``graph`` (or a precomputed
+    ``fingerprint`` triple) to embed the graph fingerprint so loaders
+    can detect stale indexes.
+    """
+    # deferred: flat_store imports this module at load time.
+    from repro.io.flat_store import write_flat
+
+    return write_flat(index.to_flat(), path, graph=graph, fingerprint=fingerprint)
 
 
 def load_index(path, retries=0, retry_wait=0.01, mmap=False):
     """Load an :class:`~repro.core.index.SPCIndex` saved by :func:`save_index`.
 
-    Dispatches on the file magic: packed SPCL files thaw into a
-    tuple-based :class:`LabelSet`; SPCF flat files
-    (:func:`repro.io.flat_store.save_flat_labels`) keep their CSR
-    columns primary — with ``mmap=True`` the columns stay memory-mapped,
-    so a multi-GB index opens without loading into RAM. ``mmap`` is
-    ignored for packed files (they are inherently decode-on-load).
+    SPCF files keep their CSR columns primary; with ``mmap=True`` the
+    columns stay memory-mapped, so a multi-GB index opens without
+    loading into RAM. SPCL label files (weighted builds) thaw into a
+    tuple-based :class:`LabelSet` and ignore ``mmap``. ``retries``
+    re-reads the file after transient ``OSError``.
     """
     from repro.core.index import SPCIndex
 
@@ -584,14 +542,13 @@ def load_index(path, retries=0, retry_wait=0.01, mmap=False):
 DIRECTED_MAGIC = b"SPCD"
 
 
-def save_directed_labels(l_in, l_out, path, bits=DEFAULT_BITS, strict=False,
-                         graph=None, fingerprint=None):
+def save_directed_labels(l_in, l_out, path, bits=DEFAULT_BITS, graph=None,
+                         fingerprint=None):
     """Atomically write a §7 label pair (``L^in``, ``L^out``) to one file."""
     if fingerprint is None and graph is not None:
         fingerprint = graph_fingerprint(graph)
-    blob_in = labels_to_bytes(l_in, bits=bits, strict=strict, fingerprint=fingerprint)
-    blob_out = labels_to_bytes(l_out, bits=bits, strict=strict,
-                               fingerprint=fingerprint)
+    blob_in = labels_to_bytes(l_in, bits=bits, fingerprint=fingerprint)
+    blob_out = labels_to_bytes(l_out, bits=bits, fingerprint=fingerprint)
     blob = b"".join((
         DIRECTED_MAGIC,
         struct.pack("<QQ", len(blob_in), len(blob_out)),

@@ -5,10 +5,11 @@ A production counting service must answer even when its index file is
 missing, truncated, bit-flipped, or built for yesterday's graph. A
 :class:`ResilientSPCIndex` wraps that policy:
 
-* **load + verify** — the index file is read through the checksummed v3
-  loader and its stored graph fingerprint (n, m, degree hash) is checked
-  against the live graph; any failure is recorded and demotes the serving
-  path instead of crashing.
+* **load + verify** — the index file (SPCF, as written by
+  :func:`repro.io.serialize.save_index`) is read through the checksummed
+  loader, which dispatches on the file magic, and its stored graph
+  fingerprint (n, m, degree hash) is checked against the live graph; any
+  failure is recorded and demotes the serving path instead of crashing.
 * **serve** — healthy indexes answer through :class:`~repro.core.index
   .SPCIndex` (including the vectorized flat engine for batches); degraded
   state answers through the exact online
@@ -58,8 +59,8 @@ class ResilientSPCIndex:
         The live :class:`~repro.graph.graph.Graph` queries refer to.
     index_path:
         Optional path to a persisted index (:func:`repro.io.serialize
-        .save_index`). Missing/corrupt/stale files put the facade in
-        degraded (BFS) mode rather than raising.
+        .save_index`; SPCL label files load too). Missing/corrupt/stale
+        files put the facade in degraded (BFS) mode rather than raising.
     index:
         Alternatively, an in-memory :class:`SPCIndex` to adopt (still
         verified against the graph's vertex count and its ``stale`` flag).
@@ -69,8 +70,8 @@ class ResilientSPCIndex:
         Transient-``OSError`` re-reads attempted by the loader.
     require_fingerprint:
         When True, refuse to serve from index files that carry no graph
-        fingerprint (legacy v2 saves) instead of trusting a vertex-count
-        check.
+        fingerprint (saved without a graph, or legacy SPCL v2) instead of
+        trusting a vertex-count check.
     breaker:
         Optional :class:`~repro.serving.breaker.CircuitBreaker` guarding
         the BFS fallback path. When open, degraded queries raise

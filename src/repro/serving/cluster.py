@@ -651,9 +651,9 @@ class ClusterService:
     Parameters
     ----------
     index_path:
-        SPCF v4 flat label file (``raw`` encoding — the mmap-shared
-        format; delta files are rejected because decoding privatises
-        the rank column per process).
+        SPCF v4 index file, as written by
+        :func:`~repro.io.serialize.save_index`, ``repro-spc build`` or a
+        :class:`~repro.dynamic.maintenance.MaintenanceController` publish.
     workers / shards / strategy:
         Worker-process count, shard count (``workers >= shards``; each
         shard gets ``workers // shards`` processes, remainder spread
@@ -758,10 +758,6 @@ class ClusterService:
                 raise ValueError("hedge_delay must be >= 0, 'auto', or None")
         self.index_path = str(index_path)
         meta = read_flat_meta(self.index_path)
-        if meta.encoding != "raw":
-            raise SerializationError(
-                f"{self.index_path}: cluster serving requires the "
-                f"mmap-shareable 'raw' encoding, found {meta.encoding!r}")
         self.n = meta.n
         self.plan = ShardPlan(meta.n, shards, strategy=strategy)
         self.max_batch = max_batch

@@ -1,4 +1,4 @@
-"""Hot index reload: notice a rebuilt SPCL file and swap it in live.
+"""Hot index reload: notice a rebuilt index file and swap it in live.
 
 Index rebuilds land on disk through the library's atomic writer (temp
 file + fsync + rename), so at any instant the path holds exactly one
@@ -28,7 +28,7 @@ _MISSING = ("missing",)
 
 
 class IndexWatcher:
-    """Detect on-disk changes of one SPCL index file.
+    """Detect on-disk changes of one index file (SPCF, or SPCL labels).
 
     ``poll()`` is cheap (one ``stat``; the header is only re-read when
     the stat signature moved) and never raises: an unreadable or

@@ -21,9 +21,10 @@ Every request passes through four defences:
    instead of each burning a full deadline (the corrupt-index +
    slow-fallback meltdown).
 4. **Hot reload** — an :class:`~repro.serving.reload.IndexWatcher` polls
-   the on-disk SPCL file between requests; a rebuilt file is re-verified
-   and swapped in atomically, bumping the observable ``generation``
-   without dropping in-flight requests.
+   the on-disk SPCF index file between requests (the same file a
+   :class:`~repro.serving.cluster.ClusterService` maps); a rebuilt file
+   is re-verified and swapped in atomically, bumping the observable
+   ``generation`` without dropping in-flight requests.
 
 :meth:`SPCService.submit` never raises for per-request failures: it maps
 every outcome onto a :class:`QueryResult` with a terminal ``status`` —

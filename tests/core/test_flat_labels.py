@@ -1,6 +1,5 @@
-"""FlatLabels: CSR freeze/thaw, packed-word parity, validation."""
+"""FlatLabels: CSR freeze/thaw, size accounting, validation."""
 
-import numpy as np
 import pytest
 
 from repro.core.flat_labels import FlatLabels, flatten_labels
@@ -8,14 +7,7 @@ from repro.core.hp_spc import build_labels
 from repro.core.labels import LabelSet
 from repro.exceptions import LabelingError
 from repro.generators.classic import barbell_graph, cycle_graph, grid_graph
-from repro.io.serialize import (
-    DEFAULT_BITS,
-    labels_from_bytes,
-    labels_to_bytes,
-    pack_entry,
-    pack_entries,
-    unpack_entries,
-)
+from repro.io.serialize import labels_from_bytes, labels_to_bytes
 
 
 def _flat_for(graph):
@@ -93,35 +85,3 @@ class TestRoundTrip:
         assert FlatLabels.from_label_set(reloaded).equals(flat)
 
 
-class TestPackedWords:
-    def test_matches_scalar_packer(self):
-        labels = build_labels(grid_graph(3, 4))
-        flat = FlatLabels.from_label_set(labels)
-        words = flat.packed_words()
-        assert words.dtype == np.uint64
-        position = 0
-        for v in range(labels.n):
-            for _, hub, dist, count in labels.merged(v):
-                assert int(words[position]) == pack_entry(hub, dist, count)
-                position += 1
-        assert position == words.size
-
-    def test_pack_unpack_entries_inverse(self):
-        hubs = np.array([0, 5, 7000], dtype=np.int64)
-        dists = np.array([0, 3, 1000], dtype=np.int64)
-        counts = np.array([1, 9, 2**31 - 1], dtype=np.int64)
-        back = unpack_entries(pack_entries(hubs, dists, counts))
-        assert back[0].tolist() == hubs.tolist()
-        assert back[1].tolist() == dists.tolist()
-        assert back[2].tolist() == counts.tolist()
-
-    def test_pack_entries_saturates_like_paper(self):
-        counts = np.array([2**31 + 5], dtype=np.int64)
-        words = pack_entries([1], [1], counts, bits=DEFAULT_BITS)
-        assert unpack_entries(words)[2][0] == 2**31 - 1
-
-    def test_pack_entries_strict_overflow(self):
-        from repro.exceptions import CountOverflowError
-
-        with pytest.raises(CountOverflowError):
-            pack_entries([1], [1], [2**31], strict=True)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.directed.labeling import build_directed_labels
-from repro.exceptions import SerializationError
+from repro.exceptions import CountOverflowError, SerializationError
 from repro.graph.digraph import WeightedDigraph
 from repro.io.serialize import (
     labels_from_bytes,
@@ -53,6 +53,23 @@ class TestDirectedRoundtrip:
                     continue
                 got = merge_join_rows(loaded_out.merged(s), loaded_in.merged(t), s, t)
                 assert got == spc_dijkstra(digraph, s, t)
+
+    def test_count_overflow_refuses_to_write(self, tmp_path):
+        # 32 directed diamonds end at a high-degree hub, so L^out(0) holds
+        # the hub with 2^32 paths: past the 31-bit field, never saturated.
+        k, hub = 32, 97
+        edges = [(hub - 1, hub, 1)] + [(hub, hub + 1 + j, 1) for j in range(20)]
+        for i in range(k):
+            left = 3 * i
+            edges += [(left, left + 1, 1), (left, left + 2, 1),
+                      (left + 1, left + 3, 1), (left + 2, left + 3, 1)]
+        graph = WeightedDigraph.from_edges(hub + 21, edges)
+        l_in, l_out = build_directed_labels(graph)
+        assert max(count for _, _, _, count in l_out.merged(0)) == 2**32
+        path = tmp_path / "directed.idx"
+        with pytest.raises(CountOverflowError):
+            save_directed_labels(l_in, l_out, path)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.idx"

@@ -1,6 +1,8 @@
 """SPCF v4 flat label files: round trips, mmap, corruption, dispatch."""
 
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -36,10 +38,9 @@ def ba_flat(ba_graph):
     return build_flat_labels_csr(ba_graph)
 
 
-@pytest.mark.parametrize("encoding", ["raw", "delta"])
-def test_round_trip_lossless(tmp_path, ba_flat, encoding):
+def test_round_trip_lossless(tmp_path, ba_flat):
     path = tmp_path / "labels.spcf"
-    written = save_flat_labels(ba_flat, path, encoding=encoding)
+    written = save_flat_labels(ba_flat, path)
     assert written == os.path.getsize(path)
     assert load_flat_labels(path).equals(ba_flat)
 
@@ -50,13 +51,6 @@ def test_mmap_load_matches_ram_load(tmp_path, ba_flat):
     mapped = load_flat_labels(path, mmap=True)
     assert isinstance(mapped.dist, np.memmap)
     assert mapped.equals(ba_flat)
-
-
-def test_delta_encoding_is_smaller(tmp_path, ba_flat):
-    raw = save_flat_labels(ba_flat, tmp_path / "raw.spcf", encoding="raw")
-    delta = save_flat_labels(ba_flat, tmp_path / "delta.spcf",
-                             encoding="delta")
-    assert delta < raw
 
 
 def test_columns_narrowed_on_save(tmp_path, ba_flat):
@@ -93,6 +87,27 @@ def test_no_fingerprint_reads_as_none(tmp_path, ba_flat):
 def test_unknown_encoding_rejected(tmp_path, ba_flat):
     with pytest.raises(ValueError, match="encoding"):
         save_flat_labels(ba_flat, tmp_path / "x.spcf", encoding="zstd")
+
+
+@pytest.mark.parametrize("offset", [5, 28],
+                         ids=["encoding-byte", "n-exceptions"])
+def test_nonraw_header_rejected(tmp_path, ba_flat, offset):
+    """A header naming any encoding but raw (byte 5) or any exceptions
+    (the u64 at byte 28) is refused at parse time, even with a valid CRC."""
+    from repro.io.flat_store import _HEADER_SIZE, open_shared
+
+    path = tmp_path / "labels.spcf"
+    save_flat_labels(ba_flat, path)
+    blob = bytearray(path.read_bytes())
+    blob[offset] = 1
+    header_end = 4 + _HEADER_SIZE
+    blob[header_end:header_end + 4] = struct.pack(
+        "<I", zlib.crc32(bytes(blob[4:header_end])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+    for load in (load_flat_labels, read_flat_meta, open_shared, load_index,
+                 load_labels):
+        with pytest.raises(SerializationError, match="encoding"):
+            load(path)
 
 
 @pytest.mark.parametrize("mmap", [False, True])
@@ -187,49 +202,24 @@ def test_load_labels_dispatches_on_magic(tmp_path, ba_flat):
     cycle_graph(3),
     star_graph(5),
 ])
-@pytest.mark.parametrize("encoding", ["raw", "delta"])
-def test_degenerate_graphs_round_trip(tmp_path, graph, encoding):
+def test_degenerate_graphs_round_trip(tmp_path, graph):
     flat = build_flat_labels_csr(graph)
     path = tmp_path / "tiny.spcf"
-    save_flat_labels(flat, path, encoding=encoding)
+    save_flat_labels(flat, path)
     assert load_flat_labels(path).equals(flat)
-    if encoding == "raw":
-        assert load_flat_labels(path, mmap=True).equals(flat)
-
-
-def test_delta_exception_path(tmp_path):
-    """Rank gaps >= 0xFFFF go through the exception list losslessly."""
-    # a star's leaves all carry the hub at rank 0 plus themselves, so use
-    # a synthetic flat labeling with a huge rank jump instead
-    from repro.core.flat_labels import FlatLabels
-
-    n = 70000
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1] = 2  # vertex 0 has entries at rank 0 and rank 69999
-    indptr[2:] = 2
-    rank = np.array([0, n - 1], dtype=np.int64)
-    dist = np.array([0, 1], dtype=np.int64)
-    count = np.array([1, 1], dtype=np.int64)
-    canonical = np.array([True, True])
-    order = np.arange(n, dtype=np.int64)
-    flat = FlatLabels(n, indptr, rank, None, dist, count, canonical, order)
-    path = tmp_path / "gap.spcf"
-    save_flat_labels(flat, path, encoding="delta")
-    meta = read_flat_meta(path)
-    assert meta.n_exceptions >= 1
-    assert load_flat_labels(path).equals(flat)
+    assert load_flat_labels(path, mmap=True).equals(flat)
 
 
 class TestOpenShared:
-    """Multi-process open guard: read-only columns, raw-only, race check."""
+    """Multi-process open guard: read-only columns, race check."""
 
     def test_open_shared_round_trip(self, tmp_path, ba_flat):
         from repro.io.flat_store import file_signature, open_shared
 
         path = tmp_path / "labels.spcf"
-        save_flat_labels(ba_flat, path, encoding="raw")
+        save_flat_labels(ba_flat, path)
         flat, meta, signature = open_shared(path)
-        assert meta.encoding == "raw"
+        assert meta.n == ba_flat.n
         assert signature == file_signature(path)
         assert np.array_equal(flat.rank, ba_flat.rank)
         assert np.array_equal(flat.dist, ba_flat.dist)
@@ -238,20 +228,12 @@ class TestOpenShared:
         from repro.io.flat_store import open_shared
 
         path = tmp_path / "labels.spcf"
-        save_flat_labels(ba_flat, path, encoding="raw")
+        save_flat_labels(ba_flat, path)
         flat, _, _ = open_shared(path)
         for column in (flat.order, flat.indptr, flat.rank, flat.dist,
                        flat.count, flat.canonical):
             with pytest.raises((ValueError, RuntimeError)):
                 column[0] = 0
-
-    def test_delta_encoding_rejected(self, tmp_path, ba_flat):
-        from repro.io.flat_store import open_shared
-
-        path = tmp_path / "labels.spcf"
-        save_flat_labels(ba_flat, path, encoding="delta")
-        with pytest.raises(SerializationError):
-            open_shared(path)
 
     def test_signature_tracks_rewrites(self, tmp_path, ba_flat):
         import time
@@ -259,10 +241,10 @@ class TestOpenShared:
         from repro.io.flat_store import file_signature
 
         path = tmp_path / "labels.spcf"
-        save_flat_labels(ba_flat, path, encoding="raw")
+        save_flat_labels(ba_flat, path)
         first = file_signature(path)
         time.sleep(0.02)
-        save_flat_labels(ba_flat, path, encoding="raw")
+        save_flat_labels(ba_flat, path)
         assert file_signature(path) != first
 
 
@@ -270,8 +252,7 @@ def test_read_label_meta_dispatches_to_spcf(tmp_path, ba_graph, ba_flat):
     from repro.io.serialize import read_label_meta
 
     path = tmp_path / "labels.spcf"
-    save_flat_labels(ba_flat, path, encoding="raw",
-                     fingerprint=graph_fingerprint(ba_graph))
+    save_flat_labels(ba_flat, path, fingerprint=graph_fingerprint(ba_graph))
     meta = read_label_meta(path)
     assert meta.n == ba_flat.n
-    assert meta.encoding == "raw"
+    assert meta.fingerprint == graph_fingerprint(ba_graph)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import assert_oracle_exact
+from tests.conftest import assert_oracle_exact, diamond_chains_through_hub
 
 from repro.core.hp_spc import build_labels
 from repro.core.index import SPCIndex
@@ -36,14 +36,12 @@ class TestEntryPacking:
         count = 2**31 - 1
         assert unpack_entry(pack_entry(hub, dist, count)) == (hub, dist, count)
 
-    def test_count_saturates_like_the_paper(self):
-        word = pack_entry(0, 0, 2**31 + 5)
-        assert unpack_entry(word) == (0, 0, 2**31 - 1)
-
-    def test_strict_mode_raises_on_overflow(self):
+    def test_count_overflow_raises(self):
+        # Never saturated: a count past its field is refused.
         with pytest.raises(CountOverflowError) as excinfo:
-            pack_entry(0, 0, 2**31, strict=True)
+            pack_entry(0, 0, 2**31)
         assert excinfo.value.bits == 31
+        assert excinfo.value.count == 2**31
 
     def test_hub_overflow_always_raises(self):
         with pytest.raises(SerializationError, match="hub"):
@@ -120,14 +118,17 @@ class TestLabelFiles:
         loaded = load_labels(tmp_path / "deep_wide.bin")
         assert loaded.total_entries() == labels.total_entries()
 
-    def test_saturation_on_disk(self, tmp_path):
-        # A 10x10 grid corner pair has C(18,9) = 48620 > 2^15; verify a
-        # narrow 15-bit count field saturates without error.
-        labels = build_labels(grid_graph(7, 7))
-        path = tmp_path / "sat.bin"
-        save_labels(labels, path, bits=(23, 10, 31))
-        loaded = load_labels(path)
-        assert loaded.total_entries() == labels.total_entries()
+    def test_count_overflow_refuses_to_write(self, tmp_path):
+        # The chain end's entry for the top hub counts 2^32 paths, past
+        # the paper's 31-bit field: the save fails and leaves no file.
+        graph, s, _ = diamond_chains_through_hub()
+        labels = build_labels(graph)
+        path = tmp_path / "overflow.bin"
+        with pytest.raises(CountOverflowError):
+            save_labels(labels, path)
+        assert not path.exists()
+        save_labels(labels, path, bits=WIDE_BITS)
+        assert load_labels(path).merged(s) == labels.merged(s)
 
 
 class TestIndexFiles:
@@ -139,11 +140,20 @@ class TestIndexFiles:
         loaded = load_index(path)
         assert_oracle_exact(loaded, g)
 
+    def test_counts_past_31_bits_are_exact(self, tmp_path):
+        graph, _, _ = diamond_chains_through_hub(k=40, leaves=10)
+        path = tmp_path / "index.bin"
+        save_index(SPCIndex.build(graph), path, graph=graph)
+        assert path.read_bytes()[:4] == b"SPCF"
+        loaded = load_index(path)
+        assert loaded.count_with_distance(0, 120) == (80, 2**40)
+        assert loaded.count_many([(0, 120)]) == [(80, 2**40)]
+
     def test_size_matches_packed_accounting(self, tmp_path):
         g = gnp_random_graph(20, 0.2, seed=6)
         index = SPCIndex.build(g)
-        path = tmp_path / "index.bin"
-        written = save_index(index, path)
+        path = tmp_path / "labels.bin"
+        written = save_labels(index.labels, path)
         # File = magic+version + checksummed v3 header + order section +
         # per-vertex counters + packed entries + two section CRCs.
         from repro.io.serialize import _HEADER_SIZE

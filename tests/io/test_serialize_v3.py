@@ -144,7 +144,7 @@ class TestV2Compat:
             struct.pack("<I", 2),
             struct.pack("<QBBH", labels.n, *bits),
             struct.pack(f"<{labels.n}Q", *labels.order),
-            _entries_payload(labels, bits, strict=False),
+            _entries_payload(labels, bits),
         ))
 
     def test_v2_blob_still_loads(self, labeled):
@@ -206,25 +206,23 @@ class TestAtomicityAndRetries:
 
 class TestRoundTripProperties:
     """Hypothesis: save/load is the identity for arbitrary graphs, both
-    encodings, with and without strict overflow mode and fingerprints."""
+    encodings, with and without fingerprints."""
 
     @given(
         n=st.integers(min_value=1, max_value=24),
         p=st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=0.5)),
         seed=st.integers(min_value=0, max_value=2**16),
         bits=st.sampled_from(["default", "wide"]),
-        strict=st.booleans(),
         with_fingerprint=st.booleans(),
     )
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_save_load_identity(self, n, p, seed, bits, strict, with_fingerprint):
+    def test_save_load_identity(self, n, p, seed, bits, with_fingerprint):
         graph = gnp_random_graph(n, p, seed=seed)
         labels = build_labels(graph)
         fingerprint = graph_fingerprint(graph) if with_fingerprint else None
         use_bits = WIDE_BITS if bits == "wide" else (23, 10, 31)
-        blob = labels_to_bytes(labels, bits=use_bits, strict=strict,
-                               fingerprint=fingerprint)
+        blob = labels_to_bytes(labels, bits=use_bits, fingerprint=fingerprint)
         parsed, used, meta = labels_from_bytes_with_meta(blob)
         assert used == len(blob)
         assert meta.fingerprint == fingerprint

@@ -145,10 +145,10 @@ def test_csr_batch_engine_bit_identical_on_random_graphs(graph_and_order,
         assert thawed.noncanonical(v) == python_labels.noncanonical(v)
 
 
-@given(graphs_with_orders(), st.sampled_from(["raw", "delta"]))
+@given(graphs_with_orders())
 @settings(**SETTINGS)
-def test_flat_store_round_trip_lossless(graph_and_order, encoding):
-    """SPCF save/load (both encodings) preserves the labeling bit-for-bit."""
+def test_flat_store_round_trip_lossless(graph_and_order):
+    """SPCF save/load (in RAM and mmap) preserves the labeling bit-for-bit."""
     import os
     import tempfile
 
@@ -159,9 +159,8 @@ def test_flat_store_round_trip_lossless(graph_and_order, encoding):
     flat = build_flat_labels_csr(graph, ordering=order)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "labels.spcf")
-        save_flat_labels(flat, path, encoding=encoding)
+        save_flat_labels(flat, path)
         assert load_flat_labels(path).equals(flat)
-        if encoding == "raw":
-            mapped = load_flat_labels(path, mmap=True)
-            assert mapped.equals(flat)
-            del mapped
+        mapped = load_flat_labels(path, mmap=True)
+        assert mapped.equals(flat)
+        del mapped

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.batch_query import count_many, count_set_to_set, single_source
 from repro.core.index import SPCIndex
-from repro.exceptions import SerializationError
 from repro.generators.random_graphs import barabasi_albert_graph
 from repro.io.flat_store import save_flat_labels
 from repro.serving import (
@@ -46,7 +45,7 @@ def flat(graph):
 @pytest.fixture(scope="module")
 def arena(flat, tmp_path_factory):
     path = tmp_path_factory.mktemp("cluster") / "labels.spcf"
-    save_flat_labels(flat, path, encoding="raw")
+    save_flat_labels(flat, path)
     return str(path)
 
 
@@ -146,8 +145,7 @@ class TestCountsPastInt64:
 
         graph, s, t = diamond_chains_through_hub()
         path = tmp_path / "chains.spcf"
-        save_flat_labels(SPCIndex.build(graph, engine="csr").to_flat(), path,
-                         encoding="raw")
+        save_flat_labels(SPCIndex.build(graph, engine="csr").to_flat(), path)
         with ClusterService(str(path), workers=1) as service:
             single = service.submit(s, t, timeout=30)
             batch = service.submit_many([(s, t), (t, s), (s, s)], timeout=30)
@@ -214,12 +212,6 @@ class TestSharedMemory:
 
 
 class TestLifecycleAndFailure:
-    def test_rejects_delta_encoded_files(self, flat, tmp_path):
-        path = tmp_path / "delta.spcf"
-        save_flat_labels(flat, path, encoding="delta")
-        with pytest.raises(SerializationError):
-            ClusterService(path, workers=1)
-
     def test_close_is_idempotent_and_rejects_after(self, arena):
         service = ClusterService(arena, workers=1)
         assert service.submit(0, 1).ok
@@ -274,11 +266,11 @@ class TestHotReload:
 
     def test_rolling_reload_bumps_every_worker(self, flat, tmp_path):
         path = tmp_path / "labels.spcf"
-        save_flat_labels(flat, path, encoding="raw")
+        save_flat_labels(flat, path)
         with ClusterService(path, workers=2, shards=2) as service:
             assert service.generation == 0
             time.sleep(0.05)  # let mtime_ns tick past the first save
-            save_flat_labels(flat, path, encoding="raw")
+            save_flat_labels(flat, path)
             assert service.check_reload() is True
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline and service.generation < 1:
@@ -303,7 +295,7 @@ class TestHotReload:
         merge would be caught by the router and retried, never returned.
         """
         path = tmp_path / "labels.spcf"
-        save_flat_labels(flat, path, encoding="raw")
+        save_flat_labels(flat, path)
         want = {s: single_source(flat, s) for s in range(0, N, 37)}
         with ClusterService(path, workers=2, shards=2,
                             reload_check_every=0) as service:
@@ -313,7 +305,7 @@ class TestHotReload:
             def writer():
                 while not stop.is_set():
                     time.sleep(0.02)
-                    save_flat_labels(flat, path, encoding="raw")
+                    save_flat_labels(flat, path)
                     if service.check_reload():
                         swaps.append(1)
 

@@ -49,7 +49,7 @@ def flat(graph):
 @pytest.fixture(scope="module")
 def arena(flat, tmp_path_factory):
     path = tmp_path_factory.mktemp("healing") / "labels.spcf"
-    save_flat_labels(flat, path, encoding="raw")
+    save_flat_labels(flat, path)
     return str(path)
 
 

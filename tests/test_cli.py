@@ -51,6 +51,25 @@ class TestBuildQueryRoundtrip:
         dist, count = spc_bfs(graph, 0, 5)
         assert str(count) in out
 
+    def test_counts_past_31_bits_are_exact(self, tmp_path, capsys):
+        # 40 diamonds from vertex 0 to vertex 120: 2^40 shortest paths of
+        # length 80, well past the paper's 31-bit packed count field.
+        from tests.conftest import diamond_chains_through_hub
+
+        graph, _, _ = diamond_chains_through_hub(k=40, leaves=10)
+        graph_path = tmp_path / "chains.txt"
+        write_edge_list(graph, graph_path)
+        index_path = str(tmp_path / "chains.idx")
+        assert main(["build", str(graph_path), index_path]) == 0
+        with open(index_path, "rb") as handle:
+            assert handle.read(4) == b"SPCF"
+        for engine in ("python", "flat"):
+            capsys.readouterr()
+            assert main(["query", index_path, "0", "120",
+                         "--engine", engine]) == 0
+            row = capsys.readouterr().out.splitlines()[-1].split()
+            assert row == ["0", "120", "80", "1099511627776"]  # 2^40
+
     def test_build_significant_path(self, graph_file, tmp_path):
         path, _ = graph_file
         index_path = str(tmp_path / "g.idx")
@@ -444,7 +463,7 @@ class TestServeCluster:
         graph, _ = read_edge_list(graph_path)
         flat = SPCIndex.build(graph).to_flat()
         path = tmp_path / "labels.spcf"
-        save_flat_labels(flat, path, encoding="raw")
+        save_flat_labels(flat, path)
         return str(path)
 
     def test_burst_reports_stats(self, arena, capsys):
@@ -456,10 +475,17 @@ class TestServeCluster:
         assert "error         : 0" in out
         assert "arena_private_dirty=0" in out
 
-    def test_rejects_packed_index(self, graph_file, tmp_path, capsys):
-        graph_path, _ = graph_file
+    def test_rejects_packed_index(self, tmp_path, capsys):
+        # --weighted builds write packed SPCL labels, which no cluster
+        # worker can map.
+        from repro.graph.io import write_weighted_edge_list
+        from repro.weighted.graph import WeightedGraph
+
+        graph = WeightedGraph.from_edges(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1)])
+        graph_path = tmp_path / "w.txt"
+        write_weighted_edge_list(graph, graph_path)
         index_path = str(tmp_path / "index.bin")
-        main(["build", graph_path, index_path])
+        assert main(["build", str(graph_path), index_path, "--weighted"]) == 0
         capsys.readouterr()
         rc = main(["serve-cluster", index_path, "--workers", "1",
                    "--random", "5"])

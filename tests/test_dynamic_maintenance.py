@@ -12,10 +12,13 @@ import threading
 
 import pytest
 
+from tests.conftest import diamond_chains_through_hub
+
 from repro.dynamic import MaintenanceController, MaintenanceSLO
 from repro.generators.random_graphs import barabasi_albert_graph
 from repro.graph.traversal import spc_bfs
-from repro.io.flat_store import load_flat_labels
+from repro.serving import SERVED_INDEX, SPCService
+from repro.serving.cluster import ClusterService
 from repro.testing.faults import KillDuringRebuild, flip_bit
 
 
@@ -119,16 +122,49 @@ class TestRebuildBehind:
             controller.rebuild_now(timeout=60.0)
             assert controller.stats()["counters"]["slo_pending_breaches"] >= 1
 
-    def test_arena_published_alongside_index(self, graph, tmp_path):
-        arena = str(tmp_path / "labels.spcf")
+    def test_published_index_serves_the_cluster(self, graph, tmp_path):
+        # One published file serves both tiers: the cluster maps it as is.
         with MaintenanceController(
-                graph, str(tmp_path / "index.spc1"), arena_path=arena,
+                graph, str(tmp_path / "index.spc1"),
                 rebuild_threshold=1, poll_interval=0.01) as controller:
             (u, v), = missing_edges(graph, 1)
             controller.insert_edge(u, v)
             assert controller.rebuild_now(timeout=60.0)
-            flat = load_flat_labels(arena)
-            assert flat.n == graph.n
+            published = controller.published_graph
+            with ClusterService(controller.index_path, workers=1) as cluster:
+                for s, t in [(0, 44), (3, 71), (u, v), (12, 89)]:
+                    result = cluster.submit(s, t, timeout=30)
+                    assert result.status == SERVED_INDEX
+                    assert result.answer == spc_bfs(published, s, t)
+
+
+class TestExactCounts:
+    """Counts past the paper's 31-bit packed field survive publish and
+    hot reload exactly: 40 diamonds from 0 to 120 give 2^40 paths."""
+
+    def test_service_answers_exactly_across_publishes(self, tmp_path):
+        graph, _, _ = diamond_chains_through_hub(k=40, leaves=10)
+        expected = (80, 2**40)
+
+        def reload(_controller, _version, published):
+            service.set_graph(published)
+            service.check_reload()
+
+        with MaintenanceController(
+                graph, str(tmp_path / "index.spcf"), rebuild_threshold=100,
+                poll_interval=0.01, on_publish=reload) as controller:
+            service = SPCService(graph, index_path=controller.index_path,
+                                 reload_check_every=0)
+            result = service.submit(0, 120)
+            assert (result.status, result.answer) == (SERVED_INDEX, expected)
+            generation = result.generation
+            leaf = graph.n - 1
+            controller.insert_edge(leaf - 1, leaf)  # far from the chain
+            assert controller.rebuild_now(timeout=60.0)
+            result = service.submit(0, 120)
+            assert (result.status, result.answer) == (SERVED_INDEX, expected)
+            assert result.generation > generation
+            assert controller.count_with_distance(0, 120) == expected
 
 
 class TestChaos:

@@ -1,6 +1,8 @@
 """Tests for repository tooling (doc generator, CI smoke gates)."""
 
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -148,3 +150,20 @@ class TestPerfReport:
         text = "\n".join(perf_report.render_streaming(record))
         assert "10000-vertex graph" in text
         assert "\u2014-vertex" not in text
+
+
+class TestPerfbenchPatches:
+    """The traced benchmark run (``perfbench/run.py --trace 1``) wraps the
+    module attributes ``perfbench.layers.PATCHES`` names; a renamed or
+    moved target would make it die with an ``AttributeError``."""
+
+    def test_every_patch_target_resolves(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT))
+        layers = importlib.import_module("perfbench.layers")
+        for target, _, _ in layers.PATCHES:
+            module_name, _, path = target.partition(":")
+            owner = importlib.import_module(module_name)
+            *parents, attr = path.split(".")
+            for parent in parents:
+                owner = inspect.getattr_static(owner, parent)
+            assert inspect.getattr_static(owner, attr, None) is not None, target

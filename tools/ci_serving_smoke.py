@@ -156,7 +156,7 @@ def run_sustained(args):
         print(f"built {flat.total_entries()} label entries in "
               f"{time.perf_counter() - build_started:.1f}s (csr engine)")
         if arena_cache:
-            save_flat_labels(flat, arena_cache, encoding="raw")
+            save_flat_labels(flat, arena_cache)
             print(f"arena cached: {arena_cache}")
     deadline = args.deadline_ms / 1000.0 if args.deadline_ms else None
     pairs = [((i * 13) % graph.n, (i * 29 + 5) % graph.n)
@@ -221,7 +221,7 @@ def run_sustained(args):
     with tempfile.TemporaryDirectory() as scratch:
         arena = arena_cache or os.path.join(scratch, "labels.spcf")
         if not os.path.exists(arena):
-            save_flat_labels(flat, arena, encoding="raw")
+            save_flat_labels(flat, arena)
         with ClusterService(
             arena, workers=args.workers, shards=args.shards,
             batch_window=args.batch_window_ms / 1000.0, max_batch=256,
@@ -337,7 +337,7 @@ def run_resilience(args):
 
     with tempfile.TemporaryDirectory() as scratch:
         arena = os.path.join(scratch, "labels.spcf")
-        save_flat_labels(flat, arena, encoding="raw")
+        save_flat_labels(flat, arena)
         with ClusterService(
             arena, workers=4, shards=2, graph=graph,
             batch_window=0.002, max_batch=128, capacity=512,
