@@ -486,9 +486,9 @@ def _cmd_serve_cluster(args):
         args.hedge_delay_ms / 1000.0 if args.hedge_delay_ms > 0 else None)
     with ClusterService(
         args.index, workers=args.workers, shards=args.shards,
-        strategy=args.strategy, batch_window=args.batch_window_ms / 1000.0,
-        max_batch=args.max_batch, capacity=args.capacity,
-        queue_limit=args.queue, default_deadline=deadline,
+        strategy=args.strategy, max_batch=args.max_batch,
+        capacity=args.capacity, queue_limit=args.queue,
+        default_deadline=deadline,
         respawn=args.respawn, respawn_backoff=args.respawn_backoff_ms / 1000.0,
         heartbeat_interval=args.heartbeat_ms / 1000.0,
         stall_timeout=args.stall_timeout_ms / 1000.0,
@@ -794,8 +794,6 @@ def build_parser():
                    help="shard pools to split routing across")
     p.add_argument("--strategy", default="range", choices=["range", "hash"],
                    help="vertex-to-shard assignment")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="max time a pair request waits to be coalesced")
     p.add_argument("--max-batch", type=int, default=64,
                    help="max pair requests per worker round-trip")
     p.add_argument("--deadline-ms", type=float, default=50.0,

@@ -12,10 +12,11 @@ hubs into dense rank-indexed arrays and sweep label columns in bulk.
 
 Semantics match :mod:`repro.core.query` exactly for the plain (unreduced)
 index: disconnected pairs answer ``(inf, 0)``, ``s == t`` answers
-``(0, 1)``, and pair counts are exact at any size. The join runs in int64
+``(0, 1)``, and counts are exact at any size. Every query runs in int64
 only where :attr:`FlatLabels.overflow_free
-<repro.core.flat_labels.FlatLabels.overflow_free>` or a per-pair bound
-proves it cannot wrap; other pairs take a python-int merge. The
+<repro.core.flat_labels.FlatLabels.overflow_free>` or a bound over
+:attr:`~repro.core.flat_labels.FlatLabels.row_max_count` proves it
+cannot wrap; otherwise it sums python ints instead. The
 λ-weighted ``multiplicity`` evaluation of the reductions stays on the
 tuple-based path.
 """
@@ -299,6 +300,19 @@ def count_many(flat, pairs, deadline=None):
     return answers
 
 
+def _may_wrap(flat, sigma_bound, rows, terms):
+    """True unless int64 provably holds a sum of ``terms`` products.
+
+    Each product pairs a count of at most ``sigma_bound`` with one from
+    ``rows``. Callers test the store-wide :attr:`FlatLabels.overflow_free`
+    proof first, so most stores never get here.
+    """
+    row_max = flat.row_max_count[rows]
+    if not row_max.size:
+        return False
+    return float(sigma_bound) * float(row_max.max()) * terms >= JOIN_BOUND
+
+
 def single_source_range(flat, s, lo, hi, deadline=None):
     """``(dist, count)`` arrays from ``s`` over targets ``lo <= t < hi``.
 
@@ -306,7 +320,8 @@ def single_source_range(flat, s, lo, hi, deadline=None):
     ``L(s)`` once, then sweep only the CSR slice of rows ``[lo, hi)`` —
     segmented reductions over a contiguous label range, so a shard worker
     pays for exactly the vertices it owns. Results are positional:
-    element ``i`` answers target ``lo + i``.
+    element ``i`` answers target ``lo + i``. ``count`` is int64, or an
+    object array of python ints when the store's counts could wrap int64.
     """
     registry = get_registry()
     if registry.enabled:
@@ -318,11 +333,13 @@ def single_source_range(flat, s, lo, hi, deadline=None):
     if deadline is not None:
         deadline.check()
     width = hi - lo
+    rank_s, _, dist_s, count_s = flat.row(s)
+    wide = not flat.overflow_free and _may_wrap(
+        flat, flat.row_max_count[s], slice(lo, hi), len(rank_s))
     mins = np.full(width, INF)
-    counts = np.zeros(width, dtype=INT)
+    counts = np.zeros(width, dtype=object if wide else INT)
     if width == 0:
         return mins, counts
-    rank_s, _, dist_s, count_s = flat.row(s)
     rank_i = rank_s.astype(np.intp)
     with _borrow_scratch(flat) as (hub_dist, hub_count):
         hub_dist[rank_i] = dist_s.astype(np.float64)
@@ -340,8 +357,11 @@ def single_source_range(flat, s, lo, hi, deadline=None):
                 raw_min = np.minimum.reduceat(totals, clipped)
                 mins[nonempty] = raw_min[nonempty]
                 at_min = totals == np.repeat(mins, seg_lens)
-                prods = np.where(at_min, hub_count[ranks] * flat.count[start:stop],
-                                 0)
+                prods = hub_count[ranks]
+                if wide:
+                    prods = prods.astype(object)  # python ints
+                prods *= flat.count[start:stop]
+                prods = np.where(at_min, prods, 0)
                 raw_sum = np.add.reduceat(prods, clipped)
                 counts[nonempty] = raw_sum[nonempty]
         finally:
@@ -374,7 +394,9 @@ def count_set_to_set(flat, sources, targets):
 
     Mirrors :func:`repro.core.query.count_set_query`: aggregate the source
     side per hub (minimum distance, counts summed at the minimum) with
-    scatter ops, then sweep the target rows once.
+    scatter ops, then sweep the target rows once. The count is exact: when
+    the row bounds cannot rule out int64 overflow, the per-hub sums and
+    their products are python ints.
     """
     registry = get_registry()
     if registry.enabled:
@@ -389,14 +411,24 @@ def count_set_to_set(flat, sources, targets):
 
     idx_s, _ = _gather_rows(*_row_spans(flat.indptr, sources))
     ranks_s = flat.rank[idx_s]
+    idx_t, _ = _gather_rows(*_row_spans(flat.indptr, targets))
+    # A hub's source-side count sums at most one count per source.
+    wide = not flat.overflow_free and _may_wrap(
+        flat, flat.row_max_count[sources].sum(dtype=np.float64), targets,
+        len(idx_t))
     with _borrow_scratch(flat) as (hub_best, hub_count):
         try:
             np.minimum.at(hub_best, ranks_s, flat.dist[idx_s])
             at_best = flat.dist[idx_s] == hub_best[ranks_s]
-            np.add.at(hub_count, flat.rank[idx_s[at_best]],
-                      flat.count[idx_s[at_best]])
+            if wide:
+                hub_sigma = {}
+                for rank, c in zip(ranks_s[at_best].tolist(),
+                                   flat.count[idx_s[at_best]].tolist()):
+                    hub_sigma[rank] = hub_sigma.get(rank, 0) + c
+            else:
+                np.add.at(hub_count, ranks_s[at_best],
+                          flat.count[idx_s[at_best]])
 
-            idx_t, _ = _gather_rows(*_row_spans(flat.indptr, targets))
             ranks_t = flat.rank[idx_t]
             totals = hub_best[ranks_t] + flat.dist[idx_t]
             reachable = np.isfinite(totals)
@@ -404,8 +436,13 @@ def count_set_to_set(flat, sources, targets):
                 return INF, 0
             delta = totals[reachable].min()
             at_delta = totals == delta
-            sigma = int(np.sum(hub_count[ranks_t[at_delta]]
-                               * flat.count[idx_t[at_delta]]))
+            if wide:
+                sigma = sum(hub_sigma[rank] * c for rank, c in zip(
+                    ranks_t[at_delta].tolist(),
+                    flat.count[idx_t[at_delta]].tolist()))
+            else:
+                sigma = int(np.sum(hub_count[ranks_t[at_delta]]
+                                   * flat.count[idx_t[at_delta]]))
         finally:
             hub_best[ranks_s] = INF
             hub_count[ranks_s] = 0

@@ -100,8 +100,8 @@ METRICS = (
     ),
     MetricSpec(
         "spc_cluster_batch_size", "histogram", (),
-        "Pair requests coalesced into one worker round-trip — how much "
-        "amortisation the batch window actually bought.",
+        "Pair requests coalesced into one worker round-trip — batches "
+        "grow with load, up to max_batch.",
     ),
     MetricSpec(
         "spc_cluster_batches_total", "counter", ("shard",),

@@ -25,6 +25,7 @@ Two admission styles are supported:
   of outstanding futures).
 """
 
+import collections
 import threading
 import time
 
@@ -69,7 +70,7 @@ class AdmissionQueue:
         self._clock = clock
         self._cond = threading.Condition()
         self._in_flight = 0
-        self._queued = 0
+        self._waiters = collections.deque()
         self._admissions = 0
         self._ema_latency = 0.001  # optimistic 1 ms seed for retry hints
 
@@ -81,14 +82,14 @@ class AdmissionQueue:
         ``ema_latency x backlog depth``, clamped to ``retry_after_cap`` —
         never less than 1 ms, never more than the cap.
         """
-        backlog = self._in_flight + self._queued + 1 - self.capacity
+        backlog = self._in_flight + self.queued + 1 - self.capacity
         hint = max(0.001, self._ema_latency * max(1, backlog))
         if self.retry_after_cap is not None:
             hint = min(hint, self.retry_after_cap)
         return hint
 
     def _shed(self):
-        return ServiceOverloaded(self._in_flight, self._queued,
+        return ServiceOverloaded(self._in_flight, self.queued,
                                  self.retry_after())
 
     # -- admission ------------------------------------------------------------
@@ -100,29 +101,37 @@ class AdmissionQueue:
         (or an exhausted budget while queued) raises
         :class:`~repro.exceptions.ServiceOverloaded` immediately —
         queueing past the deadline would only burn capacity on answers
-        nobody is waiting for. Returns the admission ordinal (a monotonic
-        count callers can use for every-N side effects such as reload
-        polling).
+        nobody is waiting for. Waiters are admitted first-come
+        first-served: a newcomer never takes a freed slot ahead of a
+        queued request (a thread that just released its slot would
+        otherwise win it back while the waiter it woke still waits for
+        the GIL, starving the queue past its deadlines). Returns the
+        admission ordinal (a monotonic count callers can use for every-N
+        side effects such as reload polling).
         """
         with self._cond:
             self._admissions += 1
             ordinal = self._admissions
-            if self._in_flight < self.capacity:
+            if self._in_flight < self.capacity and not self._waiters:
                 self._in_flight += 1
                 return ordinal
-            if self._queued >= self.queue_limit:
+            if len(self._waiters) >= self.queue_limit:
                 raise self._shed()
-            self._queued += 1
+            token = object()
+            self._waiters.append(token)
             try:
-                while self._in_flight >= self.capacity:
+                while (self._waiters[0] is not token
+                       or self._in_flight >= self.capacity):
                     remaining = (None if deadline is None
                                  else deadline.remaining())
                     if remaining is not None and remaining <= 0:
                         raise self._shed()
-                    if not self._cond.wait(timeout=remaining):
-                        raise self._shed()
+                    self._cond.wait(timeout=remaining)
             finally:
-                self._queued -= 1
+                self._waiters.remove(token)
+                if self._waiters:
+                    # The head moved: the next waiter may fit a free slot.
+                    self._cond.notify_all()
             self._in_flight += 1
             return ordinal
 
@@ -145,7 +154,8 @@ class AdmissionQueue:
         """Give the slot back and fold ``elapsed`` into the latency EMA."""
         with self._cond:
             self._in_flight -= 1
-            self._cond.notify()
+            if self._waiters:
+                self._cond.notify_all()
             # EMA over completed requests drives the retry-after hint.
             self._ema_latency += 0.2 * (elapsed - self._ema_latency)
 
@@ -159,7 +169,7 @@ class AdmissionQueue:
     @property
     def queued(self):
         """Requests currently waiting in the blocking queue."""
-        return self._queued
+        return len(self._waiters)
 
     @property
     def ema_latency(self):
@@ -171,12 +181,12 @@ class AdmissionQueue:
         with self._cond:
             return {
                 "in_flight": self._in_flight,
-                "queued": self._queued,
+                "queued": self.queued,
                 "capacity": self.capacity,
                 "queue_limit": self.queue_limit,
             }
 
     def __repr__(self):
         return (f"AdmissionQueue(in_flight={self._in_flight}, "
-                f"queued={self._queued}, capacity={self.capacity}, "
+                f"queued={self.queued}, capacity={self.capacity}, "
                 f"queue_limit={self.queue_limit})")

@@ -11,11 +11,14 @@ file-signature watching, and the same non-raising
 :class:`~repro.serving.service.QueryResult` surface.
 
 The router earns its throughput from *batching*, not just parallelism:
-pair requests destined for the same shard are coalesced (up to
-``max_batch``, waiting at most ``batch_window`` seconds) into one
+pair requests destined for the same shard are coalesced into one
 ``count_many`` round-trip, so the per-request cost amortises one IPC
 hop and one vectorized kernel over the whole batch instead of paying a
-python merge-join per query.
+python merge-join per query. Batching is group commit, not a timer: a
+shard's pending pairs go out the moment one of its workers is idle (up
+to ``max_batch``), and whatever arrives while every worker of the shard
+is busy rides the next batch. Batches therefore stay small at light
+load and grow with load on their own.
 
 Sharding is routing, not partitioning — every worker maps the full
 arena, and the :class:`~repro.serving.shards.ShardPlan` decides which
@@ -315,15 +318,13 @@ class _Flight:
 class _PairRequest:
     """One ``submit`` request waiting to be coalesced into a shard batch."""
 
-    __slots__ = ("s", "t", "deadline", "started", "enqueued", "future",
-                 "done")
+    __slots__ = ("s", "t", "deadline", "started", "future", "done")
 
     def __init__(self, s, t, deadline, started, future):
         self.s = s
         self.t = t
         self.deadline = deadline
         self.started = started
-        self.enqueued = started
         self.future = future
         # Terminal guard: hedged twins and death-replays can hand the
         # same request to two finishers; only the first one counts.
@@ -659,10 +660,11 @@ class ClusterService:
         shard gets ``workers // shards`` processes, remainder spread
         round-robin) and the :class:`~repro.serving.shards.ShardPlan`
         strategy (``"range"`` or ``"hash"``).
-    batch_window / max_batch:
-        Router-side coalescing: a shard batch is flushed when it holds
-        ``max_batch`` pair requests or its oldest member has waited
-        ``batch_window`` seconds.
+    max_batch:
+        Largest pair batch the router sends in one round-trip. A shard's
+        pending pairs are flushed as soon as one of its workers is idle;
+        pairs that arrive while every worker is busy queue up and ride
+        the next batch, so batch size follows load up to this cap.
     capacity / queue_limit / retry_after_cap:
         Admission control (see
         :class:`~repro.serving.admission.AdmissionQueue`); the router
@@ -723,7 +725,7 @@ class ClusterService:
     """
 
     def __init__(self, index_path, *, workers=2, shards=1, strategy="range",
-                 batch_window=0.002, max_batch=64, capacity=64,
+                 max_batch=64, capacity=64,
                  queue_limit=256, retry_after_cap=DEFAULT_RETRY_AFTER_CAP,
                  default_deadline=None, breaker=None, failure_threshold=5,
                  reset_timeout=1.0, reload_check_every=64, verify=True,
@@ -739,8 +741,6 @@ class ClusterService:
             raise ValueError(
                 f"shards must be in [1, workers], got {shards} "
                 f"(workers={workers})")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if default_deadline is not None and default_deadline <= 0:
@@ -761,7 +761,6 @@ class ClusterService:
         self.n = meta.n
         self.plan = ShardPlan(meta.n, shards, strategy=strategy)
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.default_deadline = default_deadline
         self._clock = clock
         self._admission = AdmissionQueue(capacity, queue_limit,
@@ -1337,14 +1336,12 @@ class ClusterService:
         if self._executor is not None:
             self._executor.close()
             self._executor.join(timeout=timeout)
-        for worker in self._workers:
-            if worker.process is None:
+        # One snapshot: a router that outlived the join above may still
+        # move a worker's process into _reaped and clear the slot.
+        processes = [w.process for w in self._workers] + list(self._reaped)
+        for process in processes:
+            if process is None:
                 continue
-            worker.process.join(timeout=timeout)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-        for process in self._reaped:
             process.join(timeout=timeout)
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.terminate()
@@ -1398,13 +1395,11 @@ class ClusterService:
                 self._drain_inbox()
                 now = self._clock()
                 self._check_health(now)
-                timer = self._dispatch()
+                self._dispatch()
                 self._maybe_hedge(self._clock())
                 if self._closing and self._quiescent():
                     break
-                health = self._health_timer(self._clock())
-                if health is not None:
-                    timer = health if timer is None else min(timer, health)
+                timer = self._health_timer(self._clock())
                 self._asleep = True
                 if self._inbox:
                     self._asleep = False
@@ -1447,7 +1442,6 @@ class ClusterService:
             kind = item[0]
             payload = item[1] if len(item) > 1 else None
             if kind == "pair":
-                payload.enqueued = self._clock()
                 self._pending[self.plan.shard_of(payload.s)].append(payload)
             elif kind == "job":
                 for key in payload.keys():
@@ -1507,14 +1501,13 @@ class ClusterService:
                 job, key = self._subs[shard].popleft()
                 self._dispatch_sub(worker, job, key)
                 continue
-            if self._batch_ready(shard, now):
+            if self._pending[shard]:
                 self._dispatch_pairs(worker, shard)
         if self._peer_degraded:
-            self._dispatch_peers(now)
+            self._dispatch_peers()
         self._route_stranded()
-        return self._next_timer(now)
 
-    def _dispatch_peers(self, now):
+    def _dispatch_peers(self):
         """Idle workers adopt the queued work of shards with no serving
         worker. Every worker maps the full arena (sharding here is
         routing, not partitioning), so a peer's answer is exact; it is
@@ -1534,37 +1527,9 @@ class ClusterService:
                     job, key = self._subs[shard].popleft()
                     self._dispatch_sub(worker, job, key)
                     break
-                if self._batch_ready(shard, now):
+                if self._pending[shard]:
                     self._dispatch_pairs(worker, shard)
                     break
-
-    def _batch_ready(self, shard, now):
-        pending = self._pending[shard]
-        if not pending:
-            return False
-        if self._closing or len(pending) >= self.max_batch:
-            return True
-        return now - pending[0].enqueued >= self.batch_window
-
-    def _next_timer(self, now):
-        """Earliest batch-window expiry, or None to block on events."""
-        timer = None
-        idle_any = any(w.state == IDLE and not w.draining
-                       for w in self._workers)
-        for shard, pending in enumerate(self._pending):
-            if not pending:
-                continue
-            has_idle = any(w.state == IDLE and not w.draining
-                           and w.shard == shard for w in self._workers)
-            if not has_idle:
-                # A down shard's window can still expire onto a peer.
-                if not (self._peer_degraded and idle_any
-                        and not self._shard_serving(shard)):
-                    continue
-            wait = self.batch_window - (now - pending[0].enqueued)
-            wait = max(wait, 0.0)
-            timer = wait if timer is None else min(timer, wait)
-        return timer
 
     def _next_id(self):
         self._next_batch_id += 1

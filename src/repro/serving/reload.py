@@ -3,10 +3,10 @@
 Index rebuilds land on disk through the library's atomic writer (temp
 file + fsync + rename), so at any instant the path holds exactly one
 consistent byte string. The :class:`IndexWatcher` detects *which* one:
-it remembers the last observed signature — ``(mtime_ns, size)`` from
-``stat`` plus, when the header parses, the embedded graph fingerprint —
-and :meth:`IndexWatcher.poll` reports when the file on disk is no longer
-the bytes that were loaded.
+it remembers the last observed signature — inode, ``mtime_ns``,
+``ctime_ns`` and size from ``stat`` plus, when the header parses, the
+embedded graph fingerprint — and :meth:`IndexWatcher.poll` reports when
+the file on disk is no longer the bytes that were loaded.
 
 :class:`~repro.serving.service.SPCService` polls between requests (every
 ``reload_check_every`` admissions) and calls
@@ -45,12 +45,19 @@ class IndexWatcher:
         """The watched file path."""
         return self._path
 
-    def _signature(self):
+    def _stat_ident(self):
         try:
             stat = os.stat(self._path)
         except OSError:
             return _MISSING
-        ident = (stat.st_mtime_ns, stat.st_size)
+        return (stat.st_ino, stat.st_mtime_ns, stat.st_ctime_ns,
+                stat.st_size)
+
+    def _signature(self):
+        """Full signature; remembers the stat part for :meth:`poll`."""
+        ident = self._stat = self._stat_ident()
+        if ident is _MISSING:
+            return _MISSING
         try:
             meta = read_label_meta(self._path)
         except (OSError, SerializationError):
@@ -59,6 +66,8 @@ class IndexWatcher:
 
     def poll(self):
         """True when the file changed since the last ``poll``/``mark``."""
+        if self._stat_ident() == self._stat:
+            return False
         current = self._signature()
         if current == self._last:
             return False

@@ -4,6 +4,9 @@ Vertex naming: the paper's ``v1..v13`` map to ids ``0..12`` (``v_k`` is
 id ``k-1``) in every fixture and every test that references the paper.
 """
 
+import os
+import time
+
 import pytest
 
 from repro.graph.graph import Graph
@@ -84,6 +87,53 @@ def assert_oracle_exact(oracle, graph, pairs=None):
         want = spc_bfs(graph, s, t)
         got = oracle.count_with_distance(s, t)
         assert got == want, f"({s},{t}): oracle {got} != bfs {want}"
+
+
+def wait_for(predicate, timeout=10.0, interval=0.005):
+    """Poll ``predicate`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+def _stopped(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] in ("T", "t")
+    except OSError:  # no procfs: the fault's marker file is all we have
+        return True
+
+
+def holding_cluster(arena, marker_dir, **options):
+    """A one-worker cluster whose worker SIGSTOPs before its first reply.
+
+    Heartbeats and hedges stay off, so only ``StalledWorker.resume``
+    ends a hold started with :func:`hold_worker`.
+    """
+    from repro.serving import ClusterService
+    from repro.testing.faults import StalledWorker
+
+    fault = StalledWorker(marker_dir, after_replies=1, times=1)
+    return ClusterService(arena, workers=1, heartbeat_interval=0,
+                          hedge_delay=None, _fault=fault, **options)
+
+
+def hold_worker(service, marker_dir, pairs=((0, 1),)):
+    """Park the worker of a :func:`holding_cluster` on one pair batch.
+
+    The batch carries no deadline. Returns its future and the worker pid
+    once the worker is stopped; work submitted now queues behind the
+    busy worker until ``StalledWorker.resume(pid)`` releases the reply.
+    """
+    held = service.submit_many_nowait(list(pairs), timeout=None)
+    marker = os.path.join(str(marker_dir), "stall-0")
+    assert wait_for(lambda: os.path.exists(marker))
+    pid = service._workers[0].process.pid
+    assert wait_for(lambda: _stopped(pid))
+    return held, pid
 
 
 def diamond_chains_through_hub(k=32, leaves=58):

@@ -97,7 +97,7 @@ class TestClusterSubmitQuery:
         path = tmp_path_factory.mktemp("query_cluster") / "labels.spcf"
         save_flat_labels(index.to_flat(), path)
         with ClusterService(str(path), workers=2, shards=2,
-                            batch_window=0.001, graph=graph) as service:
+                            graph=graph) as service:
             yield service
 
     def test_pair_operators(self, cluster, graph):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tests.query.conftest import BACKEND_KINDS, build_engine
 
+from repro.exceptions import LabelingError
 from repro.graph.graph import Graph
 from repro.query import (
     Batch,
@@ -82,6 +83,56 @@ def test_operator_conformance(kind, expr, expected, engine_for, reference):
     if expected is None:
         expected = reference.run(node)
     assert answer == expected
+
+
+#: Two chains of 32 diamonds meeting at one hub (``diamond_chains_through_
+#: hub``): the free ends 0 and 97 have 2^64 shortest paths, past int64.
+#: Single-source rows are pinned at target 97; every row must also match
+#: the BFS reference in full.
+DIAMOND_TARGET = 97
+
+DIAMOND_SPEC = (
+    ("count 0 97", (130, 2 ** 64)),
+    ("count 97 0", (130, 2 ** 64)),
+    ("single-source 0", (130, 2 ** 64)),
+    ("single-source 97", (0, 1)),
+    ("set 0 -> 97", (130, 2 ** 64)),
+    ("set 0,1 -> 97,96", None),
+    ("set 0,4 -> 97", None),
+)
+
+
+@pytest.fixture(scope="module")
+def diamond_engines():
+    from tests.conftest import diamond_chains_through_hub
+
+    graph, _, _ = diamond_chains_through_hub()
+    cache = {}
+
+    def factory(kind):
+        if kind not in cache:
+            cache[kind] = build_engine(kind, graph)
+        return cache[kind]
+
+    return factory
+
+
+@pytest.mark.parametrize("kind", BACKEND_KINDS)
+@pytest.mark.parametrize("expr,expected", DIAMOND_SPEC,
+                         ids=[row[0] for row in DIAMOND_SPEC])
+def test_counts_past_int64(kind, expr, expected, diamond_engines):
+    node = parse_query(expr)
+    if kind == "bfs-csr":
+        # The int64 csr BFS kernel reports it cannot answer; never wraps.
+        with pytest.raises(LabelingError):
+            diamond_engines(kind).run(node)
+        return
+    answer = diamond_engines(kind).run(node)
+    assert answer == diamond_engines("bfs").run(node)
+    if expected is not None:
+        if isinstance(node, SingleSource):
+            answer = tuple(column[DIAMOND_TARGET] for column in answer)
+        assert answer == expected
 
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from tests.conftest import hold_worker, holding_cluster
 
 from repro.core.batch_query import count_many, count_set_to_set, single_source
 from repro.core.index import SPCIndex
@@ -27,6 +28,7 @@ from repro.serving import (
     SHED,
     ClusterService,
 )
+from repro.testing.faults import StalledWorker
 from repro.utils.rng import random_pairs
 
 N = 240
@@ -51,8 +53,7 @@ def arena(flat, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cluster(arena):
-    with ClusterService(arena, workers=2, shards=2,
-                        batch_window=0.001) as service:
+    with ClusterService(arena, workers=2, shards=2) as service:
         yield service
 
 
@@ -72,16 +73,57 @@ class TestPairServing:
         assert tuple(result.answer) == tuple(count_many(flat, [(1, 2)])[0])
         assert result.elapsed >= 0
 
-    def test_batching_actually_coalesces(self, arena, flat):
-        with ClusterService(arena, workers=1, batch_window=0.05,
-                            max_batch=128) as service:
+    def test_batching_actually_coalesces(self, arena, flat, tmp_path):
+        with holding_cluster(arena, tmp_path, max_batch=128) as service:
+            held, pid = hold_worker(service, tmp_path)
             pairs = list(random_pairs(N, 64, rng=5))
             futures = [service.submit_nowait(s, t) for s, t in pairs]
+            StalledWorker.resume(pid)
+            assert held.result(timeout=30).ok
             for future in futures:
                 assert future.result(timeout=30).ok
             stats = service.stats()
-            # 64 requests in far fewer round-trips than 64.
+            # 64 requests queued behind a busy worker ride far fewer
+            # round-trips than 64 (the held batch, then one more).
             assert stats["counters"]["batches"] < 16
+
+    def test_lone_request_on_idle_cluster_needs_no_clock(self, arena):
+        # A frozen clock never lets a coalescing timer expire: a request
+        # must go out because the worker is idle, not because time passed.
+        with ClusterService(arena, workers=1, clock=lambda: 0.0,
+                            heartbeat_interval=0, hedge_delay=None) as service:
+            future = service.submit_nowait(3, 4)
+            result = future.result(timeout=10)
+        assert result.status == SERVED_INDEX, result.error
+
+    def test_work_queued_behind_a_busy_worker_rides_next_batches(
+            self, arena, flat, tmp_path):
+        max_batch, k = 16, 40
+        with holding_cluster(arena, tmp_path, max_batch=max_batch) as service:
+            long_job = list(random_pairs(N, 500, rng=21))
+            held, pid = hold_worker(service, tmp_path, long_job)
+            sizes = []
+            send = service._send
+
+            def recording_send(worker, message):
+                if message[0] == "pairs":
+                    sizes.append(len(message[2]))
+                return send(worker, message)
+
+            service._send = recording_send
+            before = service.stats()["counters"]["batches"]
+            pairs = list(random_pairs(N, k, rng=22))
+            futures = [service.submit_nowait(s, t) for s, t in pairs]
+            StalledWorker.resume(pid)
+            assert held.result(timeout=30).ok
+            for future, want in zip(futures, count_many(flat, pairs)):
+                result = future.result(timeout=30)
+                assert result.status == SERVED_INDEX, result.error
+                assert tuple(result.answer) == tuple(want)
+            trips = service.stats()["counters"]["batches"] - before
+        assert trips <= -(-k // max_batch) + 1
+        assert sum(sizes) == k
+        assert max(sizes) <= max_batch
 
     def test_invalid_vertex_is_a_status(self, cluster):
         result = cluster.submit(0, N + 7)
@@ -93,10 +135,13 @@ class TestPairServing:
         assert result.status == DEADLINE
         assert result.error.budget == 1e-9
 
-    def test_shedding_past_admission_bounds(self, arena):
-        with ClusterService(arena, workers=1, capacity=1, queue_limit=1,
-                            batch_window=0.2) as service:
+    def test_shedding_past_admission_bounds(self, arena, tmp_path):
+        with holding_cluster(arena, tmp_path, capacity=1,
+                      queue_limit=1) as service:
+            held, pid = hold_worker(service, tmp_path)
             futures = [service.submit_nowait(0, i % N) for i in range(30)]
+            StalledWorker.resume(pid)
+            assert held.result(timeout=30).ok
             statuses = {f.result(timeout=30).status for f in futures}
             assert SHED in statuses
             shed = [f.result() for f in futures
@@ -149,6 +194,11 @@ class TestCountsPastInt64:
         with ClusterService(str(path), workers=1) as service:
             single = service.submit(s, t, timeout=30)
             batch = service.submit_many([(s, t), (t, s), (s, s)], timeout=30)
+            sweep = service.single_source(s, timeout=30)
+            sts = service.set_to_set([s], [t], timeout=30)
+        assert sweep.status == SERVED_INDEX, sweep.error
+        assert (sweep.answer[0][t], sweep.answer[1][t]) == (130, 2 ** 64)
+        assert sts.answer == (130, 2 ** 64)
         assert single.status == SERVED_INDEX, single.error
         assert tuple(single.answer) == (130, 2 ** 64)
         assert batch.status == SERVED_INDEX, batch.error
@@ -220,15 +270,17 @@ class TestLifecycleAndFailure:
         result = service.submit(0, 1)
         assert result.status == ERROR
 
-    def test_worker_death_fails_inflight_without_respawn(self, arena):
+    def test_worker_death_fails_inflight_without_respawn(self, arena,
+                                                         tmp_path):
         # respawn=False restores the pre-supervision fail-fast contract:
-        # death permanently removes the worker and fails its work.
-        with ClusterService(arena, workers=1, batch_window=0.2,
-                            failure_threshold=1, respawn=False,
-                            heartbeat_interval=0) as service:
-            worker = service._workers[0]
+        # death permanently removes the worker and fails its work, both
+        # the held in-flight batch and the requests queued behind it.
+        with holding_cluster(arena, tmp_path, failure_threshold=1,
+                      respawn=False) as service:
+            held, _ = hold_worker(service, tmp_path)
             futures = [service.submit_nowait(0, i) for i in range(4)]
-            worker.process.terminate()
+            service._workers[0].process.kill()
+            assert held.result(timeout=30).status == ERROR
             statuses = [f.result(timeout=30).status for f in futures]
             assert set(statuses) == {ERROR}
             deadline = time.monotonic() + 5
@@ -237,14 +289,15 @@ class TestLifecycleAndFailure:
                 time.sleep(0.01)
             assert service.stats()["counters"]["worker_failures"] == 1
 
-    def test_worker_death_heals_and_replays_by_default(self, arena):
+    def test_worker_death_heals_and_replays_by_default(self, arena,
+                                                       tmp_path):
         # The supervisor respawns the worker and replays its in-flight
         # keys, so the same scenario now resolves every future exactly.
-        with ClusterService(arena, workers=1, batch_window=0.2,
-                            respawn_backoff=0.05) as service:
-            worker = service._workers[0]
+        with holding_cluster(arena, tmp_path, respawn_backoff=0.05) as service:
+            held, _ = hold_worker(service, tmp_path)
             futures = [service.submit_nowait(0, i) for i in range(4)]
-            worker.process.terminate()
+            service._workers[0].process.kill()
+            assert held.result(timeout=30).status == SERVED_INDEX
             results = [f.result(timeout=30) for f in futures]
             assert all(r.status == SERVED_INDEX for r in results)
             stats = service.stats()

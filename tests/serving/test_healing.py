@@ -17,6 +17,7 @@ import threading
 import time
 
 import pytest
+from tests.conftest import hold_worker, holding_cluster
 
 from repro.core.batch_query import count_many, count_set_to_set, single_source
 from repro.core.index import SPCIndex
@@ -271,12 +272,17 @@ class TestDrains:
             # The surviving worker still serves the shard.
             assert service.submit(0, 1).status == SERVED_INDEX
 
-    def test_drain_flushes_inflight_first(self, arena, flat):
+    def test_drain_flushes_inflight_first(self, arena, flat, tmp_path):
         pairs = list(random_pairs(N, 16, rng=13))
         oracle = count_many(flat, pairs)
-        with ClusterService(arena, workers=1, batch_window=0.05) as service:
+        # The drain lands while one batch is in flight and the rest is
+        # queued behind it.
+        with holding_cluster(arena, tmp_path) as service:
+            held, pid = hold_worker(service, tmp_path)
             futures = [service.submit_nowait(s, t) for s, t in pairs]
             drained = service.drain(0)
+            StalledWorker.resume(pid)
+            assert held.result(timeout=30).status == SERVED_INDEX
             for future, want in zip(futures, oracle):
                 result = future.result(timeout=30)
                 assert result.status == SERVED_INDEX, result.error
@@ -333,13 +339,21 @@ class TestCloseResolvesFutures:
         closer.join(timeout=30)
         assert not closer.is_alive()
 
-    def test_close_resolves_queued_work(self, arena):
-        service = ClusterService(arena, workers=1, batch_window=5.0)
+    def test_close_resolves_queued_work(self, arena, tmp_path):
+        # Eight requests queue behind a worker stopped on its first
+        # reply; close() arrives while they are still queued, then the
+        # worker resumes. Closing must flush the queue, not strand it.
+        service = holding_cluster(arena, tmp_path)
+        held, pid = hold_worker(service, tmp_path)
         futures = [service.submit_nowait(0, i) for i in range(8)]
-        service.close()
-        # batch_window alone must not strand them: closing flushes.
-        statuses = {f.result(timeout=10).status for f in futures}
-        assert statuses <= {SERVED_INDEX, ERROR}
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        assert _wait(lambda: service._closing)
+        StalledWorker.resume(pid)
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        statuses = {f.result(timeout=10).status for f in futures + [held]}
+        assert statuses == {SERVED_INDEX}
 
 
 class TestBreakerRecovery:

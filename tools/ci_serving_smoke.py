@@ -224,9 +224,8 @@ def run_sustained(args):
             save_flat_labels(flat, arena)
         with ClusterService(
             arena, workers=args.workers, shards=args.shards,
-            batch_window=args.batch_window_ms / 1000.0, max_batch=256,
-            capacity=1024, queue_limit=4096, default_deadline=deadline,
-            reload_check_every=0,
+            max_batch=256, capacity=1024, queue_limit=4096,
+            default_deadline=deadline, reload_check_every=0,
         ) as cluster:
             # Warm up before the clock starts: the first windows fault the
             # whole arena into the workers' page tables, which is deploy
@@ -269,7 +268,6 @@ def run_sustained(args):
             "qps": cluster_qps, "served": cluster_served,
             "seconds": cluster_seconds, "workers": args.workers,
             "shards": args.shards,
-            "batch_window_ms": args.batch_window_ms,
             "window": window,
             "p50_ms": percentile(cluster_latencies, 0.50) * 1e3,
             "p95_ms": percentile(cluster_latencies, 0.95) * 1e3,
@@ -340,7 +338,7 @@ def run_resilience(args):
         save_flat_labels(flat, arena)
         with ClusterService(
             arena, workers=4, shards=2, graph=graph,
-            batch_window=0.002, max_batch=128, capacity=512,
+            max_batch=128, capacity=512,
             queue_limit=2048, default_deadline=deadline,
             respawn_backoff=0.1, heartbeat_interval=0.25,
             stall_timeout=1.0, hedge_delay=0.05, reload_check_every=0,
@@ -497,8 +495,6 @@ def main(argv=None):
                         help="cluster worker processes (sustained tier)")
     parser.add_argument("--shards", type=int, default=2,
                         help="cluster shards (sustained tier)")
-    parser.add_argument("--batch-window-ms", type=float, default=2.0,
-                        help="router batch window (sustained tier)")
     parser.add_argument("--speedup-floor", type=float, default=5.0,
                         help="minimum cluster/single QPS ratio (sustained)")
     parser.add_argument("--availability-floor", type=float, default=0.99,
