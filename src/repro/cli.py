@@ -242,12 +242,13 @@ def _cmd_stats(args):
 def _cmd_verify(args):
     index = load_index(args.index)
     graph, _ = read_edge_list(args.graph)
-    if graph.n != index.labels.n:
-        print(f"vertex count mismatch: index {index.labels.n}, graph {graph.n}",
+    if graph.n != index.n:
+        print(f"vertex count mismatch: index {index.n}, graph {graph.n}",
               file=sys.stderr)
         return 1
-    validate_structure(index.labels, graph)
-    checked = validate_against_bfs(index.labels, graph, samples=args.samples,
+    labels = index.labels
+    validate_structure(labels, graph)
+    checked = validate_against_bfs(labels, graph, samples=args.samples,
                                    seed=args.seed)
     print(f"ok: structure valid; {checked} random queries match BFS")
     return 0
@@ -262,13 +263,10 @@ def _cmd_bench(args):
     engines = ("python", "flat") if args.engine == "both" else (args.engine,)
     for engine in engines:
         if engine == "flat":
-            started = time.perf_counter()
-            flat = index.to_flat()
-            freeze = time.perf_counter() - started
-            timing = time_batched_queries(flat, pairs, repeat=args.repeat)
+            timing = time_batched_queries(index.to_flat(), pairs,
+                                          repeat=args.repeat)
             print(f"flat   engine: {timing.queries} queries, "
-                  f"{timing.seconds_per_query * 1e6:.2f} us/query "
-                  f"(freeze {freeze * 1e3:.1f} ms)")
+                  f"{timing.seconds_per_query * 1e6:.2f} us/query")
         else:
             timing = time_queries(index, pairs, repeat=args.repeat)
             print(f"python engine: {timing.queries} queries, "
@@ -725,7 +723,8 @@ def build_parser():
                         "unlocks the BFS/matrix fallback backends)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="python", choices=["python", "flat"],
-                   help="tuple-based merge joins or the vectorized flat engine")
+                   help="one scalar merge join per pair or the vectorized "
+                        "flat engine")
     p.add_argument("--mmap", action="store_true",
                    help="memory-map the SPCF index instead of loading it "
                         "into RAM (ignored for --weighted SPCL files)")

@@ -8,7 +8,11 @@ keys each come out sorted), one stable sort merges the two key runs so
 that common hubs sit side by side, and segmented ``minimum``/``add``
 reductions take each pair's distance and count. No per-pair Python and no shared buffer, so concurrent callers need
 no coordination. Single-source and set-to-set queries scatter one side's
-hubs into dense rank-indexed arrays and sweep label columns in bulk.
+hubs into dense rank-indexed arrays and sweep label columns in bulk. A
+single pair (:func:`count_pair`) skips the batch machinery: its two rows
+are merged in Python. A chain of small numpy calls is faster alone but
+hands the interpreter lock to other threads mid-query, which a threaded
+server pays for in latency.
 
 Semantics match :mod:`repro.core.query` exactly for the plain (unreduced)
 index: disconnected pairs answer ``(inf, 0)``, ``s == t`` answers
@@ -28,7 +32,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.flat_labels import JOIN_BOUND
-from repro.core.query import merge_join_rows
 from repro.exceptions import LabelingError, VertexError
 from repro.observability.metrics import get_registry
 
@@ -160,15 +163,48 @@ def _join_chunk(n, rank, dist, count, starts, lens, out_dist, out_count):
 
 def _exact_pair(flat, s, t):
     """Python-int merge join of ``L(s)`` and ``L(t)``: never wraps."""
-    rows = []
+    indptr, rank, dist, count = flat.indptr, flat.rank, flat.dist, flat.count
+    lo_s, hi_s, lo_t, hi_t = indptr[s], indptr[s + 1], indptr[t], indptr[t + 1]
+    rank_s, rank_t = rank[lo_s:hi_s].tolist(), rank[lo_t:hi_t].tolist()
+    dist_s, dist_t = dist[lo_s:hi_s].tolist(), dist[lo_t:hi_t].tolist()
+    count_s, count_t = count[lo_s:hi_s].tolist(), count[lo_t:hi_t].tolist()
+    delta = INF
+    sigma = 0
+    i = j = 0
+    len_s, len_t = len(rank_s), len(rank_t)
+    while i < len_s and j < len_t:
+        if rank_s[i] < rank_t[j]:
+            i += 1
+        elif rank_s[i] > rank_t[j]:
+            j += 1
+        else:
+            total = dist_s[i] + dist_t[j]
+            if total < delta:
+                delta, sigma = total, count_s[i] * count_t[j]
+            elif total == delta:
+                sigma += count_s[i] * count_t[j]
+            i += 1
+            j += 1
+    return (delta, sigma) if sigma else (INF, 0)
+
+
+def count_pair(flat, s, t):
+    """One ``(sd(s,t), spc(s,t))`` answer: Algorithm 2 on two label rows.
+
+    The scalar twin of :func:`count_many`: the rows of ``s`` and ``t`` are
+    sliced out of the columns with ``.tolist()`` and merge-joined in
+    Python, which beats a one-pair vectorized join several times over.
+    Counts are python ints, exact at any width. Same conventions as
+    :func:`repro.core.query.count_query`; an id outside ``[0, n)`` raises
+    :class:`VertexError`.
+    """
+    n = flat.n
     for v in (s, t):
-        lo, hi = int(flat.indptr[v]), int(flat.indptr[v + 1])
-        rank = flat.rank[lo:hi].tolist()
-        # merge_join_rows reads (rank, hub, dist, count); the hub slot only
-        # matters for λ-weighting, so the rank stands in for it.
-        rows.append(list(zip(rank, rank, flat.dist[lo:hi].tolist(),
-                             flat.count[lo:hi].tolist())))
-    return merge_join_rows(rows[0], rows[1], s, t)
+        if not 0 <= v < n:
+            raise VertexError(v, n)
+    if s == t:
+        return 0, 1
+    return _exact_pair(flat, s, t)
 
 
 def _join(flat, sources, targets, deadline):

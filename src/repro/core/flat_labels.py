@@ -163,19 +163,15 @@ class FlatLabels:
         Bulk-converts the columns with ``.tolist()`` once and walks them
         per row, so thawing a construction-sized labeling costs a fraction
         of the build instead of dominating it (numpy scalar indexing per
-        entry is ~10x slower). The entry tuples are drawn from the ``zip``
-        one at a time: a single ``list(zip(...))`` call holds the
-        interpreter lock for tens of milliseconds on a 10^5-entry labeling,
-        stalling every other thread of a process that thaws a freshly
-        published index.
+        entry is ~10x slower).
         """
         from repro.core.labels import LabelSet
 
         labels = LabelSet(self.n)
         labels.set_order(self.order.tolist())
         indptr = self.indptr.tolist()
-        entries = zip(self.rank.tolist(), self.hub.tolist(),
-                      self.dist.tolist(), self.count.tolist())
+        entries = list(zip(self.rank.tolist(), self.hub.tolist(),
+                           self.dist.tolist(), self.count.tolist()))
         flags = self.canonical.tolist()
         canonical_rows = labels._canonical  # construction-time fill; LabelSet owns
         noncanonical_rows = labels._noncanonical
@@ -184,9 +180,9 @@ class FlatLabels:
             noncanonical_row = noncanonical_rows[v]
             for i in range(indptr[v], indptr[v + 1]):
                 if flags[i]:
-                    canonical_row.append(next(entries))
+                    canonical_row.append(entries[i])
                 else:
-                    noncanonical_row.append(next(entries))
+                    noncanonical_row.append(entries[i])
         labels.finalize()
         return labels
 

@@ -66,26 +66,6 @@ class BuildStats:
         return f"BuildStats({inner})"
 
 
-def _reject_batch_knobs(multiplicity=None, skip=None, prune=True,
-                        checkpoint=None):
-    """The csr-batch engine supports the pruned, unreduced configuration only."""
-    if multiplicity is not None or skip is not None:
-        raise ValueError(
-            "the csr-batch engine does not support the multiplicity/skip "
-            "reductions; use engine='python' or 'csr'"
-        )
-    if not prune:
-        raise ValueError(
-            "the csr-batch engine always prunes; use engine='python' or "
-            "'csr' for PL-SPC-style labels"
-        )
-    if checkpoint is not None:
-        raise ValueError(
-            "checkpoint resume is not supported by the csr-batch engine; "
-            "use engine='csr' for checkpointed builds"
-        )
-
-
 def build_labels(
     graph,
     ordering="degree",
@@ -93,10 +73,15 @@ def build_labels(
     skip=None,
     prune=True,
     stats=None,
-    engine="python",
     checkpoint=None,
 ):
     """Run HP-SPC and return a finalized :class:`LabelSet`.
+
+    The python reference engine: a deque BFS per push, arbitrary-precision
+    counts, any ordering. The vectorized engines of
+    :mod:`repro.kernels.hub_push` and :mod:`repro.kernels.batch_push` emit
+    flat columns instead (``SPCIndex.build(engine="csr" | "csr-batch")``)
+    and match this engine entry for entry.
 
     Parameters
     ----------
@@ -115,17 +100,6 @@ def build_labels(
         ``False`` disables the line-8 join, yielding PL-SPC-style labels.
     stats:
         Optional :class:`BuildStats` to fill with construction counters.
-    engine:
-        ``"python"`` (this module's deque BFS, arbitrary-precision counts,
-        any ordering), ``"csr"`` (the vectorized kernels of
-        :mod:`repro.kernels.hub_push`: static orderings only, int64 counts,
-        typically ~10x faster), or ``"csr-batch"`` (the rank-batched
-        large-graph engine of :mod:`repro.kernels.batch_push`: static
-        orderings, pruned unit-multiplicity builds only). Every engine
-        produces entry-for-entry identical labels; ``python`` and ``csr``
-        also produce identical ``stats`` counters, while ``csr-batch``
-        counts its batched sweep and in-order merge separately (see
-        :mod:`repro.kernels.batch_push`).
     checkpoint:
         Optional :class:`~repro.io.checkpoint.BuildCheckpoint`. Every
         ``checkpoint.every`` completed pushes the partial labeling is
@@ -134,29 +108,6 @@ def build_labels(
         resumes past it and the result is entry-for-entry identical to an
         uninterrupted build. Requires a static ordering.
     """
-    if engine == "csr":
-        from repro.kernels.hub_push import build_flat_labels_csr
-
-        flat = build_flat_labels_csr(
-            graph,
-            ordering=ordering,
-            multiplicity=multiplicity,
-            skip=skip,
-            prune=prune,
-            stats=stats,
-            checkpoint=checkpoint,
-        )
-        return flat.to_label_set()
-    if engine == "csr-batch":
-        from repro.kernels.batch_push import build_flat_labels_batched
-
-        _reject_batch_knobs(multiplicity=multiplicity, skip=skip, prune=prune,
-                            checkpoint=checkpoint)
-        flat = build_flat_labels_batched(graph, ordering=ordering, stats=stats)
-        return flat.to_label_set()
-    if engine != "python":
-        raise ValueError(f"unknown construction engine {engine!r}; "
-                         "expected 'python', 'csr' or 'csr-batch'")
     n = graph.n
     adj = graph.adjacency
     strategy = resolve_ordering(ordering)

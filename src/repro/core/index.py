@@ -5,21 +5,24 @@ variants HP-SPC+ and HP-SPC* live in :mod:`repro.reductions.pipeline` and
 share the same query surface, so callers can swap them freely.
 """
 
+from repro.core.batch_query import count_pair
+from repro.core.flat_labels import FlatLabels
 from repro.core.hp_spc import BuildStats, build_labels
-from repro.core.query import (
-    count_canonical_only,
-    count_query,
-    distance_query,
-)
 
-INF = float("inf")
+#: Construction engines accepted by :meth:`SPCIndex.build`.
+ENGINES = ("python", "csr", "csr-batch")
 
 
 class SPCIndex:
     """A queryable shortest-path-counting index (plain HP-SPC).
 
-    Build once with :meth:`build`, then answer ``count``/``distance``
-    queries in label-scan time without touching the graph.
+    Build once with :meth:`build` (or wrap loaded columns with
+    :meth:`from_flat`), then answer ``count``/``distance`` queries in
+    label-scan time without touching the graph. The labels live in one
+    store, a :class:`~repro.core.flat_labels.FlatLabels`: scalar queries
+    merge two of its rows, batched queries run the vectorized kernels of
+    :mod:`repro.core.batch_query` over it, and :func:`repro.io.serialize
+    .save_index` writes it as an SPCF file.
 
     >>> from repro.generators.classic import cycle_graph
     >>> index = SPCIndex.build(cycle_graph(4))
@@ -29,11 +32,10 @@ class SPCIndex:
     2
     """
 
-    def __init__(self, labels, build_stats=None, build_seconds=None):
-        self._labels = labels
+    def __init__(self, flat, build_stats=None, build_seconds=None):
+        self._flat = flat
         self._build_stats = build_stats
         self._build_seconds = build_seconds
-        self._flat = None
         self._stale_reason = None
 
     @classmethod
@@ -42,17 +44,19 @@ class SPCIndex:
               spill_dir=None, mmap_dir=None):
         """Run HP-SPC on ``graph`` under ``ordering`` and wrap the labels.
 
-        ``engine="csr"`` builds with the vectorized kernels of
-        :mod:`repro.kernels.hub_push` (static orderings, int64 counts) and
-        keeps the frozen :class:`~repro.core.flat_labels.FlatLabels` as the
-        primary store — the tuple-based :class:`LabelSet` is thawed lazily
-        on first use of a python-engine query. ``engine="csr-batch"`` is
-        the rank-batched large-graph engine (:mod:`repro.kernels.batch_push`):
-        single process, freeze-free, memory-frugal columns, with
-        ``batch_size`` (ranks per shared sweep, auto-sized by default),
-        ``spill_dir`` (stream emission chunks to disk during the build) and
-        ``mmap_dir`` (memory-map the final label columns) knobs. Every
-        engine produces bit-identical labels under the same static ordering.
+        ``engine="python"`` is the reference construction of
+        :func:`repro.core.hp_spc.build_labels` (any ordering); its labels
+        are frozen into flat columns once, after ``build_seconds`` stops,
+        and the freeze is timed by the ``spc_flat_freeze_seconds``
+        histogram. ``engine="csr"`` builds the columns directly with the
+        vectorized kernels of :mod:`repro.kernels.hub_push` (static
+        orderings). ``engine="csr-batch"`` is the rank-batched large-graph
+        engine (:mod:`repro.kernels.batch_push`): single process,
+        memory-frugal columns, with ``batch_size`` (ranks per shared
+        sweep, auto-sized by default), ``spill_dir`` (stream emission
+        chunks to disk during the build) and ``mmap_dir`` (memory-map the
+        final label columns) knobs. Every engine produces bit-identical
+        labels under the same static ordering.
 
         ``checkpoint`` (a :class:`~repro.io.checkpoint.BuildCheckpoint`)
         periodically persists rank-watermark progress and resumes an
@@ -60,40 +64,41 @@ class SPCIndex:
         """
         import time
 
-        stats = BuildStats() if collect_stats else None
-        started = time.perf_counter()
-        flat = None
+        if engine not in ENGINES:
+            raise ValueError(f"unknown construction engine {engine!r}; "
+                             f"expected one of {ENGINES}")
         if engine != "csr-batch" and (batch_size is not None
                                       or spill_dir is not None
                                       or mmap_dir is not None):
             raise ValueError(
                 "batch_size/spill_dir/mmap_dir require engine='csr-batch'"
             )
+        if engine == "csr-batch" and checkpoint is not None:
+            raise ValueError(
+                "checkpoint resume is not supported by the csr-batch engine; "
+                "use engine='csr' for checkpointed builds"
+            )
+        stats = BuildStats() if collect_stats else None
+        started = time.perf_counter()
         if engine == "csr-batch":
             from repro.kernels.batch_push import build_flat_labels_batched
 
-            if checkpoint is not None:
-                from repro.core.hp_spc import _reject_batch_knobs
-
-                _reject_batch_knobs(checkpoint=checkpoint)
             flat = build_flat_labels_batched(
                 graph, ordering=ordering, stats=stats, batch_size=batch_size,
                 spill_dir=spill_dir, mmap_dir=mmap_dir,
             )
-            labels = None
         elif engine == "csr":
             from repro.kernels.hub_push import build_flat_labels_csr
 
             flat = build_flat_labels_csr(graph, ordering=ordering, stats=stats,
                                          checkpoint=checkpoint)
-            labels = None
         else:
             labels = build_labels(graph, ordering=ordering, stats=stats,
-                                  engine=engine, checkpoint=checkpoint)
+                                  checkpoint=checkpoint)
         elapsed = time.perf_counter() - started
-        index = cls(labels, build_stats=stats, build_seconds=elapsed)
-        index._flat = flat
-        return index
+        if engine == "python":
+            flat = FlatLabels.from_label_set(labels)
+        return cls(flat, build_stats=stats, build_seconds=elapsed)
 
     @classmethod
     def from_flat(cls, flat, build_stats=None, build_seconds=None):
@@ -101,43 +106,28 @@ class SPCIndex:
 
         Entry point for flat labelings loaded from SPCF files
         (:func:`repro.io.flat_store.load_flat_labels`, possibly
-        memory-mapped): the flat columns stay primary and the tuple-based
-        labels thaw lazily, exactly like a csr-engine build.
+        memory-mapped); the columns are served as they are.
         """
-        index = cls(None, build_stats=build_stats, build_seconds=build_seconds)
-        index._flat = flat
-        return index
+        return cls(flat, build_stats=build_stats, build_seconds=build_seconds)
 
     # -- queries -------------------------------------------------------------
 
     def count(self, s, t):
         """``spc(s, t)``: the number of shortest paths (0 if disconnected)."""
-        return count_query(self.labels, s, t)[1]
+        return self.count_with_distance(s, t)[1]
 
     def distance(self, s, t):
         """``sd(s, t)``; ``inf`` when disconnected."""
-        return distance_query(self.labels, s, t)
+        return self.count_with_distance(s, t)[0]
 
     def count_with_distance(self, s, t):
-        """``(sd(s,t), spc(s,t))`` in one label scan."""
-        return count_query(self.labels, s, t)
-
-    def count_approximate(self, s, t):
-        """The Exp-5 canonical-only estimate (may undercount, never over)."""
-        return count_canonical_only(self.labels, s, t)[1]
+        """``(sd(s,t), spc(s,t))`` in one merge of ``L(s)`` and ``L(t)``."""
+        return count_pair(self._flat, s, t)
 
     # -- batched (flat-engine) queries ---------------------------------------
 
     def to_flat(self):
-        """Freeze the labels into a :class:`~repro.core.flat_labels.FlatLabels`.
-
-        The flat view is built once and cached; it shares no state with the
-        tuple-based labels, so both engines stay usable side by side.
-        """
-        if self._flat is None:
-            from repro.core.flat_labels import FlatLabels
-
-            self._flat = FlatLabels.from_label_set(self.labels)
+        """The :class:`~repro.core.flat_labels.FlatLabels` label store."""
         return self._flat
 
     def count_many(self, pairs, deadline=None):
@@ -150,13 +140,13 @@ class SPCIndex:
         """
         from repro.core.batch_query import count_many
 
-        return count_many(self.to_flat(), pairs, deadline=deadline)
+        return count_many(self._flat, pairs, deadline=deadline)
 
     def single_source(self, s):
         """``(dist, count)`` numpy arrays from ``s`` over every vertex."""
         from repro.core.batch_query import single_source
 
-        return single_source(self.to_flat(), s)
+        return single_source(self._flat, s)
 
     def set_to_set(self, sources, targets):
         """``(sd(S, T), spc(S, T))`` over the vectorized flat engine.
@@ -168,7 +158,7 @@ class SPCIndex:
         """
         from repro.core.batch_query import count_set_to_set
 
-        return count_set_to_set(self.to_flat(), sources, targets)
+        return count_set_to_set(self._flat, sources, targets)
 
     # -- staleness ------------------------------------------------------------
 
@@ -198,27 +188,25 @@ class SPCIndex:
 
     @property
     def labels(self):
-        """The underlying :class:`~repro.core.labels.LabelSet`.
+        """A fresh tuple-based :class:`~repro.core.labels.LabelSet` thawed
+        from the columns, for offline consumers (label statistics,
+        structure validation, :class:`~repro.core.inverted
+        .InvertedLabelIndex`, the canonical-only estimate of Exp-5).
 
-        CSR-engine builds store only the frozen flat form; the tuple-based
-        labels are thawed (exactly) here on first access.
+        Not cached: every access thaws again, so bind the result once.
+        No query of this class reads it.
         """
-        if self._labels is None:
-            self._labels = self._flat.to_label_set()
-        return self._labels
+        return self._flat.to_label_set()
 
     @property
     def n(self):
-        """Vertex count — answered without thawing a flat-primary index."""
-        store = self._labels if self._labels is not None else self._flat
-        return store.n
+        """Vertex count."""
+        return self._flat.n
 
     @property
     def order(self):
         """The vertex order the index was built under (rank -> vertex)."""
-        if self._labels is None:
-            return tuple(self._flat.order.tolist())
-        return self._labels.order
+        return tuple(self._flat.order.tolist())
 
     @property
     def build_stats(self):
@@ -231,16 +219,11 @@ class SPCIndex:
         return self._build_seconds
 
     def total_entries(self):
-        if self._labels is None:
-            return self._flat.total_entries()
-        return self._labels.total_entries()
+        return self._flat.total_entries()
 
     def size_bytes(self, entry_bits=64):
         """Paper-equivalent index size under the packed entry encoding."""
-        if self._labels is None:
-            return self._flat.packed_size_bytes(entry_bits)
-        return self._labels.packed_size_bytes(entry_bits)
+        return self._flat.packed_size_bytes(entry_bits)
 
     def __repr__(self):
-        store = self._labels if self._labels is not None else self._flat
-        return f"SPCIndex(n={store.n}, entries={store.total_entries()})"
+        return f"SPCIndex(n={self.n}, entries={self.total_entries()})"

@@ -20,8 +20,9 @@ and multiplies counts, and ``combine`` keeps the minimum distance and
 sums counts at it. Every term strictly increases the distance, so a
 Dijkstra-style settle over the ≤ 2k+2 overlay vertices (patch endpoints
 plus the query pair) evaluates the fixpoint exactly with O(k²) label
-queries per query. Walks of shortest length cannot repeat a vertex, so
-no phantom (non-simple) combination survives at the minimum distance.
+queries per query, asked as one batched join. Walks of shortest length
+cannot repeat a vertex, so no phantom (non-simple) combination survives
+at the minimum distance.
 
 **Deletions.** A deleted base edge cannot be subtracted from the labels,
 but it *can* be detected: a term ``old(x, y)`` is **touched** by the
@@ -41,17 +42,15 @@ patch away and restores label-speed answers.
 """
 
 import threading
+from itertools import combinations
 
-from repro.core.index import SPCIndex
+from repro.core.index import ENGINES, SPCIndex
 from repro.exceptions import GraphError, VertexError
 from repro.graph.graph import Graph
 from repro.graph.traversal import spc_bfs
 from repro.observability.metrics import get_registry
 
 INF = float("inf")
-
-#: Construction engines accepted by ``engine=`` (see :meth:`SPCIndex.build`).
-ENGINES = ("python", "csr", "csr-batch")
 
 
 class _OverlayTouched(Exception):
@@ -319,6 +318,12 @@ class DynamicSPCIndex:
     def _overlay_query(self, s, t, index, patch, deleted):
         old = index.count_with_distance
         cache = {}
+        if patch:
+            # The fixpoint asks old() about pairs of the query pair and the
+            # patch and deletion endpoints: answer them all in one batch
+            # instead of O(k²) scalar merges.
+            keys = list(combinations(sorted({s, t}.union(*patch, *deleted)), 2))
+            cache.update(zip(keys, index.count_many(keys)))
 
         def old_cached(x, y):
             if x == y:

@@ -24,8 +24,8 @@ tier:
   rename) to ``index_path`` as one SPCF file, which serves both
   :class:`~repro.serving.service.SPCService` and
   :class:`~repro.serving.cluster.ClusterService`; the parent re-loads it
-  through the checksummed loader, thaws its tuple labels, adopts it into
-  the facade, and replays the journal tail so not one mutation is lost
+  through the checksummed loader, adopts its label columns into the
+  facade, and replays the journal tail so not one mutation is lost
   across the swap. Serving layers pick the file up through their
   existing :class:`~repro.serving.reload.IndexWatcher` generation
   machinery — call :meth:`SPCService.set_graph` then ``check_reload()``
@@ -531,11 +531,8 @@ class MaintenanceController:
 
     def _adopt(self, covered, graph, info, seconds):
         # Parent-side verification: re-read the published file through the
-        # checksummed loader before trusting it with live queries. The
-        # facade answers from tuple labels; thaw them here, outside the
-        # lock, so no read pays for it.
+        # checksummed loader before trusting it with live queries.
         index = load_index(self._index_path)
-        index.labels
         with self._lock:
             tail = [entry for entry in self._journal if entry[0] > covered]
             replay = [(op, u, v) for (_ver, op, u, v, _at) in tail]

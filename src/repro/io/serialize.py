@@ -467,7 +467,8 @@ def load_labels(path, retries=0, retry_wait=0.01):
 
     Dispatches on the file magic, so SPCF index files (:func:`save_index`)
     load here too — their columns are thawed into an exact tuple-based
-    :class:`LabelSet`.
+    :class:`LabelSet`. This is the offline reader; serving paths load SPCF
+    columns with :mod:`repro.io.flat_store` and never thaw.
     ``retries`` re-reads the file after transient ``OSError`` (with linear
     backoff); corruption and truncation raise :class:`SerializationError`.
     """
@@ -522,12 +523,13 @@ def save_index(index, path, graph=None, fingerprint=None):
 def load_index(path, retries=0, retry_wait=0.01, mmap=False):
     """Load an :class:`~repro.core.index.SPCIndex` saved by :func:`save_index`.
 
-    SPCF files keep their CSR columns primary; with ``mmap=True`` the
+    SPCF files are served as their CSR columns; with ``mmap=True`` the
     columns stay memory-mapped, so a multi-GB index opens without
-    loading into RAM. SPCL label files (weighted builds) thaw into a
-    tuple-based :class:`LabelSet` and ignore ``mmap``. ``retries``
-    re-reads the file after transient ``OSError``.
+    loading into RAM. SPCL label files (weighted builds) are frozen into
+    columns once and ignore ``mmap``. ``retries`` re-reads the file after
+    transient ``OSError``.
     """
+    from repro.core.flat_labels import FlatLabels
     from repro.core.index import SPCIndex
 
     if _peek_magic(path, retries, retry_wait) == b"SPCF":
@@ -535,8 +537,10 @@ def load_index(path, retries=0, retry_wait=0.01, mmap=False):
 
         flat = load_flat_labels(path, mmap=mmap, retries=retries,
                                 retry_wait=retry_wait)
-        return SPCIndex.from_flat(flat)
-    return SPCIndex(load_labels(path, retries=retries, retry_wait=retry_wait))
+    else:
+        labels = load_labels(path, retries=retries, retry_wait=retry_wait)
+        flat = FlatLabels.from_label_set(labels)
+    return SPCIndex.from_flat(flat)
 
 
 DIRECTED_MAGIC = b"SPCD"

@@ -5,11 +5,12 @@ A production counting service must answer even when its index file is
 missing, truncated, bit-flipped, or built for yesterday's graph. A
 :class:`ResilientSPCIndex` wraps that policy:
 
-* **load + verify** — the index file (SPCF, as written by
-  :func:`repro.io.serialize.save_index`) is read through the checksummed
-  loader, which dispatches on the file magic, and its stored graph
-  fingerprint (n, m, degree hash) is checked against the live graph; any
-  failure is recorded and demotes the serving path instead of crashing.
+* **load + verify** — the SPCF index file (as written by
+  :func:`repro.io.serialize.save_index`) is read as flat label columns
+  through the checksummed loader of :mod:`repro.io.flat_store`, and its
+  stored graph fingerprint (n, m, degree hash) is checked against the
+  live graph; any failure (a packed SPCL label file included) is recorded
+  and demotes the serving path instead of crashing.
 * **serve** — healthy indexes answer through :class:`~repro.core.index
   .SPCIndex` (including the vectorized flat engine for batches); degraded
   state answers through the exact online
@@ -45,7 +46,11 @@ from repro.exceptions import (
     StaleIndexError,
     VertexError,
 )
-from repro.io.serialize import graph_fingerprint, load_labels_with_meta
+# The traced benchmark (perfbench/layers.py) times reloads under this name.
+from repro.io.flat_store import (
+    load_flat_labels_with_meta as load_labels_with_meta,
+)
+from repro.io.serialize import graph_fingerprint
 from repro.observability.events import get_event_log
 from repro.observability.metrics import get_registry
 
@@ -58,9 +63,10 @@ class ResilientSPCIndex:
     graph:
         The live :class:`~repro.graph.graph.Graph` queries refer to.
     index_path:
-        Optional path to a persisted index (:func:`repro.io.serialize
-        .save_index`; SPCL label files load too). Missing/corrupt/stale
-        files put the facade in degraded (BFS) mode rather than raising.
+        Optional path to a persisted SPCF index (:func:`repro.io.serialize
+        .save_index`). Missing, corrupt or stale files, and packed SPCL
+        label files, put the facade in degraded (BFS) mode rather than
+        raising.
     index:
         Alternatively, an in-memory :class:`SPCIndex` to adopt (still
         verified against the graph's vertex count and its ``stale`` flag).
@@ -70,8 +76,8 @@ class ResilientSPCIndex:
         Transient-``OSError`` re-reads attempted by the loader.
     require_fingerprint:
         When True, refuse to serve from index files that carry no graph
-        fingerprint (saved without a graph, or legacy SPCL v2) instead of
-        trusting a vertex-count check.
+        fingerprint (saved without a graph) instead of trusting a
+        vertex-count check.
     breaker:
         Optional :class:`~repro.serving.breaker.CircuitBreaker` guarding
         the BFS fallback path. When open, degraded queries raise
@@ -100,10 +106,10 @@ class ResilientSPCIndex:
             "graph_swaps": 0,
         }
         if index is not None:
-            if index.labels.n != graph.n:
+            if index.n != graph.n:
                 self._record("verify_failures")
                 self._last_error = StaleIndexError(
-                    graph_fingerprint(graph), (index.labels.n, None, None),
+                    graph_fingerprint(graph), (index.n, None, None),
                     context="in-memory index",
                 )
             else:
@@ -141,15 +147,16 @@ class ResilientSPCIndex:
     def reload(self):
         """(Re)load and verify the index file; True when now serving from it.
 
-        Every failure mode is recorded (``load_failures`` for I/O and
-        format corruption, ``verify_failures`` for fingerprint mismatches)
+        Every failure mode is recorded (``load_failures`` for I/O, format
+        corruption and files that are not SPCF, such as packed SPCL
+        labels; ``verify_failures`` for fingerprint mismatches)
         and leaves the facade in degraded mode with ``last_error`` set.
         A success atomically swaps the served index and bumps
         ``generation``; readers mid-query keep the snapshot they started
         with, so a swap never tears an in-flight answer.
         """
         try:
-            labels, meta = load_labels_with_meta(
+            flat, meta = load_labels_with_meta(
                 self._path, retries=self._io_retries
             )
         except (OSError, ReproError) as exc:
@@ -173,9 +180,9 @@ class ResilientSPCIndex:
                 f"{self._path}: index carries no graph fingerprint "
                 "(require_fingerprint=True)"
             )
-        elif labels.n != self._graph.n:
+        elif flat.n != self._graph.n:
             error = StaleIndexError(
-                live, (labels.n, None, None), context=str(self._path)
+                live, (flat.n, None, None), context=str(self._path)
             )
         with self._lock:
             if error is not None:
@@ -186,7 +193,7 @@ class ResilientSPCIndex:
                 get_event_log().emit("index.reload", outcome="failure",
                                      error=str(error))
                 return False
-            self._index = SPCIndex(labels)
+            self._index = SPCIndex.from_flat(flat)
             self._last_error = None
             self.generation += 1
             self._publish_state()

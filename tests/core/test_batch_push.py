@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.flat_labels import FlatLabels
 from repro.core.hp_spc import BuildStats, build_labels
 from repro.core.index import SPCIndex
 from repro.generators.classic import (
@@ -119,12 +120,9 @@ def test_default_batch_size_bounds():
 
 def test_build_labels_csr_batch_engine_matches_python():
     graph = barabasi_albert_graph(150, 2, seed=6)
-    python_labels = build_labels(graph)
-    batch_labels = build_labels(graph, engine="csr-batch")
-    assert python_labels.order == batch_labels.order
-    for v in range(graph.n):
-        assert python_labels.canonical(v) == batch_labels.canonical(v)
-        assert python_labels.noncanonical(v) == batch_labels.noncanonical(v)
+    reference = FlatLabels.from_label_set(build_labels(graph))
+    assert build_flat_labels_batched(graph).equals(reference)
+    assert SPCIndex.build(graph, engine="csr-batch").to_flat().equals(reference)
 
 
 def test_spc_index_csr_batch_engine(tmp_path):
@@ -139,12 +137,8 @@ def test_spc_index_csr_batch_engine(tmp_path):
 
 def test_unsupported_knobs_raise():
     graph = cycle_graph(6)
-    with pytest.raises(ValueError, match="multiplicity"):
-        build_labels(graph, engine="csr-batch", multiplicity=[1] * 6)
-    with pytest.raises(ValueError, match="skip"):
-        build_labels(graph, engine="csr-batch", skip={0})
-    with pytest.raises(ValueError, match="prun"):
-        build_labels(graph, engine="csr-batch", prune=False)
+    with pytest.raises(ValueError, match="checkpoint"):
+        SPCIndex.build(graph, engine="csr-batch", checkpoint=object())
     with pytest.raises(ValueError, match="csr-batch"):
         SPCIndex.build(graph, engine="csr", batch_size=4)
     with pytest.raises(ValueError, match="csr-batch"):

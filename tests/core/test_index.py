@@ -2,9 +2,12 @@
 
 import pytest
 
-from tests.conftest import assert_oracle_exact
+from tests.conftest import assert_oracle_exact, diamond_chains_through_hub
 
+from repro.core.flat_labels import FlatLabels
+from repro.core.hp_spc import build_labels
 from repro.core.index import SPCIndex
+from repro.core.query import count_canonical_only, count_query
 from repro.generators.classic import cycle_graph
 from repro.generators.random_graphs import gnp_random_graph
 
@@ -41,9 +44,11 @@ class TestSPCIndex:
                 assert index.distance(s, t) == d
 
     def test_approximate_counts_bounded(self, index):
+        labels = index.labels
         for s in range(10):
             for t in range(10):
-                assert index.count_approximate(s, t) <= index.count(s, t)
+                approx = count_canonical_only(labels, s, t)[1]
+                assert approx <= index.count(s, t)
 
     def test_repr(self, index):
         assert "SPCIndex" in repr(index)
@@ -68,15 +73,24 @@ class TestCSREngine:
         assert csr_index.order == python_index.order
         assert csr_index.to_flat().equals(python_index.to_flat())
 
-    def test_flat_is_primary_and_thaw_is_lazy(self, graph):
-        index = SPCIndex.build(graph, engine="csr")
-        assert index._labels is None  # no LabelSet until a scalar query needs it
-        assert index.total_entries() > 0  # introspection stays on the flat store
-        assert index.order is not None
-        assert index._labels is None
-        d, c = index.count_with_distance(0, 1)  # scalar query thaws
-        assert index._labels is not None
-        assert (d, c) == index.count_many([(0, 1)])[0]
+    def test_scalar_queries_read_columns_only(self, graph, monkeypatch):
+        # The diamond pair's only meeting hub multiplies 2^32 by 2^32.
+        graphs = [graph, cycle_graph(7), diamond_chains_through_hub()[0]]
+        references = [build_labels(g) for g in graphs]
+
+        def refuse(flat):
+            raise AssertionError("a query thawed the label columns")
+
+        monkeypatch.setattr(FlatLabels, "to_label_set", refuse)
+        for g, labels in zip(graphs, references):
+            indexes = [SPCIndex.build(g, engine=e) for e in ("python", "csr")]
+            for s in range(g.n):
+                for t in range(g.n):
+                    expected = count_query(labels, s, t)
+                    for index in indexes:
+                        assert index.count_with_distance(s, t) == expected
+                        assert index.count(s, t) == expected[1]
+                        assert index.distance(s, t) == expected[0]
 
     def test_build_stats_collected(self, graph):
         index = SPCIndex.build(graph, engine="csr", collect_stats=True)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.flat_labels import FlatLabels
 from repro.core.hp_spc import BuildStats, build_labels
+from repro.core.index import SPCIndex
 from repro.exceptions import LabelingError, OrderingError
 from repro.generators.classic import barbell_graph, grid_graph, random_tree
 from repro.generators.random_graphs import (
@@ -101,21 +102,17 @@ class TestReductionHooks:
 class TestEngineParameter:
     def test_build_labels_csr_engine(self):
         graph = barabasi_albert_graph(60, 2, seed=8)
-        python_labels = build_labels(graph)
-        csr_labels = build_labels(graph, engine="csr")
-        assert python_labels.order == csr_labels.order
-        for v in range(graph.n):
-            assert python_labels.canonical(v) == csr_labels.canonical(v)
-            assert python_labels.noncanonical(v) == csr_labels.noncanonical(v)
+        reference = FlatLabels.from_label_set(build_labels(graph))
+        assert SPCIndex.build(graph, engine="csr").to_flat().equals(reference)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            build_labels(grid_graph(3, 3), engine="simd")
+            SPCIndex.build(grid_graph(3, 3), engine="simd")
 
     def test_adaptive_ordering_rejected(self):
         with pytest.raises(OrderingError):
-            build_labels(grid_graph(3, 3), ordering="significant-path",
-                         engine="csr")
+            SPCIndex.build(grid_graph(3, 3), ordering="significant-path",
+                           engine="csr")
 
 
 class TestOverflowGuard:

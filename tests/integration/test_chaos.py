@@ -11,6 +11,7 @@ for the construction side.
 import pytest
 
 from repro.baselines.bfs_counting import spc_all_pairs
+from repro.core.flat_labels import FlatLabels
 from repro.core.hp_spc import BuildStats, build_labels
 from repro.core.index import SPCIndex
 from repro.exceptions import SerializationError, StaleIndexError, VertexError
@@ -174,7 +175,8 @@ class TestConstructionChaos:
             assert labels.noncanonical(v) == reference.noncanonical(v)
 
         index_path = tmp_path / "index.bin"
-        save_index(SPCIndex(labels), index_path, graph=graph)
+        save_index(SPCIndex(FlatLabels.from_label_set(labels)), index_path,
+                   graph=graph)
         resilient = ResilientSPCIndex(graph, index_path=index_path)
         assert resilient.status == "index"
         for s, t in [(0, 9), (4, 4), (11, 40), (2, 49)]:

@@ -140,6 +140,17 @@ class TestIndexFiles:
         loaded = load_index(path)
         assert_oracle_exact(loaded, g)
 
+    def test_load_index_answers_from_spcl_labels(self, tmp_path):
+        g = gnp_random_graph(22, 0.18, seed=5)
+        path = tmp_path / "labels.spcl"
+        save_labels(build_labels(g), path, bits=WIDE_BITS, graph=g)
+        assert path.read_bytes()[:4] == b"SPCL"
+        loaded = load_index(path)
+        assert_oracle_exact(loaded, g)
+        pairs = [(0, 21), (4, 4), (3, 17)]
+        assert loaded.count_many(pairs) == [loaded.count_with_distance(s, t)
+                                            for s, t in pairs]
+
     def test_counts_past_31_bits_are_exact(self, tmp_path):
         graph, _, _ = diamond_chains_through_hub(k=40, leaves=10)
         path = tmp_path / "index.bin"

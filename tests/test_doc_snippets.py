@@ -139,14 +139,17 @@ class TestUsageCookbook:
 
     def test_engine_block(self, small_graph):
         from repro import SPCIndex
+        from repro.core.flat_labels import FlatLabels
         from repro.core.hp_spc import build_labels
         from repro.kernels.hub_push import build_flat_labels_csr
 
         namespace = {"graph": small_graph, "SPCIndex": SPCIndex,
                      "build_labels": build_labels,
                      "build_flat_labels_csr": build_flat_labels_csr}
-        self.run('build_labels(graph, engine="csr")', namespace)
-        assert namespace["flat"].equals(namespace["index"].to_flat())
+        self.run("build_flat_labels_csr(graph)", namespace)
+        reference = FlatLabels.from_label_set(namespace["labels"])
+        assert namespace["flat"].equals(reference)
+        assert namespace["index"].to_flat().equals(reference)
 
     def test_persist_block(self, small_graph, tmp_path, monkeypatch):
         from repro import SPCIndex

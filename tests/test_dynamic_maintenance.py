@@ -258,6 +258,35 @@ class TestServingIntegration:
             assert result.ok
             assert result.answer == (1, 1)
 
+    def test_publish_cycle_never_thaws(self, graph, tmp_path, monkeypatch):
+        from repro.core.flat_labels import FlatLabels
+
+        def refuse(flat):
+            raise AssertionError("the publish cycle thawed the label columns")
+
+        monkeypatch.setattr(FlatLabels, "to_label_set", refuse)
+        index_path = str(tmp_path / "index.spc1")
+
+        def on_publish(controller, covered, new_graph):
+            service.set_graph(new_graph)
+            service.check_reload()
+
+        with MaintenanceController(
+                graph, index_path, rebuild_threshold=2,
+                poll_interval=0.01, on_publish=on_publish) as controller:
+            service = SPCService(graph, index_path=index_path,
+                                 reload_check_every=0)
+            for u, v in missing_edges(graph, 2):
+                controller.insert_edge(u, v)
+            assert controller.rebuild_now(timeout=60.0)
+            assert controller.stats()["counters"]["publishes"] >= 1
+            assert service.health()["status"] == "index"
+            current = controller.dynamic.current_graph()
+            pairs = [(0, 40), (5, 77), (12, 63)]
+            assert_exact(controller, pairs)
+            assert service.query_many(pairs) == [spc_bfs(current, s, t)
+                                                 for s, t in pairs]
+
     def test_set_graph_demotes_then_reload_repromotes(self, graph, tmp_path):
         from repro.serving import SPCService
 

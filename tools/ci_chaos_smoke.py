@@ -57,7 +57,8 @@ def main(argv=None):
     def truth(s, t):
         return (dist[s][t], count[s][t]) if count[s][t] else (float("inf"), 0)
 
-    reference = build_labels(graph)
+    reference_index = SPCIndex.build(graph)
+    reference = reference_index.labels
 
     def identical(labels):
         return labels.order == reference.order and all(
@@ -68,14 +69,14 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as scratch:
         index_path = os.path.join(scratch, "index.bin")
-        save_index(SPCIndex(reference), index_path, graph=graph)
+        save_index(reference_index, index_path, graph=graph)
 
         # 1. Corrupt index files -> typed error recorded, BFS answers correct.
         for name, damage in (
             ("truncation", lambda: truncate_file(index_path, 25)),
             ("bit-flip", lambda: flip_bit(index_path, 100, 3)),
         ):
-            save_index(SPCIndex(reference), index_path, graph=graph)
+            save_index(reference_index, index_path, graph=graph)
             damage()
             try:
                 load_labels(index_path)

@@ -132,10 +132,11 @@ def run_sustained(args):
     from repro.serving.cluster import ClusterService
 
     # G(n, p): no hub hierarchy to exploit, so labels are wide (about
-    # 2.5k entries/vertex at n=10k, deg 20). That is the regime the duel
-    # is about — the per-request python merge join pays ~0.2 us per
-    # label entry while the batched kernel pays ~0.02 us, so wide labels
-    # are exactly where batching has to prove itself.
+    # 2.7k entries/vertex at n=10k, deg 20). That is the regime the duel
+    # is about. Per pair, the single process's scalar join
+    # (core.batch_query.count_pair) and a worker's batched kernel both
+    # pay ~0.02 us per label entry, so the cluster wins only through its
+    # worker processes and per-request overheads.
     graph = gnp_random_graph(args.vertices, args.degree / (args.vertices - 1),
                              seed=args.seed)
     print(f"graph: gnp(n={graph.n}, m={graph.m}, "
@@ -165,7 +166,7 @@ def run_sustained(args):
                "cpu_count": os.cpu_count(), "n": graph.n, "m": graph.m,
                "entries": flat.total_entries()}
 
-    # -- single-process baseline: per-request python merge joins ----------
+    # -- single-process baseline: one scalar join per request -------------
     service = SPCService(graph, index=SPCIndex.from_flat(flat),
                          capacity=args.threads * 2,
                          queue_limit=args.threads * 4,
@@ -211,11 +212,6 @@ def run_sustained(args):
     }
     print(f"single-process: {single_qps:,.0f} qps "
           f"(p99 {section['single']['p99_ms']:.2f} ms)")
-    # Drop the thawed per-vertex label lists before timing the cluster:
-    # tens of millions of live tuples make every gen-2 GC pass take
-    # seconds, which would show up as stalls in the cluster's windows.
-    del service
-    gc.collect()
 
     # -- multiprocess cluster: batched round-trips over the shared arena --
     with tempfile.TemporaryDirectory() as scratch:
