@@ -26,14 +26,20 @@ The same engine also serves:
 """
 
 from collections import deque
+from itertools import chain
 from time import perf_counter
 
+import numpy as np
+
+from repro.core.flat_labels import FlatLabels
 from repro.core.labels import LabelSet
 from repro.core.ordering import PushTree, resolve_ordering
 from repro.observability.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.observability.tracing import get_tracer
 
 INF = float("inf")
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class BuildStats:
@@ -64,6 +70,54 @@ class BuildStats:
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"BuildStats({inner})"
+
+
+def _freeze_prefix(order, canonical, noncanonical):
+    """The prefix label lists as checkpoint columns: ``(flat, wide)``.
+
+    ``wide`` maps the entry index of each count past int64 to that count;
+    its slot in ``flat.count`` holds 0.
+    """
+    n = len(order)
+    verts, flags, entries = [], [], []
+    for flag, rows in ((True, canonical), (False, noncanonical)):
+        sizes = np.fromiter(map(len, rows), np.int64, count=n)
+        verts.append(np.repeat(np.arange(n), sizes))
+        flags.append(np.full(int(sizes.sum()), flag))
+        entries.extend(chain.from_iterable(rows))
+    verts = np.concatenate(verts)
+    ranks, _hubs, dists, counts = zip(*entries) if entries else ((),) * 4
+    wide = {i: count for i, count in enumerate(counts) if count > _INT64_MAX}
+    if wide:
+        counts = [0 if count > _INT64_MAX else count for count in counts]
+    ranks = np.array(ranks, dtype=np.int64)
+    perm = np.lexsort((ranks, verts))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(verts, minlength=n), out=indptr[1:])
+    flat = FlatLabels(
+        n, indptr, ranks[perm], None,
+        np.array(dists, dtype=np.int64)[perm],
+        np.array(counts, dtype=np.int64)[perm],
+        np.concatenate(flags)[perm], np.asarray(order, dtype=np.int64),
+    )
+    if wide:
+        position = np.argsort(perm)  # entry i lands at position[i]
+        wide = {int(position[i]): count for i, count in wide.items()}
+    return flat, wide
+
+
+def _thaw_prefix(prefix, canonical, noncanonical):
+    """Append a checkpoint prefix's entries to the per-vertex label lists."""
+    flat = prefix.flat
+    counts = flat.count.tolist()
+    for index, count in prefix.wide.items():
+        counts[index] = count
+    verts = np.repeat(np.arange(flat.n), np.diff(flat.indptr)).tolist()
+    entries = zip(flat.rank.tolist(), flat.hub.tolist(), flat.dist.tolist(),
+                  counts)
+    for v, is_canonical, entry in zip(verts, flat.canonical.tolist(),
+                                      entries):
+        (canonical if is_canonical else noncanonical)[v].append(entry)
 
 
 def build_labels(
@@ -121,16 +175,14 @@ def build_labels(
         checkpoint_order = list(resolve_static_order(graph, ordering))
         checkpoint_fp = graph_fingerprint(graph)
         strategy = resolve_ordering(checkpoint_order)
-        resume_state = checkpoint.load(graph=graph, order=checkpoint_order)
-        if resume_state is not None:
-            start_rank = resume_state.watermark
+        prefix = checkpoint.load(graph=graph, order=checkpoint_order)
+        if prefix is not None:
+            start_rank = prefix.watermark
     labels = LabelSet(n)
     canonical = labels._canonical  # hot-path alias; LabelSet owns the lists
     noncanonical = labels._noncanonical
     if start_rank:
-        for v in range(n):
-            canonical[v].extend(resume_state.canonical[v])
-            noncanonical[v].extend(resume_state.noncanonical[v])
+        _thaw_prefix(prefix, canonical, noncanonical)
         if stats is not None:
             stats.resumed_pushes += start_rank
 
@@ -258,8 +310,12 @@ def build_labels(
                 tracer.end(push_span)
 
             if checkpoint is not None and checkpoint.should_save(rank + 1, n):
-                checkpoint.save(checkpoint_order, rank + 1, canonical,
-                                noncanonical, fingerprint=checkpoint_fp)
+                checkpoint.save(
+                    rank + 1,
+                    lambda: _freeze_prefix(checkpoint_order, canonical,
+                                           noncanonical),
+                    fingerprint=checkpoint_fp,
+                )
                 if stats is not None:
                     stats.checkpoint_saves += 1
                 if metered:

@@ -94,8 +94,8 @@ class _HookedCheckpoint(BuildCheckpoint):
         super().__init__(path, every=every)
         self._fault = fault
 
-    def save(self, order, watermark, canonical, noncanonical, fingerprint=None):
-        super().save(order, watermark, canonical, noncanonical, fingerprint)
+    def save(self, watermark, freeze, fingerprint=None):
+        super().save(watermark, freeze, fingerprint)
         self._fault.trigger(self.saves)
 
 

@@ -1,29 +1,35 @@
 """Rank-watermark checkpoints for resumable HP-SPC construction.
 
 The hub-pushing loop (§3.2) is a clean prefix computation: after the
-first ``k`` pushes, *all* of their effects live in the label lists — the
+first ``k`` pushes, *all* of their effects live in the label rows — the
 per-push scratch state is reset between roots. A checkpoint is therefore
-just ``(order, watermark, labels-so-far)``: resuming seeds the label
-lists and continues pushing at rank ``watermark``, and the finished
-labeling is entry-for-entry identical to an uninterrupted build.
+just ``(order, watermark, labels-so-far)``: resuming seeds the labels and
+continues pushing at rank ``watermark``, and the finished labeling is
+entry-for-entry identical to an uninterrupted build.
 
-Checkpoints are engine-neutral (vertex-space entries with
-arbitrary-precision counts), so a build checkpointed under the Python
-engine can resume under the CSR kernels and vice versa.
+The prefix is stored as the same flat columns an index file holds, so
+checkpoints are engine-neutral: a build checkpointed under the python
+engine can resume under the csr kernel and vice versa.
 
 File layout (little-endian)::
 
-    magic b"SPCK" | version u32 | payload_len u64 | payload_crc u32 | payload
+    magic b"SPCK" | version u32 (2) | envelope_len u32 | envelope_crc u32 |
+    envelope | SPCF v4 image of the prefix labels
 
-    payload := n u64 | watermark u64 | fp_n u64 | fp_m u64 | fp_deg u64 |
-               order (n × u64) |
-               per vertex: n_canonical u32, n_noncanonical u32,
-                           entries (rank u64, dist u64,
-                                    count := u8 length + that many bytes)
+    envelope := watermark u64 | n_wide u64 |
+                n_wide × (entry u64, count := u8 length + that many bytes)
 
-Writes are atomic (:func:`repro.io.serialize.atomic_write_bytes`) and the
-payload is CRC32-guarded, so a crash *during* a checkpoint save leaves
-the previous checkpoint intact and a corrupted file raises
+The SPCF image (:mod:`repro.io.flat_store`) is byte-for-byte an index
+file of the prefix labels: the order, the graph fingerprint and a CRC32
+per section live where SPCF keeps them. The envelope's wide list holds
+the exact count of every entry past int64 (only the python engine
+produces them) by its index in the entry columns, whose count slot holds
+0; the csr kernel refuses to resume such a checkpoint.
+
+Writes are atomic (temp file + fsync + rename), so a crash *during* a
+save leaves the previous checkpoint intact. Every byte is covered by a
+checksum or a structural check, so a corrupted or truncated file, or a
+file of another version (the v1 per-entry layout), raises
 :class:`~repro.exceptions.CheckpointError` instead of resuming garbage.
 """
 
@@ -32,86 +38,51 @@ import os
 import struct
 import time
 
+import numpy as np
+
 from repro.exceptions import CheckpointError, SerializationError
-from repro.io.serialize import (
-    NO_FINGERPRINT,
-    _crc,
-    _Reader,
-    _read_bytes,
-    atomic_write_bytes,
-    graph_fingerprint,
-)
+from repro.io.flat_store import atomic_sections, parse_spcf, write_spcf
+from repro.io.serialize import _crc, _Reader, _read_bytes, graph_fingerprint
 from repro.observability.events import get_event_log
 from repro.observability.metrics import get_registry
 
 MAGIC = b"SPCK"
-VERSION = 1
+VERSION = 2
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-class CheckpointState:
-    """Decoded checkpoint: the prefix of a build up to ``watermark`` pushes.
+class CheckpointPrefix:
+    """A loaded checkpoint: the labels of the first ``watermark`` pushes.
 
-    ``canonical`` / ``noncanonical`` are per-vertex lists of
-    ``(rank, hub, dist, count)`` tuples, exactly the construction-time
-    representation of :class:`~repro.core.labels.LabelSet`.
+    ``flat`` is a :class:`~repro.core.flat_labels.FlatLabels` whose
+    ``order`` is the build's vertex order; ``wide`` maps an entry index
+    to its exact count when that count is past int64 (its ``flat.count``
+    slot holds 0).
     """
 
-    __slots__ = ("order", "watermark", "canonical", "noncanonical", "fingerprint")
+    __slots__ = ("watermark", "flat", "wide", "fingerprint")
 
-    def __init__(self, order, watermark, canonical, noncanonical, fingerprint):
-        self.order = order
+    def __init__(self, watermark, flat, wide, fingerprint):
         self.watermark = watermark
-        self.canonical = canonical
-        self.noncanonical = noncanonical
+        self.flat = flat
+        self.wide = wide
         self.fingerprint = fingerprint
 
     def __repr__(self):
-        n = len(self.order)
-        return f"CheckpointState(n={n}, watermark={self.watermark})"
+        return (f"CheckpointPrefix(n={self.flat.n}, "
+                f"watermark={self.watermark})")
 
 
 def _encode_count(count):
-    if count < 0:
-        raise CheckpointError(f"negative count {count} in checkpoint entry")
     raw = count.to_bytes((count.bit_length() + 7) // 8 or 1, "little")
     if len(raw) > 255:
         raise CheckpointError("count too wide for the checkpoint varint (>255 bytes)")
     return bytes((len(raw),)) + raw
 
 
-def encode_checkpoint(order, watermark, canonical, noncanonical, fingerprint=None):
-    """Serialize a build prefix into a standalone SPCK blob."""
-    n = len(order)
-    if not 0 <= watermark <= n:
-        raise CheckpointError(f"watermark {watermark} outside [0, {n}]")
-    if fingerprint is None:
-        fp_n, fp_m, fp_deg = n, NO_FINGERPRINT, 0
-    else:
-        fp_n, fp_m, fp_deg = fingerprint
-    parts = [
-        struct.pack("<QQQQQ", n, watermark, fp_n, fp_m, fp_deg),
-        struct.pack(f"<{n}Q", *order),
-    ]
-    for v in range(n):
-        can = canonical[v]
-        non = noncanonical[v]
-        parts.append(struct.pack("<II", len(can), len(non)))
-        for row in (can, non):
-            for rank, _hub, dist, count in row:
-                parts.append(struct.pack("<QQ", rank, dist))
-                parts.append(_encode_count(count))
-    payload = b"".join(parts)
-    return b"".join((
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack("<Q", len(payload)),
-        struct.pack("<I", _crc(payload)),
-        payload,
-    ))
-
-
 def decode_checkpoint(blob, context="<bytes>"):
-    """Parse and integrity-check an SPCK blob into a :class:`CheckpointState`."""
+    """Parse and integrity-check an SPCK blob into a :class:`CheckpointPrefix`."""
     try:
         reader = _Reader(blob, context)
         if reader.take(4, "magic") != MAGIC:
@@ -119,61 +90,56 @@ def decode_checkpoint(blob, context="<bytes>"):
         (version,) = reader.unpack("<I", "checkpoint version")
         if version != VERSION:
             raise CheckpointError(
-                f"{context}: unsupported checkpoint version {version}"
+                f"{context}: unsupported checkpoint version {version} "
+                f"(this reader handles {VERSION})"
             )
-        (payload_len,) = reader.unpack("<Q", "payload length")
-        (stored_crc,) = reader.unpack("<I", "payload checksum")
-        payload = reader.take(payload_len, "checkpoint payload")
-        if reader.remaining():
-            raise CheckpointError(
-                f"{context}: {reader.remaining()} trailing bytes after the "
-                "checkpoint payload"
-            )
-        actual = _crc(payload)
+        envelope_len, stored_crc = reader.unpack("<II", "envelope header")
+        envelope = reader.take(envelope_len, "checkpoint envelope")
+        actual = _crc(envelope)
         if stored_crc != actual:
             raise CheckpointError(
-                f"{context}: checkpoint payload failed its checksum "
+                f"{context}: checkpoint envelope failed its checksum "
                 f"(stored {stored_crc:#010x}, computed {actual:#010x})"
             )
-        body = _Reader(payload, context)
-        n, watermark, fp_n, fp_m, fp_deg = body.unpack("<QQQQQ", "checkpoint header")
-        if watermark > n:
-            raise CheckpointError(
-                f"{context}: watermark {watermark} exceeds vertex count {n}"
-            )
-        fingerprint = None if fp_m == NO_FINGERPRINT else (fp_n, fp_m, fp_deg)
-        order = list(body.unpack(f"<{n}Q", "vertex order"))
-        if sorted(order) != list(range(n)):
-            raise CheckpointError(
-                f"{context}: stored order is not a permutation of [0, {n})"
-            )
-        canonical = [[] for _ in range(n)]
-        noncanonical = [[] for _ in range(n)]
-        for v in range(n):
-            n_can, n_non = body.unpack("<II", f"entry counters of vertex {v}")
-            for target, count_entries in ((canonical[v], n_can),
-                                          (noncanonical[v], n_non)):
-                for i in range(count_entries):
-                    rank, dist = body.unpack("<QQ", f"entry {i} of vertex {v}")
-                    if rank >= watermark:
-                        raise CheckpointError(
-                            f"{context}: vertex {v} has an entry at rank {rank} "
-                            f"beyond the watermark {watermark}"
-                        )
-                    (width,) = body.unpack("<B", f"count width of vertex {v}")
-                    raw = body.take(width, f"count of entry {i} of vertex {v}")
-                    target.append((rank, order[rank], dist,
-                                   int.from_bytes(raw, "little")))
+        body = _Reader(envelope, context)
+        watermark, n_wide = body.unpack("<QQ", "watermark")
+        wide = {}
+        for i in range(n_wide):
+            index, width = body.unpack("<QB", f"wide count {i}")
+            wide[index] = int.from_bytes(body.take(width, f"wide count {i}"),
+                                         "little")
         if body.remaining():
             raise CheckpointError(
                 f"{context}: {body.remaining()} bytes beyond the declared "
-                "checkpoint entries"
+                "wide counts"
             )
+        flat, meta = parse_spcf(memoryview(blob)[reader.offset:], context)
+    except CheckpointError:
+        raise
     except SerializationError as exc:
-        if isinstance(exc, CheckpointError):
-            raise
         raise CheckpointError(str(exc)) from exc
-    return CheckpointState(order, watermark, canonical, noncanonical, fingerprint)
+    n = flat.n
+    if watermark > n:
+        raise CheckpointError(
+            f"{context}: watermark {watermark} exceeds vertex count {n}"
+        )
+    if not np.array_equal(np.sort(flat.order), np.arange(n)):
+        raise CheckpointError(
+            f"{context}: stored order is not a permutation of [0, {n})"
+        )
+    if flat.rank.size and int(flat.rank.max()) >= watermark:
+        raise CheckpointError(
+            f"{context}: an entry at rank {int(flat.rank.max())} lies "
+            f"beyond the watermark {watermark}"
+        )
+    for index, count in wide.items():
+        if index >= flat.rank.size or flat.count[index] != 0 \
+                or count <= _INT64_MAX:
+            raise CheckpointError(
+                f"{context}: wide count of entry {index} does not match "
+                "the entry columns"
+            )
+    return CheckpointPrefix(watermark, flat, wide, meta.fingerprint)
 
 
 class BuildCheckpoint:
@@ -205,13 +171,26 @@ class BuildCheckpoint:
             return False
         return watermark < n and watermark % self.every == 0
 
-    def save(self, order, watermark, canonical, noncanonical, fingerprint=None):
-        """Atomically persist the build prefix up to ``watermark`` pushes."""
+    def save(self, watermark, freeze, fingerprint=None):
+        """Atomically persist the build prefix up to ``watermark`` pushes.
+
+        ``freeze`` is the engine's zero-argument converter from its native
+        prefix to ``(flat, wide)`` — the columns plus the ``{entry index:
+        count}`` of counts past int64. It runs here, so the save's timing
+        covers the whole conversion to bytes.
+        """
         registry = get_registry()
         save_start = time.perf_counter() if registry.enabled else None
-        blob = encode_checkpoint(order, watermark, canonical, noncanonical,
-                                 fingerprint)
-        atomic_write_bytes(self.path, blob)
+        flat, wide = freeze()
+        envelope = b"".join([struct.pack("<QQ", watermark, len(wide))] + [
+            struct.pack("<Q", index) + _encode_count(count)
+            for index, count in sorted(wide.items())
+        ])
+        with atomic_sections(self.path) as writer:
+            writer.raw(MAGIC + struct.pack("<III", VERSION, len(envelope),
+                                           _crc(envelope)))
+            writer.raw(envelope)
+            write_spcf(writer, flat, fingerprint)
         self.saves += 1
         if save_start is not None:
             registry.histogram("spc_checkpoint_seconds", op="save").observe(
@@ -221,7 +200,7 @@ class BuildCheckpoint:
                              path=self.path)
 
     def load(self, graph=None, order=None):
-        """Return the saved :class:`CheckpointState`, or None when absent.
+        """Return the saved :class:`CheckpointPrefix`, or None when absent.
 
         Validates integrity, and — when given — that the checkpoint matches
         the live ``graph`` (fingerprint) and the build's ``order``;
@@ -234,23 +213,24 @@ class BuildCheckpoint:
             blob = _read_bytes(self.path)
         except FileNotFoundError:
             return None
-        state = decode_checkpoint(blob, context=self.path)
+        prefix = decode_checkpoint(blob, context=self.path)
         if load_start is not None:
             registry.histogram("spc_checkpoint_seconds", op="load").observe(
                 time.perf_counter() - load_start
             )
-        if graph is not None and state.fingerprint is not None:
+        if graph is not None and prefix.fingerprint is not None:
             live = graph_fingerprint(graph)
-            if live != state.fingerprint:
+            if live != prefix.fingerprint:
                 raise CheckpointError(
                     f"{self.path}: checkpoint was taken for a different graph "
-                    f"(checkpoint fingerprint {state.fingerprint}, live {live})"
+                    f"(checkpoint fingerprint {prefix.fingerprint}, live {live})"
                 )
-        if order is not None and list(order) != state.order:
+        if order is not None and not np.array_equal(np.asarray(order),
+                                                     prefix.flat.order):
             raise CheckpointError(
                 f"{self.path}: checkpoint was taken under a different vertex order"
             )
-        return state
+        return prefix
 
     def discard(self):
         """Remove the checkpoint file (no-op when ``keep`` or absent)."""

@@ -4,9 +4,10 @@ Every unweighted index is written to and served from an SPCF file:
 ``repro-spc build``, :func:`repro.io.serialize.save_index`, the
 rebuild-behind publish of :class:`~repro.dynamic.maintenance
 .MaintenanceController`, :class:`~repro.serving.service.SPCService` and
-:class:`~repro.serving.cluster.ClusterService` all use it. The file
-stores the :class:`~repro.core.flat_labels.FlatLabels` CSR columns
-directly:
+:class:`~repro.serving.cluster.ClusterService` all use it, and a build
+checkpoint (:mod:`repro.io.checkpoint`) carries its label prefix as an
+SPCF image behind a small envelope. The file stores the
+:class:`~repro.core.flat_labels.FlatLabels` CSR columns directly:
 
 ``````
 SPCF | header (56 B) | header CRC32 |
@@ -42,6 +43,7 @@ the magic, so every CLI/serving path opens SPCF as well as the SPCL
 files that weighted and directed labelings still use.
 """
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -157,14 +159,49 @@ def write_flat(flat, path, graph=None, fingerprint=None):
     save_start = time.perf_counter() if registry.enabled else None
     if fingerprint is None and graph is not None:
         fingerprint = graph_fingerprint(graph)
+    with atomic_sections(path) as writer:
+        count_dtype = write_spcf(writer, flat, fingerprint)
+    if count_dtype == INT and registry.enabled:
+        registry.counter("spc_count_overflow_escapes_total").inc()
+    if save_start is not None:
+        registry.histogram("spc_io_seconds", op="save").observe(
+            time.perf_counter() - save_start
+        )
+        registry.counter("spc_io_bytes_total", op="save").inc(writer.total)
+    return writer.total
+
+
+@contextlib.contextmanager
+def atomic_sections(path):
+    """Yield a :class:`_SectionWriter` whose bytes replace ``path`` atomically.
+
+    The sections stream into a temp file beside ``path``, which is fsynced
+    and renamed over ``path`` only when the block exits cleanly; a crash or
+    an exception mid-write leaves the previous file (or none) intact.
+    """
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            writer = _SectionWriter(handle)
+            yield writer
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def write_spcf(writer, flat, fingerprint=None):
+    """Stream ``flat`` as one SPCF v4 image; returns the count dtype used."""
     fp = fingerprint if fingerprint is not None else (NO_FINGERPRINT,) * 3
     indptr = np.ascontiguousarray(flat.indptr, dtype=INT)
     order = np.ascontiguousarray(flat.order, dtype=INT)
     rank = np.ascontiguousarray(flat.rank, dtype=np.uint32)
     dist_dtype, count_dtype = _narrow_dtypes(flat)
-    if count_dtype == INT and registry.enabled:
-        registry.counter("spc_count_overflow_escapes_total").inc()
-
     header = struct.pack(
         _HEADER_FMT,
         FLAT_VERSION,
@@ -179,41 +216,16 @@ def write_flat(flat, path, graph=None, fingerprint=None):
         0,  # n_exceptions
         fp[0], fp[1], fp[2],
     )
-
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
-                               suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            writer = _SectionWriter(handle)
-            writer.raw(FLAT_MAGIC)
-            writer.raw(header)
-            writer.raw(struct.pack("<I", zlib.crc32(header) & 0xFFFFFFFF))
-            writer.section(order)
-            writer.section(indptr)
-            writer.section(rank)
-            writer.section(np.asarray(flat.dist).astype(dist_dtype,
-                                                        copy=False))
-            writer.section(np.asarray(flat.count).astype(count_dtype,
-                                                         copy=False))
-            writer.section(np.asarray(flat.canonical).astype(np.uint8,
-                                                             copy=False))
-            handle.flush()
-            os.fsync(handle.fileno())
-            written = writer.total
-        os.replace(tmp, path)
-    finally:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
-    if save_start is not None:
-        registry.histogram("spc_io_seconds", op="save").observe(
-            time.perf_counter() - save_start
-        )
-        registry.counter("spc_io_bytes_total", op="save").inc(written)
-    return written
+    writer.raw(FLAT_MAGIC)
+    writer.raw(header)
+    writer.raw(struct.pack("<I", zlib.crc32(header) & 0xFFFFFFFF))
+    writer.section(order)
+    writer.section(indptr)
+    writer.section(rank)
+    writer.section(np.asarray(flat.dist).astype(dist_dtype, copy=False))
+    writer.section(np.asarray(flat.count).astype(count_dtype, copy=False))
+    writer.section(np.asarray(flat.canonical).astype(np.uint8, copy=False))
+    return count_dtype
 
 
 def _parse_header(blob, context):
@@ -296,17 +308,8 @@ def _verify_sections(path, meta, layout, offsets, context):
                 )
 
 
-def load_flat_labels_with_meta(path, mmap=False, verify=True, retries=0,
-                               retry_wait=0.01):
-    """:func:`load_flat_labels` variant also returning :class:`FlatFileMeta`."""
-    registry = get_registry()
-    load_start = time.perf_counter() if registry.enabled else None
-    context = str(path)
-    head = _read_with_retries(path, retries, retry_wait) if not mmap else None
-    if head is None:
-        with open(path, "rb") as handle:
-            head = handle.read(4 + _HEADER_SIZE + 4)
-    meta = _parse_header(head, context)
+def _frame(meta, size, context):
+    """Section offsets for ``meta``; ``size`` must be exactly the image."""
     layout = _section_layout(meta)
     offsets = []
     cursor = 4 + _HEADER_SIZE + 4
@@ -314,40 +317,15 @@ def load_flat_labels_with_meta(path, mmap=False, verify=True, retries=0,
         offsets.append(cursor)
         cursor += dtype.itemsize * count + 4
     meta.total_bytes = cursor
-    actual = os.path.getsize(path) if mmap else len(head)
-    if actual != cursor:
+    if size != cursor:
         raise SerializationError(
-            f"{context}: file is {actual} bytes but the header implies "
+            f"{context}: file is {size} bytes but the header implies "
             f"{cursor} (truncated or trailing bytes)"
         )
-    if verify:
-        if mmap:
-            _verify_sections(path, meta, layout, offsets, context)
-        else:
-            reader_offsets = dict(zip((name for name, _, _ in layout),
-                                      zip(layout, offsets)))
-            for name, ((_, dtype, count), offset) in reader_offsets.items():
-                nbytes = dtype.itemsize * count
-                declared = struct.unpack(
-                    "<I", head[offset + nbytes:offset + nbytes + 4]
-                )[0]
-                if zlib.crc32(head[offset:offset + nbytes]) & 0xFFFFFFFF \
-                        != declared:
-                    raise SerializationError(
-                        f"{context}: {name} section checksum mismatch "
-                        "(corrupt file)"
-                    )
+    return layout, offsets
 
-    columns = {}
-    for (name, dtype, count), offset in zip(layout, offsets):
-        if mmap:
-            columns[name] = (np.memmap(path, dtype=dtype, mode="r",
-                                       offset=offset, shape=(count,))
-                             if count else np.empty(0, dtype=dtype))
-        else:
-            columns[name] = np.frombuffer(head, dtype=dtype, count=count,
-                                          offset=offset)
 
+def _assemble(meta, columns, context):
     indptr = columns["indptr"]
     if indptr.size == 0 or indptr[0] != 0 or int(indptr[-1]) != meta.entries \
             or (indptr.size > 1 and bool(np.any(np.diff(indptr) < 0))):
@@ -355,8 +333,60 @@ def load_flat_labels_with_meta(path, mmap=False, verify=True, retries=0,
             f"{context}: indptr column is not a valid CSR row index"
         )
     canonical = columns["canonical"].view(np.bool_)
-    flat = FlatLabels(meta.n, indptr, columns["rank"], None, columns["dist"],
+    return FlatLabels(meta.n, indptr, columns["rank"], None, columns["dist"],
                       columns["count"], canonical, columns["order"])
+
+
+def parse_spcf(blob, context="<bytes>", verify=True):
+    """Parse an in-memory SPCF image into ``(flat, meta)``.
+
+    ``blob`` is any bytes-like object holding exactly one image (a
+    ``memoryview`` slice parses without a copy); the columns are
+    zero-copy views over it. ``verify`` checks every section CRC.
+    """
+    meta = _parse_header(blob, context)
+    layout, offsets = _frame(meta, len(blob), context)
+    columns = {}
+    for (name, dtype, count), offset in zip(layout, offsets):
+        nbytes = dtype.itemsize * count
+        if verify:
+            (declared,) = struct.unpack(
+                "<I", blob[offset + nbytes:offset + nbytes + 4]
+            )
+            if zlib.crc32(blob[offset:offset + nbytes]) & 0xFFFFFFFF \
+                    != declared:
+                raise SerializationError(
+                    f"{context}: {name} section checksum mismatch "
+                    "(corrupt file)"
+                )
+        columns[name] = np.frombuffer(blob, dtype=dtype, count=count,
+                                      offset=offset)
+    return _assemble(meta, columns, context), meta
+
+
+def load_flat_labels_with_meta(path, mmap=False, verify=True, retries=0,
+                               retry_wait=0.01):
+    """:func:`load_flat_labels` variant also returning :class:`FlatFileMeta`."""
+    registry = get_registry()
+    load_start = time.perf_counter() if registry.enabled else None
+    context = str(path)
+    if mmap:
+        with open(path, "rb") as handle:
+            head = handle.read(4 + _HEADER_SIZE + 4)
+        meta = _parse_header(head, context)
+        layout, offsets = _frame(meta, os.path.getsize(path), context)
+        if verify:
+            _verify_sections(path, meta, layout, offsets, context)
+        columns = {
+            name: (np.memmap(path, dtype=dtype, mode="r", offset=offset,
+                             shape=(count,))
+                   if count else np.empty(0, dtype=dtype))
+            for (name, dtype, count), offset in zip(layout, offsets)
+        }
+        flat = _assemble(meta, columns, context)
+    else:
+        flat, meta = parse_spcf(_read_with_retries(path, retries, retry_wait),
+                                context, verify=verify)
     if load_start is not None:
         registry.histogram("spc_io_seconds", op="load").observe(
             time.perf_counter() - load_start

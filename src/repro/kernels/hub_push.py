@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.flat_labels import FlatLabels
 from repro.core.ordering import resolve_static_order
-from repro.exceptions import LabelingError
+from repro.exceptions import CheckpointError, LabelingError
 from repro.kernels.bfs import count_guard_threshold, expand_ranges
 from repro.observability.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.observability.tracing import get_tracer
@@ -97,6 +97,24 @@ class _CanonicalRows:
         self.rank[verts, lengths] = rank
         self.dist[verts, lengths] = dists
         self.length[verts] = lengths + 1
+
+    def fill(self, verts, ranks, dists):
+        """Load entries into empty rows with one scatter (checkpoint resume).
+
+        Each vertex's entries must arrive in rank order; vertices may
+        interleave.
+        """
+        perm = _radix_argsort(verts, self.n)
+        verts = verts[perm]
+        lengths = np.bincount(verts, minlength=self.n)
+        need = int(lengths.max()) if self.n else 0
+        if need > self.capacity:
+            self._grow(need)
+        cols = np.arange(verts.size, dtype=INT) - (np.cumsum(lengths)
+                                                   - lengths)[verts]
+        self.rank[verts, cols] = ranks[perm]
+        self.dist[verts, cols] = dists[perm]
+        self.length[:] = lengths
 
     def row(self, v):
         """The ``(ranks, dists)`` views of vertex ``v``'s entries."""
@@ -202,6 +220,19 @@ def _scatter_add_counts(count, targets, values, n, exact_threshold):
         np.add.at(count, targets, values)
 
 
+def _radix_argsort(keys, bound):
+    """Stable argsort of int keys in ``[0, bound)``, ``bound <= 2^32``.
+
+    Runs as 16-bit radix passes, which numpy's stable sort does in linear
+    time: several times faster than its merge sort of int64 keys.
+    """
+    perm = np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound > 1 << 16:
+        perm = perm[np.argsort((keys[perm] >> 16).astype(np.uint16),
+                               kind="stable")]
+    return perm
+
+
 def _finalize_flat(n, order_np, chunks):
     """Stack the per-push emission chunks into a rank-sorted FlatLabels.
 
@@ -214,93 +245,63 @@ def _finalize_flat(n, order_np, chunks):
     if not chunks:
         empty = np.empty(0, dtype=INT)
         return FlatLabels(
-            n, np.zeros(n + 1, dtype=INT), empty, empty.copy(), empty.copy(),
+            n, np.zeros(n + 1, dtype=INT), empty, None, empty.copy(),
             empty.copy(), np.empty(0, dtype=np.bool_), order_out,
         )
-    sizes = np.fromiter((chunk[1].size for chunk in chunks), INT, count=len(chunks))
-    ranks = np.repeat(
-        np.fromiter((chunk[0] for chunk in chunks), INT, count=len(chunks)), sizes
-    )
-    verts = np.concatenate([chunk[1] for chunk in chunks])
-    dists = np.concatenate([chunk[2] for chunk in chunks])
-    counts = np.concatenate([chunk[3] for chunk in chunks])
-    flags = np.repeat(
-        np.fromiter((chunk[4] for chunk in chunks), np.bool_, count=len(chunks)), sizes
-    )
-    vert_orig = order_np[verts]
-    hubs = order_np[ranks]
-    perm = np.argsort(vert_orig, kind="stable")
+    ranks, verts, dists, counts, flags = zip(*chunks)
+    sizes = np.fromiter(map(len, verts), INT, count=len(chunks))
+    ranks = np.repeat(np.array(ranks, dtype=INT), sizes)
+    flags = np.repeat(np.array(flags, dtype=np.bool_), sizes)
+    vert_orig = order_np[np.concatenate(verts)]
+    perm = _radix_argsort(vert_orig, n)
     indptr = np.zeros(n + 1, dtype=INT)
     np.cumsum(np.bincount(vert_orig, minlength=n), out=indptr[1:])
     return FlatLabels(
-        n, indptr, ranks[perm], hubs[perm], dists[perm], counts[perm],
-        flags[perm], order_out,
+        n, indptr, ranks[perm], None, np.concatenate(dists)[perm],
+        np.concatenate(counts)[perm], flags[perm], order_out,
     )
 
 
-def _chunks_to_label_lists(n, order_np, chunks):
-    """Convert rank-space emission chunks to per-vertex (vertex-space)
-    ``(rank, hub, dist, count)`` lists — the checkpoint representation.
+def _prefix_to_chunks(prefix, rank_of, rows):
+    """Split a checkpoint prefix back into ``(rank, flag)`` emission chunks
+    and, when pruning, refill the canonical join store; the inverse of the
+    :func:`_finalize_flat` gather a save runs.
 
-    Chunks are in push order, so per-vertex appends land rank-sorted.
+    Within a vertex each rank appears once, so rank-ascending chunks
+    reproduce the strictly increasing rank columns ``_finalize_flat``
+    builds.
     """
-    canonical = [[] for _ in range(n)]
-    noncanonical = [[] for _ in range(n)]
-    order = order_np.tolist()
-    for rank, verts, dists, counts, flag in chunks:
-        hub = order[rank]
-        target = canonical if flag else noncanonical
-        for vert, dist, count in zip(verts.tolist(), dists.tolist(),
-                                     counts.tolist()):
-            target[order[vert]].append((rank, hub, dist, count))
-    return canonical, noncanonical
-
-
-def _state_to_chunks(state, rank_of, rows):
-    """Rebuild the emission chunks (and, when pruning, the canonical join
-    store) from a checkpoint prefix; inverse of :func:`_chunks_to_label_lists`.
-
-    Entries regroup by ``(rank, canonical-flag)``; within a vertex each rank
-    appears once, so any chunk order that is rank-ascending reproduces the
-    strictly-increasing rank columns ``_finalize_flat`` builds.
-    """
-    from repro.exceptions import CheckpointError
-
-    int64_max = np.iinfo(INT).max
-    groups = {}
-    for flag, per_vertex in ((True, state.canonical), (False, state.noncanonical)):
-        for v, row in enumerate(per_vertex):
-            rv = int(rank_of[v])
-            for rank, _hub, dist, count in row:
-                if count > int64_max:
-                    raise CheckpointError(
-                        "checkpointed count exceeds int64; resume this build "
-                        "with the python engine"
-                    )
-                verts, dists, counts = groups.setdefault((rank, flag),
-                                                         ([], [], []))
-                verts.append(rv)
-                dists.append(dist)
-                counts.append(count)
-    chunks = []
-    for rank, flag in sorted(groups, key=lambda key: (key[0], not key[1])):
-        verts, dists, counts = groups[(rank, flag)]
-        chunks.append((
-            rank,
-            np.asarray(verts, dtype=INT),
-            np.asarray(dists, dtype=INT),
-            np.asarray(counts, dtype=INT),
-            flag,
-        ))
+    if prefix.wide:
+        raise CheckpointError(
+            "checkpointed count exceeds int64; resume this build with the "
+            "python engine"
+        )
+    flat = prefix.flat
+    verts = rank_of[np.repeat(np.arange(flat.n, dtype=INT),
+                              np.diff(flat.indptr))]
+    ranks = flat.rank.astype(INT)
+    dists = flat.dist.astype(INT)
+    counts = flat.count.astype(INT)
+    flags = flat.canonical.astype(np.bool_)
     if rows is not None:
-        for rank, verts, dists, counts, flag in chunks:
-            if not flag:
-                continue
-            # The join store never holds a root's self-entry (vert == rank).
-            keep = verts != rank
-            if keep.any():
-                rows.append(verts[keep], rank, dists[keep])
-    return chunks
+        # The join store never holds a root's self-entry (vert == rank).
+        keep = flags & (verts != ranks)
+        rows.fill(verts[keep], ranks[keep], dists[keep])
+    if not ranks.size:
+        return []
+    # One chunk per (rank, flag), canonical first.
+    key = ranks * 2 + ~flags
+    perm = _radix_argsort(key, 2 * flat.n)
+    key = key[perm]
+    heads = np.flatnonzero(np.diff(key, prepend=-1))
+    ends = np.append(heads[1:], key.size).tolist()
+    verts, dists, counts = verts[perm], dists[perm], counts[perm]
+    return [
+        (rank_flag >> 1, verts[head:end], dists[head:end], counts[head:end],
+         not rank_flag & 1)
+        for rank_flag, head, end in zip(key[heads].tolist(), heads.tolist(),
+                                        ends)
+    ]
 
 
 def build_flat_labels_csr(
@@ -384,10 +385,10 @@ def build_flat_labels_csr(
         from repro.io.serialize import graph_fingerprint
 
         checkpoint_fp = graph_fingerprint(graph)
-        state = checkpoint.load(graph=graph, order=list(order))
-        if state is not None:
-            start_rank = state.watermark
-            chunks = _state_to_chunks(state, rank_of, rows)
+        prefix = checkpoint.load(graph=graph, order=order_np)
+        if prefix is not None:
+            start_rank = prefix.watermark
+            chunks = _prefix_to_chunks(prefix, rank_of, rows)
             if stats is not None:
                 stats.resumed_pushes += start_rank
 
@@ -495,11 +496,10 @@ def build_flat_labels_csr(
             if traced:
                 tracer.end(push_span)
             if checkpoint is not None and checkpoint.should_save(r + 1, n):
-                canonical_lists, noncanonical_lists = _chunks_to_label_lists(
-                    n, order_np, chunks
+                checkpoint.save(
+                    r + 1, lambda: (_finalize_flat(n, order_np, chunks), {}),
+                    fingerprint=checkpoint_fp,
                 )
-                checkpoint.save(list(order), r + 1, canonical_lists,
-                                noncanonical_lists, fingerprint=checkpoint_fp)
                 if stats is not None:
                     stats.checkpoint_saves += 1
                 if metered:

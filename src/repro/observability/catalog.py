@@ -91,7 +91,8 @@ METRICS = (
     ),
     MetricSpec(
         "spc_checkpoint_seconds", "histogram", ("op",),
-        "Wall time of checkpoint I/O, labelled save or load.",
+        "Wall time of checkpoint I/O, labelled save (including the "
+        "gather of the prefix into columns) or load.",
     ),
     MetricSpec(
         "spc_cluster_batch_seconds", "histogram", ("shard",),

@@ -332,8 +332,8 @@ class CrashingCheckpoint(BuildCheckpoint):
         super().__init__(path, every=every, keep=keep)
         self.crash_after = crash_after
 
-    def save(self, order, watermark, canonical, noncanonical, fingerprint=None):
-        super().save(order, watermark, canonical, noncanonical, fingerprint)
+    def save(self, watermark, freeze, fingerprint=None):
+        super().save(watermark, freeze, fingerprint)
         if self.saves >= self.crash_after:
             raise SimulatedKill(
                 f"simulated kill after checkpoint save at watermark {watermark}"

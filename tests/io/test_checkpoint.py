@@ -3,12 +3,14 @@ uninterrupted one, and damaged checkpoints must be rejected, not resumed."""
 
 import pytest
 
-from repro.core.hp_spc import BuildStats, build_labels
+from tests.conftest import diamond_chains_through_hub
+
+from repro.core.hp_spc import BuildStats, _freeze_prefix, _thaw_prefix, build_labels
 from repro.core.ordering import resolve_static_order
 from repro.exceptions import CheckpointError
 from repro.generators.classic import grid_graph
 from repro.generators.random_graphs import barabasi_albert_graph, gnp_random_graph
-from repro.io.checkpoint import BuildCheckpoint, decode_checkpoint, encode_checkpoint
+from repro.io.checkpoint import BuildCheckpoint, decode_checkpoint
 from repro.io.serialize import graph_fingerprint
 from repro.kernels.hub_push import build_flat_labels_csr
 from repro.testing.faults import CrashingCheckpoint, SimulatedKill, flip_bit
@@ -31,21 +33,25 @@ def partial_checkpoint(graph, watermark, path, every):
 
 
 class TestRoundTrip:
-    def test_encode_decode_identity(self):
+    def test_encode_decode_identity(self, tmp_path):
         graph = gnp_random_graph(25, 0.15, seed=1)
         order = resolve_static_order(graph, "degree")
         canonical = [[(0, order[0], 2, 3)] for _ in range(graph.n)]
         noncanonical = [[(1, order[1], 4, 10**40)] for _ in range(graph.n)]
         fingerprint = graph_fingerprint(graph)
-        blob = encode_checkpoint(
-            tuple(order), 7, canonical, noncanonical, fingerprint
+        path = tmp_path / "c.ckpt"
+        BuildCheckpoint(path).save(
+            7, lambda: _freeze_prefix(order, canonical, noncanonical), fingerprint
         )
-        decoded = decode_checkpoint(blob)
-        assert list(decoded.order) == list(order)
+        decoded = decode_checkpoint(path.read_bytes())
+        assert decoded.flat.order.tolist() == list(order)
         assert decoded.watermark == 7
-        assert decoded.canonical == canonical
-        assert decoded.noncanonical == noncanonical  # huge count survives varint
         assert decoded.fingerprint == fingerprint
+        thawed_can = [[] for _ in range(graph.n)]
+        thawed_non = [[] for _ in range(graph.n)]
+        _thaw_prefix(decoded, thawed_can, thawed_non)
+        assert thawed_can == canonical
+        assert thawed_non == noncanonical  # huge count survives in the envelope
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         graph = grid_graph(5, 5)
@@ -54,6 +60,17 @@ class TestRoundTrip:
         flip_bit(path, 40, 2)
         with pytest.raises(CheckpointError):
             BuildCheckpoint(path).load(graph=graph)
+
+    def test_every_single_bit_flip_rejected(self, tmp_path):
+        graph = grid_graph(4, 4)
+        path = tmp_path / "build.ckpt"
+        partial_checkpoint(graph, 6, path, every=6)
+        blob = path.read_bytes()
+        for bit in range(8 * len(blob)):
+            damaged = bytearray(blob)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(CheckpointError):
+                decode_checkpoint(bytes(damaged))
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         graph = grid_graph(5, 5)
@@ -71,6 +88,35 @@ class TestRoundTrip:
         partial_checkpoint(graph, 10, path, every=10)
         with pytest.raises(CheckpointError):
             BuildCheckpoint(path).load(graph=other)
+
+    @pytest.mark.parametrize("defect,match", [
+        ("watermark", "exceeds vertex count"),
+        ("rank", "beyond the watermark"),
+        ("permutation", "not a permutation"),
+        ("trailing", "trailing bytes"),
+        ("order", "different vertex order"),
+    ])
+    def test_inconsistent_checkpoint_rejected(self, tmp_path, defect, match):
+        """Checksums pass, but the prefix contradicts itself or the build."""
+        graph = grid_graph(4, 4)
+        n = graph.n
+        order = resolve_static_order(graph, "degree")
+        labels = build_labels(graph)
+        canonical = [labels.canonical(v) for v in range(n)]
+        noncanonical = [labels.noncanonical(v) for v in range(n)]
+        stored_order = [0] * n if defect == "permutation" else order
+        watermark = {"watermark": n + 1, "rank": 3}.get(defect, n)
+        path = tmp_path / "build.ckpt"
+        BuildCheckpoint(path).save(
+            watermark,
+            lambda: _freeze_prefix(stored_order, canonical, noncanonical),
+            graph_fingerprint(graph),
+        )
+        if defect == "trailing":
+            path.write_bytes(path.read_bytes() + b"\0")
+        expected = order[::-1] if defect == "order" else order
+        with pytest.raises(CheckpointError, match=match):
+            BuildCheckpoint(path).load(graph=graph, order=expected)
 
     def test_missing_file_loads_none(self, tmp_path):
         assert BuildCheckpoint(tmp_path / "absent.ckpt").load() is None
@@ -123,3 +169,33 @@ class TestResumeIdentity:
         checkpoint = BuildCheckpoint(tmp_path / "c.ckpt", every=5, keep=True)
         build_labels(graph, checkpoint=checkpoint)
         assert checkpoint.exists()
+
+
+class TestWideCounts:
+    """Counts past int64 exist only under the python engine; its
+    checkpoints must carry them exactly, and csr must refuse them."""
+
+    @pytest.mark.parametrize("k", [32, 64])
+    def test_python_kill_resume_is_bit_identical(self, tmp_path, k):
+        graph, _s, _t = diamond_chains_through_hub(k)
+        path = tmp_path / "build.ckpt"
+        crashing = CrashingCheckpoint(path, every=100, crash_after=1)
+        with pytest.raises(SimulatedKill):
+            build_labels(graph, checkpoint=crashing)
+        wide = decode_checkpoint(path.read_bytes()).wide
+        # k diamonds double the count k times: 2^64 at k=64 is past int64.
+        assert max(wide.values(), default=0) == (2**64 if k == 64 else 0)
+        stats = BuildStats()
+        resumed = build_labels(graph, stats=stats,
+                               checkpoint=BuildCheckpoint(path, every=100))
+        assert stats.resumed_pushes == 100
+        assert_identical(resumed, build_labels(graph))
+
+    def test_csr_refuses_to_resume_wide_counts(self, tmp_path):
+        graph, _s, _t = diamond_chains_through_hub(64)
+        path = tmp_path / "build.ckpt"
+        with pytest.raises(SimulatedKill):
+            build_labels(graph, checkpoint=CrashingCheckpoint(path, every=100))
+        with pytest.raises(CheckpointError, match="python engine"):
+            build_flat_labels_csr(graph, checkpoint=BuildCheckpoint(path))
+        assert BuildCheckpoint(path).exists()  # refused, not consumed
