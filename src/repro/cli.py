@@ -206,7 +206,7 @@ def _run_query_expr(args, index):
     """``repro-spc query INDEX --expr '...'``: the compiled-query front end.
 
     Parses the compact textual form (docs/QUERYLANG.md), plans it over
-    the index (plus the graph's BFS/matrix backends when ``--graph`` is
+    the index (plus the graph's BFS backend when ``--graph`` is
     given), optionally prints the plan, and prints one
     ``statement = answer`` line per statement.
     """
@@ -720,7 +720,7 @@ def build_parser():
                         "per statement before the answers")
     p.add_argument("--graph", default=None,
                    help="graph file (for --random ids; with --expr it also "
-                        "unlocks the BFS/matrix fallback backends)")
+                        "unlocks the BFS fallback backend)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="python", choices=["python", "flat"],
                    help="one scalar merge join per pair or the vectorized "

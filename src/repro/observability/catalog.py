@@ -299,8 +299,8 @@ METRICS = (
     MetricSpec(
         "spc_query_backends_chosen_total", "counter", ("backend",),
         "Execution backends chosen by the query planner, one increment "
-        "per plan node: flat, bfs, matrix, oracle, sampled+<backend>, "
-        "brandes or batch.",
+        "per query node (a batch's pair group adds its size): flat, bfs, "
+        "oracle, sampled+<backend>, brandes or batch.",
     ),
     MetricSpec(
         "spc_query_cache_hits_total", "counter", (),

@@ -4,10 +4,11 @@ Every workload this repository serves — pair counting, distances,
 single-source sweeps, set-to-set aggregation, relevance ranking,
 betweenness estimation, path existence — is expressed as a small tree of
 value objects. Nodes carry *what* is asked, never *how* it is answered:
-the :mod:`~repro.query.planner` picks an execution backend per node and
-the :mod:`~repro.query.engine` runs the plan, so the same tree evaluates
-identically over the flat/batched engine, the BFS oracle, the
-apsp-matrix baseline, or a duck-typed ``count_with_distance`` oracle.
+the :mod:`~repro.query.planner` picks an execution backend per node
+(one per batch for its pair operators) and the
+:mod:`~repro.query.engine` runs the plan, so the same tree evaluates
+identically over the flat/batched engine, the BFS oracle, or a
+duck-typed ``count_with_distance`` oracle.
 
 Nodes are hashable and comparable by value; ``node.key()`` is the
 canonical tuple used both for equality and as the result-cache key
@@ -92,8 +93,12 @@ class _PairQuery(Query):
         return (self.op, self.s, self.t)
 
     def validate(self, n):
-        _check_vertex(self.s, n)
-        _check_vertex(self.t, n)
+        s, t = self.s, self.t
+        # Plain in-range ints pass with no call: a fresh batch validates
+        # every child on each run. _check_vertex decides everything else.
+        if not (type(s) is int and type(t) is int and 0 <= s < n and 0 <= t < n):
+            _check_vertex(s, n)
+            _check_vertex(t, n)
 
     def from_pair(self, dist, count):
         """Project a normalised ``(dist, count)`` pair into this node's answer."""
@@ -240,10 +245,10 @@ class TopKBetweenness(Query):
 class Batch(Query):
     """Evaluate child queries together; the answer tuple aligns with them.
 
-    Consecutive pair-operator children assigned to the same backend are
-    coalesced into one batched ``count_many`` call by the engine, so a
-    ``Batch`` of thousands of :class:`Count` nodes costs a handful of
-    vectorized passes instead of per-node dispatch.
+    The planner gives every pair-operator child one backend in one pass
+    and the engine answers them with one batched ``pairs`` call, so a
+    ``Batch`` of thousands of :class:`Count` nodes costs one backend
+    decision and a handful of vectorized passes, not per-node dispatch.
     """
 
     op = "batch"
@@ -270,5 +275,5 @@ class Batch(Query):
         return self.queries
 
 
-#: The operator classes the engine may coalesce into one pair batch.
+#: The operator classes a batch's plan answers as one pair group.
 PAIR_OPS = (Count, Distance, PathExists)

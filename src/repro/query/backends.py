@@ -4,18 +4,16 @@ Each backend adapts one of the repository's engines to a single small
 surface — ``pair`` / ``pairs`` / ``single_source`` / ``set_to_set`` plus
 a ``pair_cost()`` estimate — and normalises every answer to the AST
 conventions (``int`` distances with ``inf`` for disconnected, ``int``
-counts, tuples instead of arrays). The planner never needs to know what
-lives behind a backend; conformance tests exploit the same property to
-assert operator-by-operator agreement across all of them.
+counts, tuples instead of arrays). ``pair_cost()`` depends on the
+backend alone, never on the query node, so the planner prices a whole
+batch's pair children with one call. The planner never needs to know
+what lives behind a backend; conformance tests exploit the same
+property to assert operator-by-operator agreement across all of them.
 
 * :class:`FlatBackend` — the vectorized flat/batched engine over a
   built :class:`~repro.core.index.SPCIndex` (label-scan cost).
 * :class:`BFSBackend` — the online counting BFS oracle (``O(n + m)``
   per query, no index needed, always exact).
-* :class:`MatrixBackend` — the apsp-matrix strawman, realised lazily as
-  per-source BFS rows cached forever: the first query from a source pays
-  one component sweep, every later query from it is O(1). The planner
-  only offers it for tiny components, where the cache actually fits.
 * :class:`OracleBackend` — any duck-typed ``count_with_distance``
   object (an index facade, a dynamic overlay, a cluster adapter); used
   by the ``applications/`` drivers so they stay engine-agnostic.
@@ -30,9 +28,8 @@ import numpy as np
 INF = float("inf")
 
 __all__ = [
-    "Backend", "FlatBackend", "BFSBackend", "MatrixBackend",
-    "OracleBackend", "ResilientBackend", "normalize_pair",
-    "normalize_single_source",
+    "Backend", "FlatBackend", "BFSBackend", "OracleBackend",
+    "ResilientBackend", "normalize_pair", "normalize_single_source",
 ]
 
 
@@ -189,67 +186,6 @@ class BFSBackend(Backend):
 
     def pair_cost(self):
         return float(self.graph.n + self.graph.m)
-
-
-class MatrixBackend(Backend):
-    """The apsp-matrix baseline, materialised one source row at a time.
-
-    :class:`~repro.baselines.apsp_matrix.CountMatrixOracle` precomputes
-    all n rows up front; for planner use that cost profile is kept but
-    paid lazily — ``row(s)`` runs one counting BFS on first touch and is
-    cached for the engine's lifetime, so repeated queries out of a tiny
-    component amortise to O(1) like the dense matrix would.
-    """
-
-    name = "matrix"
-
-    def __init__(self, graph):
-        self.graph = graph
-        self._rows = {}
-        self._component_size = None
-
-    @property
-    def n(self):
-        return self.graph.n
-
-    def row(self, s, deadline=None):
-        """The cached ``(dist, count)`` lists of source ``s``."""
-        from repro.graph.traversal import bfs_count_from
-
-        cached = self._rows.get(s)
-        if cached is None:
-            cached = bfs_count_from(self.graph, s, deadline=deadline)
-            self._rows[s] = cached
-        return cached
-
-    def row_cached(self, s):
-        return s in self._rows
-
-    def component_size(self, v):
-        """Size of ``v``'s connected component (computed once, lazily)."""
-        if self._component_size is None:
-            from collections import Counter
-
-            from repro.graph.components import component_ids
-
-            ids = component_ids(self.graph)
-            sizes = Counter(ids)
-            self._component_size = [sizes[ids[v]] for v in range(self.graph.n)]
-        return self._component_size[v]
-
-    def pair(self, s, t, deadline=None):
-        if s == t:
-            return (0, 1)
-        dist, count = self.row(s, deadline=deadline)
-        return normalize_pair(dist[t], count[t])
-
-    def single_source(self, s, deadline=None):
-        return normalize_single_source(*self.row(s, deadline=deadline))
-
-    def pair_cost(self):
-        # Amortised: a cached row answers in O(1); the planner adds the
-        # first-touch sweep via component_size() when the row is cold.
-        return 1.0
 
 
 class OracleBackend(Backend):

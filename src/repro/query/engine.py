@@ -12,9 +12,9 @@ Execution guarantees:
 
 * answers are normalised value tuples — identical across backends, safe
   to cache and to compare in the conformance suite;
-* :class:`~repro.query.ast.Batch` children that are pair operators and
-  share a backend are coalesced into one batched ``pairs`` call (one
-  vectorized ``count_many`` for a thousand ``Count`` nodes);
+* the pair-operator children of a :class:`~repro.query.ast.Batch` run as
+  the plan's one pair group: one batched ``pairs`` call (one vectorized
+  ``count_many`` for a thousand ``Count`` nodes);
 * ``deadline`` (duck-typed ``check()``) threads into every backend call,
   so serving-tier budgets bound compiled queries exactly like direct
   ones;
@@ -26,7 +26,6 @@ Execution guarantees:
 from repro.exceptions import PlanError
 from repro.query.ast import (
     Batch,
-    Count,
     PAIR_OPS,
     Relevance,
     SetToSet,
@@ -36,16 +35,11 @@ from repro.query.ast import (
 from repro.query.backends import (
     BFSBackend,
     FlatBackend,
-    MatrixBackend,
     OracleBackend,
     ResilientBackend,
 )
 from repro.query.cache import ResultCache
-from repro.query.planner import (
-    DEFAULT_MATRIX_MAX,
-    DEFAULT_SAMPLES,
-    QueryPlanner,
-)
+from repro.query.planner import DEFAULT_SAMPLES, QueryPlanner
 
 INF = float("inf")
 
@@ -109,8 +103,8 @@ class QueryEngine:
     Parameters
     ----------
     graph:
-        The live graph; unlocks the BFS and matrix backends and the
-        exact-Brandes top-k strategy.
+        The live graph; unlocks the BFS backend and the exact-Brandes
+        top-k strategy.
     index:
         A built :class:`~repro.core.index.SPCIndex`; unlocks the flat
         backend (dropped automatically while ``index.stale``).
@@ -138,8 +132,7 @@ class QueryEngine:
 
     def __init__(self, graph=None, index=None, oracle=None, resilient=None,
                  n=None, bfs_engine="python", cache=True, generation=None,
-                 backends=None, matrix_max=DEFAULT_MATRIX_MAX,
-                 default_samples=DEFAULT_SAMPLES):
+                 backends=None, default_samples=DEFAULT_SAMPLES):
         self.graph = graph
         self.index = index
         self._backends = []
@@ -152,7 +145,6 @@ class QueryEngine:
             if index is not None:
                 self._backends.append(FlatBackend(index))
             if graph is not None:
-                self._backends.append(MatrixBackend(graph))
                 self._backends.append(BFSBackend(graph, engine=bfs_engine))
             if oracle is not None:
                 self._backends.append(OracleBackend(oracle, n=n))
@@ -169,8 +161,8 @@ class QueryEngine:
             self._cache = cache
         self._n_override = n
         self._planner = QueryPlanner(
-            self._backends, graph=graph, matrix_max=matrix_max,
-            default_samples=default_samples, only=backends,
+            self._backends, graph=graph, default_samples=default_samples,
+            only=backends,
         )
 
     # -- introspection --------------------------------------------------------
@@ -265,66 +257,32 @@ class QueryEngine:
         raise PlanError(f"unknown query node {type(node).__name__}")
 
     def _execute_batch(self, plan_node, deadline):
-        """Children grouped per backend: one ``pairs`` call per group.
+        """Run the plan's pair group as one ``pairs`` call, then the rest.
 
-        Grouping preserves child order in the answer tuple; only pair
-        operators coalesce — other children run through their own plan
-        nodes one by one. The grouping is a pure function of the plan's
-        (immutable) children, so it is computed once and memoised on the
-        plan node; a compiled all-``Count`` batch reduces to a single
-        ``pairs`` call with no per-child work at all.
+        The planner already split the batch: its :class:`~repro.query
+        .planner.PairGroup` holds every pair-operator child's position
+        and ``(s, t)``, and ``children`` the other children's plans at
+        ``positions``. Answers keep the batch's child order; an
+        all-``Count`` batch is a single ``pairs`` call with no per-child
+        work at all.
         """
-        if plan_node.pair_groups is None:
-            plan_node.pair_groups = self._group_batch(plan_node.children)
-        singles, groups = plan_node.pair_groups
-        children = plan_node.children
-        if not singles and len(groups) == 1 and groups[0][3] is None:
-            backend, _, pairs, _ = groups[0]
-            return tuple(backend.pairs(pairs, deadline=deadline))
-        results = [None] * len(children)
-        for i, child in singles:
+        group = plan_node.group
+        if (group is not None and group.splicers is None
+                and not plan_node.children):
+            return tuple(group.backend.pairs(group.pairs, deadline=deadline))
+        results = [None] * len(plan_node.node.queries)
+        for i, child in zip(plan_node.positions, plan_node.children):
             results[i] = self._execute(child, deadline)
-        for backend, indexes, pairs, splicers in groups:
-            answers = backend.pairs(pairs, deadline=deadline)
-            if splicers is None:  # all-Count group: answers pass through
-                for i, answer in zip(indexes, answers):
+        if group is not None:
+            answers = group.backend.pairs(group.pairs, deadline=deadline)
+            if group.splicers is None:  # all-Count group: answers pass through
+                for i, answer in zip(group.indexes, answers):
                     results[i] = answer
             else:
-                for i, splice, answer in zip(indexes, splicers, answers):
+                for i, splice, answer in zip(group.indexes, group.splicers,
+                                             answers):
                     results[i] = answer if splice is None else splice(*answer)
         return tuple(results)
-
-    @staticmethod
-    def _group_batch(children):
-        """Split batch children into non-pair singles and pair groups.
-
-        Returns ``(singles, groups)``: ``singles`` is ``(index, plan
-        child)`` rows executed individually; each group is ``(backend,
-        indexes, pairs, splicers)`` with ``splicers`` ``None`` when every
-        member is a plain :class:`Count` (whose answer needs no
-        projection), else per-index ``from_pair`` methods.
-        """
-        singles = []
-        grouped = {}
-        for i, child in enumerate(children):
-            if isinstance(child.node, PAIR_OPS):
-                grouped.setdefault(id(child.backend),
-                                   (child.backend, []))[1].append(i)
-            else:
-                singles.append((i, child))
-        groups = []
-        for backend, indexes in grouped.values():
-            pairs = [(children[i].node.s, children[i].node.t)
-                     for i in indexes]
-            splicers = tuple(
-                None if type(children[i].node) is Count
-                else children[i].node.from_pair
-                for i in indexes
-            )
-            if not any(splicers):
-                splicers = None
-            groups.append((backend, tuple(indexes), pairs, splicers))
-        return tuple(singles), tuple(groups)
 
     def _execute_relevance(self, node, backend, deadline):
         answers = backend.pairs([(node.source, v) for v in node.candidates],

@@ -1,66 +1,106 @@
 """Cost-based planning: pick the cheapest backend for every AST node.
 
-The cost model is deliberately coarse — label scans, BFS sweeps and
-cached matrix rows differ by orders of magnitude, so rough work-unit
-estimates pick the right backend without calibration:
+The cost model is deliberately coarse — label scans and BFS sweeps
+differ by orders of magnitude, so rough work-unit estimates pick the
+right backend without calibration:
 
 =============  ============================================================
 backend        estimated cost per pair query
 =============  ============================================================
 ``flat``       ``2 x avg |L(v)|`` (two label rows scanned)
 ``bfs``        ``n + m`` (one counting BFS)
-``matrix``     ``component_size(s)`` on first touch, then ``1`` (row cache)
 ``oracle``     a flat-ish constant (usually the only backend available)
 =============  ============================================================
 
-Selection rules that fall out of it (and are asserted by the planner
-tests): the flat engine wins whenever an index generation is loaded and
-fresh; a stale or absent index falls back to BFS; the apsp-matrix row
-cache wins over BFS only inside *tiny* components (``matrix_max``
-vertices, default 32), where its first-touch sweep is cheap and repeat
-queries are O(1). :class:`~repro.query.ast.TopKBetweenness` is a
-strategy choice instead: exact Brandes when ``samples is None`` and a
-graph is attached, otherwise sampled estimation over the cheapest pair
-backend. Plans are explainable (:meth:`Plan.explain`) and cheap enough
-to rebuild per run; the engine re-plans whenever the index generation or
-backend availability changes.
+No estimate depends on the node, so selection rules fall out of the
+backend line-up alone (and are asserted by the planner tests): the flat
+engine wins whenever an index generation is loaded and fresh; a stale or
+absent index falls back to BFS. :class:`~repro.query.ast.TopKBetweenness`
+is a strategy choice instead: exact Brandes when ``samples is None`` and
+a graph is attached, otherwise sampled estimation over the cheapest pair
+backend.
+
+A :class:`~repro.query.ast.Batch` is planned in one pass over its
+children: every pair-operator child (``Count``, ``Distance``,
+``PathExists``) shares one backend decision and lands in one
+:class:`PairGroup` that the engine answers with a single ``pairs`` call;
+the other children are planned one by one. Plans are explainable
+(:meth:`Plan.explain`) and cheap enough to rebuild per run; the engine
+re-plans whenever the index generation or backend availability changes.
 
 Every produced plan bumps ``spc_query_plans_total{operator=...}`` and
-``spc_query_backends_chosen_total{backend=...}`` when metrics are on.
+``spc_query_backends_chosen_total{backend=...}`` when metrics are on;
+the latter counts one per query node, so a pair group adds its size.
 """
 
 from repro.exceptions import PlanError
 from repro.observability.metrics import get_registry
-from repro.query.ast import Batch, PAIR_OPS, Relevance, SetToSet, SingleSource, TopKBetweenness
+from repro.query.ast import (
+    Batch,
+    Count,
+    PAIR_OPS,
+    Relevance,
+    SetToSet,
+    SingleSource,
+    TopKBetweenness,
+)
 
-__all__ = ["PlanNode", "Plan", "QueryPlanner", "DEFAULT_MATRIX_MAX",
-           "DEFAULT_SAMPLES"]
-
-#: Largest component the planner will serve from the matrix row cache.
-DEFAULT_MATRIX_MAX = 32
+__all__ = ["PairGroup", "PlanNode", "Plan", "QueryPlanner", "DEFAULT_SAMPLES"]
 
 #: Pair samples for a TopKBetweenness that pinned none but must sample.
 DEFAULT_SAMPLES = 400
 
 
+class PairGroup:
+    """A batch's pair-operator children, answered by one ``pairs`` call.
+
+    ``indexes`` are the children's positions in the batch, ``pairs``
+    their ``(s, t)`` in the same order; ``splicers`` is ``None`` when
+    every member is a plain :class:`Count` (whose answer needs no
+    projection), else each member's ``from_pair`` (``None`` for a
+    ``Count``).
+    """
+
+    __slots__ = ("backend", "backend_name", "queries", "indexes", "pairs",
+                 "splicers", "cost")
+
+    def __init__(self, backend, queries, indexes, pairs, splicers):
+        self.backend = backend
+        self.backend_name = backend.name
+        self.queries = queries
+        self.indexes = indexes
+        self.pairs = pairs
+        self.splicers = splicers
+        self.cost = len(pairs) * backend.pair_cost()
+
+    def describe(self):
+        """One human line: ``count x1000 -> flat (cost ~N)``."""
+        ops = "+".join(dict.fromkeys(self.queries[i].op for i in self.indexes))
+        return (f"{ops} x{len(self.indexes)} -> {self.backend_name} "
+                f"(cost ~{self.cost:.0f})")
+
+
 class PlanNode:
-    """One node's execution decision: backend, strategy, estimated cost."""
+    """One node's execution decision: backend, strategy, estimated cost.
+
+    A batch node carries its :class:`PairGroup` (or ``None``) in
+    ``group`` and its other children's plans in ``children``, at the
+    batch positions ``positions``.
+    """
 
     __slots__ = ("node", "backend", "backend_name", "strategy", "cost",
-                 "children", "pair_groups")
+                 "children", "positions", "group")
 
     def __init__(self, node, backend, backend_name, cost, strategy=None,
-                 children=()):
+                 children=(), positions=(), group=None):
         self.node = node
         self.backend = backend
         self.backend_name = backend_name
         self.strategy = strategy
         self.cost = cost
         self.children = tuple(children)
-        # Lazily memoised by the engine for Batch nodes: the per-backend
-        # pair grouping is a pure function of the (immutable) children,
-        # so a CompiledQuery pays for it once, not on every run.
-        self.pair_groups = None
+        self.positions = tuple(positions)
+        self.group = group
 
     def describe(self):
         """One human line: ``operator -> backend (cost ~N)``."""
@@ -83,6 +123,8 @@ class Plan:
 
         def walk(plan_node, depth):
             lines.append("  " * depth + plan_node.describe())
+            if plan_node.group is not None:
+                lines.append("  " * (depth + 1) + plan_node.group.describe())
             for child in plan_node.children:
                 walk(child, depth + 1)
 
@@ -107,57 +149,26 @@ class QueryPlanner:
     time through it).
     """
 
-    def __init__(self, backends, graph=None, matrix_max=DEFAULT_MATRIX_MAX,
-                 default_samples=DEFAULT_SAMPLES, only=None):
+    def __init__(self, backends, graph=None, default_samples=DEFAULT_SAMPLES,
+                 only=None):
         self._backends = tuple(backends)
         self._graph = graph
-        self.matrix_max = matrix_max
         self.default_samples = default_samples
         self._only = None if only is None else frozenset(only)
 
-    def _candidates(self, node=None):
-        """Backends eligible right now (availability + ``only`` filter).
-
-        ``node`` scopes the matrix backend's tiny-component rule to the
-        node's source vertex when it has one.
-        """
-        out = []
-        for backend in self._backends:
-            if not backend.available():
-                continue
-            if self._only is not None and backend.name not in self._only:
-                continue
-            if backend.name == "matrix" and not self._matrix_eligible(
-                    backend, node):
-                continue
-            out.append(backend)
-        return out
-
-    def _matrix_eligible(self, backend, node):
-        source = getattr(node, "s", None)
-        if source is None:
-            source = getattr(node, "source", None)
-        if source is None:
-            # No anchoring source (set-to-set, topk): bound by graph size.
-            return backend.n is not None and backend.n <= self.matrix_max
-        return backend.component_size(source) <= self.matrix_max
-
-    def _pair_cost(self, backend, node):
-        if backend.name != "matrix":
-            return backend.pair_cost()
-        source = getattr(node, "s", getattr(node, "source", None))
-        if source is not None and not backend.row_cached(source):
-            return float(backend.component_size(source))
-        return backend.pair_cost()
-
     def _cheapest_pair(self, node):
-        candidates = self._candidates(node)
+        """The available, allowed backend with the lowest pair cost."""
+        candidates = [
+            backend for backend in self._backends
+            if backend.available()
+            and (self._only is None or backend.name in self._only)
+        ]
         if not candidates:
             raise PlanError(
                 f"no backend available for operator {node.op!r} "
                 "(engine built without an index, graph or oracle?)"
             )
-        return min(candidates, key=lambda b: self._pair_cost(b, node))
+        return min(candidates, key=lambda b: b.pair_cost())
 
     def plan(self, node):
         """Produce a :class:`Plan` for ``node`` and record plan metrics."""
@@ -169,42 +180,63 @@ class QueryPlanner:
             for plan_node in plan.walk():
                 registry.counter("spc_query_backends_chosen_total",
                                  backend=plan_node.backend_name).inc()
+                group = plan_node.group
+                if group is not None:
+                    registry.counter("spc_query_backends_chosen_total",
+                                     backend=group.backend_name).inc(
+                                         len(group.indexes))
         return plan
 
     def _plan_node(self, node):
         if isinstance(node, Batch):
-            children = [self._plan_node(child) for child in node.queries]
-            cost = sum(child.cost for child in children)
-            return PlanNode(node, None, "batch", cost, children=children)
+            return self._plan_batch(node)
         if isinstance(node, PAIR_OPS):
             backend = self._cheapest_pair(node)
-            return PlanNode(node, backend, backend.name,
-                            self._pair_cost(backend, node))
+            return PlanNode(node, backend, backend.name, backend.pair_cost())
         if isinstance(node, SingleSource):
             backend = self._cheapest_pair(node)
             return PlanNode(node, backend, backend.name,
-                            self._sweep_cost(backend, node.s))
+                            self._sweep_cost(backend))
         if isinstance(node, SetToSet):
             backend = self._cheapest_pair(node)
-            cost = len(node.sources) * self._sweep_cost(backend, None)
+            cost = len(node.sources) * self._sweep_cost(backend)
             return PlanNode(node, backend, backend.name, cost)
         if isinstance(node, Relevance):
             backend = self._cheapest_pair(node)
-            cost = max(1, len(node.candidates)) * self._pair_cost(backend, node)
+            cost = max(1, len(node.candidates)) * backend.pair_cost()
             return PlanNode(node, backend, backend.name, cost)
         if isinstance(node, TopKBetweenness):
             return self._plan_topk(node)
         raise PlanError(f"unknown query node {type(node).__name__}")
 
-    def _sweep_cost(self, backend, source):
+    def _plan_batch(self, node):
+        """One pass: pair children join the group, the rest plan alone."""
+        indexes, pairs, splicers = [], [], []
+        positions, children = [], []
+        for i, child in enumerate(node.queries):
+            if isinstance(child, PAIR_OPS):
+                indexes.append(i)
+                pairs.append((child.s, child.t))
+                splicers.append(None if type(child) is Count
+                                else child.from_pair)
+            else:
+                positions.append(i)
+                children.append(self._plan_node(child))
+        group = None
+        if indexes:
+            group = PairGroup(self._cheapest_pair(node.queries[indexes[0]]),
+                              node.queries, tuple(indexes), pairs,
+                              tuple(splicers) if any(splicers) else None)
+        cost = sum(child.cost for child in children)
+        cost += group.cost if group is not None else 0.0
+        return PlanNode(node, None, "batch", cost, children=children,
+                        positions=positions, group=group)
+
+    def _sweep_cost(self, backend):
         """Cost of one full single-source sweep on ``backend``."""
         n = backend.n or 1
         if backend.name == "flat":
             return float(n)  # one pass over all label entries, amortised
-        if backend.name == "matrix":
-            if source is not None and backend.row_cached(source):
-                return float(n)  # read the cached row back out
-            return 2.0 * n
         return backend.pair_cost()  # bfs/oracle: one sweep ~ one pair query
 
     def _plan_topk(self, node):
@@ -217,6 +249,6 @@ class QueryPlanner:
         samples = node.samples or self.default_samples
         targets = (len(node.vertices) if node.vertices is not None
                    else (backend.n or 1))
-        cost = 3.0 * samples * targets * self._pair_cost(backend, node)
+        cost = 3.0 * samples * targets * backend.pair_cost()
         return PlanNode(node, backend, f"sampled+{backend.name}", cost,
                         strategy="sampled")

@@ -9,6 +9,7 @@ across all of them.
 
 import pytest
 
+from repro.baselines.apsp_matrix import CountMatrixOracle
 from repro.core.index import SPCIndex
 from repro.graph.graph import Graph
 from repro.query import QueryEngine
@@ -39,8 +40,8 @@ def build_engine(kind, graph):
     if kind == "bfs-csr":
         return QueryEngine(graph=graph, backends=("bfs",), bfs_engine="csr")
     if kind == "matrix":
-        return QueryEngine(graph=graph, backends=("matrix",),
-                           matrix_max=graph.n)
+        # The paper's dense count-matrix baseline, through the oracle backend.
+        return QueryEngine(oracle=CountMatrixOracle.build(graph), n=graph.n)
     if kind == "oracle":
         return QueryEngine(oracle=SPCIndex.build(graph), n=graph.n)
     raise ValueError(f"unknown backend kind {kind!r}")

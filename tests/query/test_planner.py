@@ -1,11 +1,12 @@
 """Planner fallback edges and cache-token invalidation semantics.
 
 The selection matrix under test: a fresh index generation wins, a stale
-or absent index falls back to BFS, the lazy apsp-matrix row cache only
-wins inside tiny components, and ``TopKBetweenness`` flips between the
-exact Brandes strategy and sampled estimation. Cache behaviour: a hot
-reload (generation bump) or a staleness demotion changes the token and
-every previously cached answer must miss.
+or absent index falls back to BFS, and ``TopKBetweenness`` flips between
+the exact Brandes strategy and sampled estimation. A batch's pair
+children share one backend decision, so planning it prices backends a
+constant number of times however many children it has. Cache behaviour:
+a hot reload (generation bump) or a staleness demotion changes the token
+and every previously cached answer must miss.
 """
 
 import pytest
@@ -13,20 +14,22 @@ import pytest
 from repro.core.index import SPCIndex
 from repro.exceptions import PlanError, VertexError
 from repro.generators import cycle_graph, path_graph
+from repro.observability.metrics import MetricsRegistry, scoped_registry
 from repro.query import (
     Batch,
     Count,
+    Distance,
     QueryEngine,
     SingleSource,
     TopKBetweenness,
 )
+from repro.query.backends import FlatBackend
 
 INF = float("inf")
 
 
 @pytest.fixture()
 def big_graph():
-    # 64 > DEFAULT_MATRIX_MAX: the matrix backend is never eligible.
     return cycle_graph(64)
 
 
@@ -51,9 +54,9 @@ class TestBackendSelection:
         engine = QueryEngine(graph=big_graph)
         assert engine.plan(Count(0, 40)).root.backend_name == "bfs"
 
-    def test_tiny_component_uses_matrix(self):
+    def test_tiny_component_uses_bfs(self):
         engine = QueryEngine(graph=path_graph(5))
-        assert engine.plan(Count(0, 4)).root.backend_name == "matrix"
+        assert engine.plan(Count(0, 4)).root.backend_name == "bfs"
         assert engine.run(Count(0, 4)) == (4, 1)
 
     def test_no_backend_raises_plan_error(self, big_graph):
@@ -63,10 +66,56 @@ class TestBackendSelection:
             engine.run(Count(0, 1))
 
     def test_batch_children_plan_independently(self, big_engine):
-        plan = big_engine.plan(Batch((Count(0, 1), SingleSource(2))))
+        batch = Batch((Count(0, 1), SingleSource(2), Distance(3, 4)))
+        plan = big_engine.plan(batch)
         assert plan.root.backend_name == "batch"
-        assert [child.backend_name for child in plan.root.children] == \
-            ["flat", "flat"]
+        # The pair children form one group; the sweep plans on its own.
+        assert plan.root.group.indexes == (0, 2)
+        assert plan.root.group.pairs == [(0, 1), (3, 4)]
+        assert [child.node for child in plan.root.children] == \
+            [SingleSource(2)]
+        assert plan.root.positions == (1,)
+        lines = plan.explain().splitlines()
+        assert lines[0].startswith("batch -> batch (cost ~")
+        assert lines[1].startswith("  count+distance x2 -> flat (cost ~")
+        assert lines[2].startswith("  single_source -> flat (cost ~")
+        assert len(lines) == 3
+
+
+class TestBatchPlanningCost:
+    @staticmethod
+    def _cost_model_calls(engine, children):
+        calls = {"pair_cost": 0, "available": 0}
+        backend = next(b for b in engine._backends
+                       if isinstance(b, FlatBackend))
+        for name in calls:
+            method = getattr(backend, name)
+
+            def counted(_method=method, _name=name):
+                calls[_name] += 1
+                return _method()
+
+            setattr(backend, name, counted)
+        engine.plan(Batch(tuple(Count(i % 64, (7 * i) % 64)
+                                for i in range(children))))
+        return calls
+
+    def test_cost_model_calls_do_not_grow_with_children(self, big_graph):
+        index = SPCIndex.build(big_graph)
+        small = self._cost_model_calls(QueryEngine(index=index), 10)
+        large = self._cost_model_calls(QueryEngine(index=index), 1000)
+        assert small["pair_cost"] >= 1 and small["available"] >= 1
+        assert large == small
+
+    def test_backend_metric_counts_every_child(self, big_engine):
+        with scoped_registry(MetricsRegistry()) as registry:
+            big_engine.run(Batch(tuple(Count(i % 64, (i * 5) % 64)
+                                       for i in range(1000))))
+        chosen = registry.counter("spc_query_backends_chosen_total",
+                                  backend="flat")
+        assert chosen.value == 1000
+        assert registry.counter("spc_query_backends_chosen_total",
+                                backend="batch").value == 1
 
 
 class TestTopKStrategies:
@@ -115,11 +164,20 @@ class TestCacheInvalidation:
 
     def test_compiled_query_replans_on_token_change(self, big_engine):
         compiled = big_engine.compile(Count(0, 9))
+        batch = big_engine.compile(
+            Batch((Count(0, 9), SingleSource(3), Distance(0, 32))))
         assert compiled.plan.root.backend_name == "flat"
+        assert batch.plan.root.group.backend_name == "flat"
         assert compiled.run() == (9, 1)
+        answers = batch.run()
+        assert answers[0] == (9, 1) and answers[2] == 32
         big_engine.index.mark_stale(reason="churn")
         assert compiled.plan.root.backend_name == "bfs"
+        assert batch.plan.root.group.backend_name == "bfs"
+        assert [child.backend_name for child in batch.plan.root.children] \
+            == ["bfs"]
         assert compiled.run() == (9, 1)
+        assert batch.run() == answers
 
 
 class TestValidation:

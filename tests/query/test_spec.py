@@ -2,12 +2,14 @@
 
 Each row specifies an operator in the compact textual form plus its
 expected answer on the spec graph; the test matrix runs every row
-against every exact backend (flat labels, python BFS, CSR BFS, lazy
-apsp-matrix, duck-typed oracle) and asserts bit-identical answers.
+against every exact backend (flat labels, python BFS, CSR BFS, and the
+dense count-matrix baseline and an index behind the duck-typed oracle
+backend) and asserts bit-identical answers.
 Rows with ``expected=None`` (the sampled estimator) are checked for
 cross-backend agreement against the BFS reference instead of a pinned
 literal. A hypothesis sweep then generates random graphs and random
-plans and asserts the same agreement property.
+plans and asserts the same agreement property, plus that a batch's
+answer lines up child by child with running each child alone.
 """
 
 import pytest
@@ -180,6 +182,14 @@ def graph_and_plan(draw):
 @settings(**SETTINGS)
 def test_backends_agree_on_generated_plans(case):
     graph, batch = case
-    answers = [build_engine(kind, graph).run(batch) for kind in BACKEND_KINDS]
+    answers = []
+    for kind in BACKEND_KINDS:
+        engine = build_engine(kind, graph)
+        answer = engine.run(batch)
+        # Pair and non-pair children interleave: the batch answer must
+        # keep child order, exactly as running each child alone.
+        assert answer == tuple(engine.run(child) for child in batch.queries), \
+            f"{kind} batch answer out of line with its children"
+        answers.append(answer)
     for kind, answer in zip(BACKEND_KINDS[1:], answers[1:]):
         assert answer == answers[0], f"{kind} disagrees with flat"

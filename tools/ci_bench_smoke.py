@@ -10,7 +10,11 @@ engine's (default 1.0: flat must not lose).
 A second leg gates the query compilation layer: the same workload as a
 compiled ``Batch`` of ``Count`` nodes must answer bit-identically to raw
 ``count_many`` and add less than ``--max-plan-overhead`` relative wall
-time (default 0.05) over it.
+time (default 0.05) over it. That compiled run reuses its cached plan,
+so a third, cold leg times an uncompiled ``engine.run`` of the batch,
+which validates and plans it on every call as a fresh batch does, and
+fails at ``--max-cold-plan-overhead`` (default 0.15) over raw
+``count_many``.
 
 Run from the repository root:
 
@@ -39,6 +43,10 @@ def main(argv=None):
                         help="fail when the compiled query layer adds more "
                              "than this relative overhead over raw "
                              "count_many (default 0.05)")
+    parser.add_argument("--max-cold-plan-overhead", type=float, default=0.15,
+                        help="fail when an uncompiled run, which plans the "
+                             "batch afresh, adds more than this relative "
+                             "overhead over raw count_many (default 0.15)")
     parser.add_argument("--output", default="BENCH_ci_smoke.json")
     args = parser.parse_args(argv)
 
@@ -67,7 +75,8 @@ def main(argv=None):
     from repro.query import Batch, Count, QueryEngine
 
     engine = QueryEngine(index=index, cache=None)
-    compiled = engine.compile(Batch(tuple(Count(s, t) for s, t in pairs)))
+    batch = Batch(tuple(Count(s, t) for s, t in pairs))
+    compiled = engine.compile(batch)
     plan_answers = list(compiled.run())
     direct_answers = [tuple(answer) for answer in index.count_many(pairs)]
     if plan_answers != direct_answers:
@@ -77,7 +86,7 @@ def main(argv=None):
     # Interleaved best-of-N: both paths share the same vectorized scans,
     # so the minimum isolates the compilation layer's per-run overhead
     # from scheduler/GC noise.
-    direct_seconds = plan_seconds = float("inf")
+    direct_seconds = plan_seconds = cold_seconds = float("inf")
     for _ in range(5):
         started = time.perf_counter()
         index.count_many(pairs)
@@ -85,11 +94,18 @@ def main(argv=None):
         started = time.perf_counter()
         compiled.run()
         plan_seconds = min(plan_seconds, time.perf_counter() - started)
+        started = time.perf_counter()
+        engine.run(batch)
+        cold_seconds = min(cold_seconds, time.perf_counter() - started)
     plan_overhead = plan_seconds / direct_seconds - 1.0
+    cold_overhead = cold_seconds / direct_seconds - 1.0
     print(f"query layer  : direct {direct_seconds * 1e3:.1f}ms, "
           f"compiled {plan_seconds * 1e3:.1f}ms, "
           f"overhead {plan_overhead:+.2%} "
           f"(ceiling {args.max_plan_overhead:+.2%})")
+    print(f"cold planning: uncompiled {cold_seconds * 1e3:.1f}ms, "
+          f"overhead {cold_overhead:+.2%} "
+          f"(ceiling {args.max_cold_plan_overhead:+.2%})")
 
     report = {
         "graph": {"family": "barabasi_albert", "n": graph.n, "m": graph.m,
@@ -109,6 +125,9 @@ def main(argv=None):
             "compiled_seconds": round(plan_seconds, 4),
             "plan_overhead": round(plan_overhead, 4),
             "max_plan_overhead": args.max_plan_overhead,
+            "cold_seconds": round(cold_seconds, 4),
+            "cold_plan_overhead": round(cold_overhead, 4),
+            "max_cold_plan_overhead": args.max_cold_plan_overhead,
         },
         "python_version": platform.python_version(),
     }
@@ -125,6 +144,10 @@ def main(argv=None):
     if plan_overhead >= args.max_plan_overhead:
         print(f"FAIL: compiled query overhead {plan_overhead:+.2%} "
               f">= ceiling {args.max_plan_overhead:+.2%}", file=sys.stderr)
+        return 1
+    if cold_overhead >= args.max_cold_plan_overhead:
+        print(f"FAIL: cold planning overhead {cold_overhead:+.2%} "
+              f">= ceiling {args.max_cold_plan_overhead:+.2%}", file=sys.stderr)
         return 1
     return 0
 

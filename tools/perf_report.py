@@ -139,6 +139,14 @@ def render_ci_smoke(record):
             f"answers bit-identical: "
             f"{_fmt(query_layer.get('answers_identical'))}) |",
         ]
+        cold = query_layer.get("cold_plan_overhead")
+        if cold is not None:
+            cold_ceiling = query_layer.get("max_cold_plan_overhead")
+            lines.append(
+                f"| Uncompiled run, planned afresh | {_fmt(cold * 100, '+.2f')}% "
+                f"over raw count_many (ceiling "
+                f"{_fmt(None if cold_ceiling is None else cold_ceiling * 100, '+.0f')}%) |"
+            )
     return lines
 
 
