@@ -93,12 +93,8 @@ class _PairQuery(Query):
         return (self.op, self.s, self.t)
 
     def validate(self, n):
-        s, t = self.s, self.t
-        # Plain in-range ints pass with no call: a fresh batch validates
-        # every child on each run. _check_vertex decides everything else.
-        if not (type(s) is int and type(t) is int and 0 <= s < n and 0 <= t < n):
-            _check_vertex(s, n)
-            _check_vertex(t, n)
+        _check_vertex(self.s, n)
+        _check_vertex(self.t, n)
 
     def from_pair(self, dist, count):
         """Project a normalised ``(dist, count)`` pair into this node's answer."""

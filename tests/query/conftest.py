@@ -16,7 +16,9 @@ from repro.query import QueryEngine
 
 INF = float("inf")
 
-#: Every exact backend the conformance table runs each operator against.
+#: Every exact answerer the conformance table runs each operator against.
+#: "matrix" and "oracle" both answer through the duck-typed oracle backend:
+#: one is the paper's dense count-matrix baseline, the other an SPCIndex.
 BACKEND_KINDS = ("flat", "bfs", "bfs-csr", "matrix", "oracle")
 
 
@@ -40,7 +42,6 @@ def build_engine(kind, graph):
     if kind == "bfs-csr":
         return QueryEngine(graph=graph, backends=("bfs",), bfs_engine="csr")
     if kind == "matrix":
-        # The paper's dense count-matrix baseline, through the oracle backend.
         return QueryEngine(oracle=CountMatrixOracle.build(graph), n=graph.n)
     if kind == "oracle":
         return QueryEngine(oracle=SPCIndex.build(graph), n=graph.n)

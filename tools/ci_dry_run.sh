@@ -34,7 +34,8 @@
 #               CI scale, writing BENCH_ci_smoke.json / BENCH_construction.json.
 #               The bench smoke also gates the query compilation layer:
 #               compiled Batch(Count...) answers must be bit-identical to
-#               raw count_many with <5% planning overhead
+#               raw count_many with <5% planning overhead, and an
+#               uncompiled batch, planned on every run, within <15%
 #   scaling-gate tools/ci_construction_smoke.py --tier scaling (CI runs the
 #               100k budgeted csr-batch build; the dry run scales it down
 #               to keep a laptop pass under a minute)
