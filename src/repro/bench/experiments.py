@@ -219,23 +219,35 @@ PAPER_TABLE5 = {
 }
 
 
+def _best_build(build, repeat=3):
+    """``(index, seconds)``: the last of ``repeat`` builds and the fastest
+    ``build_seconds`` among them, so one slow build on a loaded host does
+    not decide a comparison of builds that take milliseconds."""
+    seconds = []
+    for _ in range(repeat):
+        index = build()
+        seconds.append(index.build_seconds)
+    return index, min(seconds)
+
+
 def exp6_planar(n=350, queries=500, seed=0):
     """Exp-6 / Table 5: PL-SPC vs HP-SPC_P vs HP-SPC_D vs HP-SPC_S on Delaunay.
 
     Sizes use the paper's wide Exp-6 packing (32+32+128 bits per entry);
-    the paper's own Table 5 values ride along for side-by-side reporting.
+    ``index_s`` is each variant's best of 3 builds; the paper's own Table 5
+    values ride along for side-by-side reporting.
     """
     graph, points = load_delaunay(n=n, seed=20)
     pairs = query_workload(graph.n, queries, seed=seed)
     order, tree = planar_separator_order(graph, points=points, return_tree=True)
     rows = []
 
-    pl = PLSPCIndex.build(graph, order=order)
+    pl, index_s = _best_build(lambda: PLSPCIndex.build(graph, order=order))
     avg, _ = time_queries(pl, pairs)
     rows.append(
         {
             "variant": "PL-SPC",
-            "index_s": pl.build_seconds,
+            "index_s": index_s,
             "size_bytes": pl.size_bytes(192),
             "entries": pl.total_entries(),
             "query_us": avg * 1e6,
@@ -246,12 +258,14 @@ def exp6_planar(n=350, queries=500, seed=0):
         ("HP-SPC_D", "degree"),
         ("HP-SPC_S", "significant-path"),
     ):
-        index = SPCIndex.build(graph, ordering=ordering)
+        index, index_s = _best_build(
+            lambda ordering=ordering: SPCIndex.build(graph, ordering=ordering)
+        )
         avg, _ = time_queries(index, pairs)
         rows.append(
             {
                 "variant": label,
-                "index_s": index.build_seconds,
+                "index_s": index_s,
                 "size_bytes": index.size_bytes(192),
                 "entries": index.total_entries(),
                 "query_us": avg * 1e6,

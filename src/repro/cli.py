@@ -3,16 +3,15 @@
 Usage (also available as ``python -m repro``):
 
     repro-spc info   graph.txt
-    repro-spc build  graph.txt index.bin --ordering significant-path
-    repro-spc build  graph.txt index.bin --engine csr
+    repro-spc build  graph.txt index.bin
+    repro-spc build  graph.txt index.bin --ordering significant-path --engine python
     repro-spc query  index.bin 12 9075
     repro-spc query  index.bin --random 5 --graph graph.txt --engine flat
     repro-spc stats  index.bin
     repro-spc verify index.bin graph.txt --samples 500
     repro-spc bench  index.bin --queries 2000 --engine both
     repro-spc serve-smoke index.bin graph.txt --random 500 --deadline-ms 20
-    repro-spc build  graph.txt index.bin --engine csr --trace build-trace.json
-    repro-spc build  graph.txt index.spcf --engine csr-batch
+    repro-spc build  graph.txt index.bin --trace build-trace.json
     repro-spc query  index.spcf --random 5 --engine flat --mmap
     repro-spc churn-smoke --vertices 800 --duration 5 --rate 8
     repro-spc metrics --vertices 500 --format prom
@@ -109,18 +108,17 @@ def _cmd_info(args):
 def _cmd_build(args):
     import os
 
+    from repro.core.ordering import resolve_ordering
     from repro.io.serialize import WIDE_BITS, save_labels
 
     if args.resume and args.weighted:
         print("--resume is not supported for weighted builds", file=sys.stderr)
         return 2
-    if args.engine == "csr-batch":
-        if args.resume:
-            print("--resume is not supported for --engine csr-batch; its "
-                  "builds stream to --spill instead", file=sys.stderr)
-            return 2
-    elif args.batch_size is not None or args.spill is not None:
-        print("--batch-size/--spill require --engine csr-batch",
+    engine = args.engine or "csr"
+    if (args.engine is None and not args.weighted
+            and resolve_ordering(args.ordering).wants_tree):
+        print(f"--ordering {args.ordering} is adaptive; the default csr "
+              "engine needs a static ordering, so pass --engine python",
               file=sys.stderr)
         return 2
 
@@ -153,11 +151,9 @@ def _cmd_build(args):
                     if os.path.exists(checkpoint.path):
                         print(f"resuming from checkpoint {checkpoint.path}")
                 print(f"building HP-SPC over {graph.n} vertices / {graph.m} edges "
-                      f"(ordering: {args.ordering}, engine: {args.engine})...")
+                      f"(ordering: {args.ordering}, engine: {engine})...")
                 index = SPCIndex.build(graph, ordering=args.ordering,
-                                       engine=args.engine, checkpoint=checkpoint,
-                                       batch_size=args.batch_size,
-                                       spill_dir=args.spill)
+                                       engine=engine, checkpoint=checkpoint)
                 written = save_index(index, args.index, graph=graph)
                 elapsed = index.build_seconds
                 entries = index.total_entries()
@@ -685,20 +681,13 @@ def build_parser():
                    choices=["degree", "significant-path"])
     p.add_argument("--weighted", action="store_true",
                    help="treat the third edge-list column as edge weights")
-    p.add_argument("--engine", default="python",
-                   choices=["python", "csr", "csr-batch"],
-                   help="construction engine: scalar python, vectorized csr "
-                        "kernels, or the rank-batched large-graph engine "
-                        "(static orderings)")
-    p.add_argument("--batch-size", type=int, default=None, metavar="B",
-                   help="csr-batch: ranks swept per shared frontier pass "
-                        "(default: auto-sized from the scratch budget)")
-    p.add_argument("--spill", default=None, metavar="DIR",
-                   help="csr-batch: stream label emission chunks to DIR "
-                        "instead of holding them in RAM")
+    p.add_argument("--engine", default=None, choices=["python", "csr"],
+                   help="construction engine: the vectorized rank-batched "
+                        "csr kernels (default; static orderings) or the "
+                        "scalar python reference (any ordering)")
     p.add_argument("--resume", action="store_true",
                    help="checkpoint progress to INDEX.ckpt and resume from it "
-                        "if a previous build was interrupted (sequential only)")
+                        "if a previous build was interrupted")
     p.add_argument("--checkpoint-every", type=int, default=200, metavar="K",
                    help="with --resume: save a checkpoint every K hub pushes")
     p.add_argument("--trace", default=None, metavar="FILE",
@@ -849,8 +838,7 @@ def build_parser():
                    help="max-staleness SLO in seconds")
     p.add_argument("--slo-pending", type=int, default=64,
                    help="max-staleness SLO in pending mutations")
-    p.add_argument("--engine", default="csr",
-                   choices=["python", "csr", "csr-batch"],
+    p.add_argument("--engine", default="csr", choices=["python", "csr"],
                    help="rebuild construction engine (default csr)")
     p.add_argument("--no-service", action="store_true",
                    help="skip the SPCService front (facade checks only)")

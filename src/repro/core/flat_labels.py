@@ -28,6 +28,18 @@ INT = np.int64
 JOIN_BOUND = 1 << 62
 
 
+def narrow_dtypes(dist, count):
+    """The narrowest dtypes that hold the ``dist`` and ``count`` columns
+    losslessly: uint16 distances when the diameter allows, else uint32;
+    uint32 counts, escaping to int64 when any count is ``>= 2^32``."""
+    max_dist = int(dist.max()) if dist.size else 0
+    max_count = int(count.max()) if count.size else 0
+    dist_dtype = np.uint16 if max_dist <= np.iinfo(np.uint16).max else np.uint32
+    count_dtype = (np.uint32 if max_count <= int(np.iinfo(np.uint32).max)
+                   else INT)
+    return dist_dtype, count_dtype
+
+
 class FlatLabels:
     """Read-only CSR view of a finalized labeling.
 
@@ -237,26 +249,18 @@ class FlatLabels:
         """
         from repro.observability.metrics import get_registry
 
-        rank = self.rank.astype(np.uint32)
-        max_dist = int(self.dist.max()) if self.dist.size else 0
-        dist = self.dist.astype(
-            np.uint16 if max_dist <= np.iinfo(np.uint16).max else np.uint32
-        )
-        max_count = int(self.count.max()) if self.count.size else 0
-        if max_count <= int(np.iinfo(np.uint32).max):
-            count = self.count.astype(np.uint32)
-        else:
-            count = self.count.astype(INT)
+        dist_dtype, count_dtype = narrow_dtypes(self.dist, self.count)
+        if count_dtype == INT:
             registry = get_registry()
             if registry.enabled:
                 registry.counter("spc_count_overflow_escapes_total").inc()
         return FlatLabels(
             self.n,
             np.asarray(self.indptr, dtype=INT),
-            rank,
+            self.rank.astype(np.uint32),
             None,
-            dist,
-            count,
+            self.dist.astype(dist_dtype),
+            self.count.astype(count_dtype),
             np.asarray(self.canonical, dtype=np.bool_),
             np.asarray(self.order, dtype=INT),
         )

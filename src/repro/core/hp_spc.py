@@ -55,6 +55,11 @@ class BuildStats:
         "checkpoint_saves", "resumed_pushes",
     )
 
+    #: Counters every engine counts alike. ``visits``, ``prunes`` and
+    #: ``join_terms`` measure each engine's own sweep work, so the
+    #: rank-batched csr engine reports different values for them.
+    SHARED = ("pushes", "label_entries", "checkpoint_saves", "resumed_pushes")
+
     def __init__(self):
         self.pushes = 0
         self.visits = 0
@@ -131,11 +136,12 @@ def build_labels(
 ):
     """Run HP-SPC and return a finalized :class:`LabelSet`.
 
-    The python reference engine: a deque BFS per push, arbitrary-precision
-    counts, any ordering. The vectorized engines of
-    :mod:`repro.kernels.hub_push` and :mod:`repro.kernels.batch_push` emit
-    flat columns instead (``SPCIndex.build(engine="csr" | "csr-batch")``)
-    and match this engine entry for entry.
+    The paper-faithful reference engine: a deque BFS per push,
+    arbitrary-precision counts, any ordering, and the §4.2/§4.3 reduction
+    and PL-SPC knobs below. The vectorized engine of
+    :mod:`repro.kernels.hub_push` (``SPCIndex.build(engine="csr")``) emits
+    flat columns instead, for static orderings and the plain algorithm, and
+    matches this engine entry for entry.
 
     Parameters
     ----------

@@ -10,7 +10,7 @@ from repro.core.flat_labels import FlatLabels
 from repro.core.hp_spc import BuildStats, build_labels
 
 #: Construction engines accepted by :meth:`SPCIndex.build`.
-ENGINES = ("python", "csr", "csr-batch")
+ENGINES = ("python", "csr")
 
 
 class SPCIndex:
@@ -40,54 +40,31 @@ class SPCIndex:
 
     @classmethod
     def build(cls, graph, ordering="degree", collect_stats=False,
-              engine="python", checkpoint=None, batch_size=None,
-              spill_dir=None, mmap_dir=None):
+              engine="python", checkpoint=None):
         """Run HP-SPC on ``graph`` under ``ordering`` and wrap the labels.
 
-        ``engine="python"`` is the reference construction of
-        :func:`repro.core.hp_spc.build_labels` (any ordering); its labels
-        are frozen into flat columns once, after ``build_seconds`` stops,
-        and the freeze is timed by the ``spc_flat_freeze_seconds``
-        histogram. ``engine="csr"`` builds the columns directly with the
-        vectorized kernels of :mod:`repro.kernels.hub_push` (static
-        orderings). ``engine="csr-batch"`` is the rank-batched large-graph
-        engine (:mod:`repro.kernels.batch_push`): single process,
-        memory-frugal columns, with ``batch_size`` (ranks per shared
-        sweep, auto-sized by default), ``spill_dir`` (stream emission
-        chunks to disk during the build) and ``mmap_dir`` (memory-map the
-        final label columns) knobs. Every engine produces bit-identical
-        labels under the same static ordering.
+        ``engine="python"`` is the paper-faithful reference construction of
+        :func:`repro.core.hp_spc.build_labels` (any ordering, exact counts
+        at any width); its labels are frozen into flat columns once, after
+        ``build_seconds`` stops, and the freeze is timed by the
+        ``spc_flat_freeze_seconds`` histogram. ``engine="csr"`` builds
+        compact columns directly with the rank-batched vectorized kernels
+        of :mod:`repro.kernels.hub_push` (static orderings, int64 counts).
+        Both engines produce bit-identical labels under the same static
+        ordering.
 
         ``checkpoint`` (a :class:`~repro.io.checkpoint.BuildCheckpoint`)
         periodically persists rank-watermark progress and resumes an
-        interrupted build from it; ``python``/``csr`` engines only.
+        interrupted build from it; either engine resumes the other's file.
         """
         import time
 
         if engine not in ENGINES:
             raise ValueError(f"unknown construction engine {engine!r}; "
                              f"expected one of {ENGINES}")
-        if engine != "csr-batch" and (batch_size is not None
-                                      or spill_dir is not None
-                                      or mmap_dir is not None):
-            raise ValueError(
-                "batch_size/spill_dir/mmap_dir require engine='csr-batch'"
-            )
-        if engine == "csr-batch" and checkpoint is not None:
-            raise ValueError(
-                "checkpoint resume is not supported by the csr-batch engine; "
-                "use engine='csr' for checkpointed builds"
-            )
         stats = BuildStats() if collect_stats else None
         started = time.perf_counter()
-        if engine == "csr-batch":
-            from repro.kernels.batch_push import build_flat_labels_batched
-
-            flat = build_flat_labels_batched(
-                graph, ordering=ordering, stats=stats, batch_size=batch_size,
-                spill_dir=spill_dir, mmap_dir=mmap_dir,
-            )
-        elif engine == "csr":
+        if engine == "csr":
             from repro.kernels.hub_push import build_flat_labels_csr
 
             flat = build_flat_labels_csr(graph, ordering=ordering, stats=stats,

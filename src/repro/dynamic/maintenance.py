@@ -55,9 +55,6 @@ from repro.observability.metrics import get_registry
 
 __all__ = ["MaintenanceSLO", "MaintenanceController"]
 
-#: Engines that understand a rank-watermark checkpoint (csr-batch does not).
-_CHECKPOINT_ENGINES = ("python", "csr")
-
 
 class MaintenanceSLO:
     """Bounded-staleness targets for a rebuild-behind deployment.
@@ -111,7 +108,7 @@ def _rebuild_worker(conn, graph, ordering, engine, index_path,
     try:
         discarded = 0
         checkpoint = None
-        if checkpoint_path is not None and engine in _CHECKPOINT_ENGINES:
+        if checkpoint_path is not None:
             # Pre-flight: a corrupt checkpoint (torn write, bit rot, or a
             # chaos tier flipping bits on purpose) must never wedge
             # recovery — its CRC catches it here and we restart fresh.

@@ -52,7 +52,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.flat_labels import FlatLabels
+from repro.core.flat_labels import FlatLabels, narrow_dtypes
 from repro.exceptions import SerializationError
 from repro.io.serialize import (
     NO_FINGERPRINT,
@@ -101,16 +101,6 @@ class FlatFileMeta:
     def __repr__(self):
         return (f"FlatFileMeta(version={self.version}, n={self.n}, "
                 f"entries={self.entries}, fingerprint={self.fingerprint})")
-
-
-def _narrow_dtypes(flat):
-    """The narrowest on-disk dtypes that hold the labeling losslessly."""
-    max_dist = int(flat.dist.max()) if flat.dist.size else 0
-    max_count = int(flat.count.max()) if flat.count.size else 0
-    dist_dtype = np.uint16 if max_dist <= np.iinfo(np.uint16).max else np.uint32
-    count_dtype = (np.uint32 if max_count <= int(np.iinfo(np.uint32).max)
-                   else INT)
-    return dist_dtype, count_dtype
 
 
 class _SectionWriter:
@@ -201,7 +191,7 @@ def write_spcf(writer, flat, fingerprint=None):
     indptr = np.ascontiguousarray(flat.indptr, dtype=INT)
     order = np.ascontiguousarray(flat.order, dtype=INT)
     rank = np.ascontiguousarray(flat.rank, dtype=np.uint32)
-    dist_dtype, count_dtype = _narrow_dtypes(flat)
+    dist_dtype, count_dtype = narrow_dtypes(flat.dist, flat.count)
     header = struct.pack(
         _HEADER_FMT,
         FLAT_VERSION,

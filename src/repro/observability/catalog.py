@@ -44,18 +44,13 @@ METRICS = (
         "entered (open, half_open, closed).",
     ),
     MetricSpec(
-        "spc_build_batch_roots", "histogram", (),
-        "Roots swept together by each rank-batched frontier pass — how "
-        "much same-rank parallelism the batched engine actually found.",
-    ),
-    MetricSpec(
         "spc_build_batch_seconds", "histogram", (),
-        "Wall time of one rank batch in the batched engine (shared "
+        "Wall time of one rank batch in the csr engine (shared "
         "frontier sweep plus its in-order merges).",
     ),
     MetricSpec(
         "spc_build_batches_total", "counter", (),
-        "Rank batches completed by the batched construction engine.",
+        "Rank batches completed by the csr construction engine.",
     ),
     MetricSpec(
         "spc_build_entries_per_push", "histogram", ("engine",),
@@ -70,8 +65,11 @@ METRICS = (
     ),
     MetricSpec(
         "spc_build_push_seconds", "histogram", ("engine",),
-        "Wall time of each hub push (the rank-restricted BFS plus its "
-        "pruning joins) — stragglers show up in the top buckets.",
+        "Wall time of each hub push: the rank-restricted BFS plus its "
+        "pruning joins under the python engine, the push's in-order "
+        "merge step under csr (its batch's shared sweep is in "
+        "spc_build_batch_seconds) — stragglers show up in the top "
+        "buckets.",
     ),
     MetricSpec(
         "spc_build_pushes_total", "counter", ("engine",),
@@ -239,16 +237,6 @@ METRICS = (
         "spc_label_mmap_bytes_total", "counter", (),
         "Bytes of SPCF flat label files opened memory-mapped instead of "
         "loaded into RAM.",
-    ),
-    MetricSpec(
-        "spc_label_store_bytes_total", "counter", ("backend",),
-        "Bytes appended to the streaming label store during batched "
-        "construction, labelled ram or spill.",
-    ),
-    MetricSpec(
-        "spc_label_store_finalize_seconds", "histogram", (),
-        "Wall time of the label store's counting-sort finalize (emission "
-        "chunks into final CSR columns, RAM or memory-mapped).",
     ),
     MetricSpec(
         "spc_label_total_entries", "gauge", ("engine",),

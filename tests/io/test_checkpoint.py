@@ -155,6 +155,29 @@ class TestResumeIdentity:
         assert stats.pushes == graph.n - 15  # only the suffix was re-pushed
         assert not resume.exists()  # discarded after a successful finish
 
+    @pytest.mark.parametrize("crashed", ["csr", "python"])
+    def test_csr_batches_stop_at_every_watermark(self, tmp_path, crashed):
+        """``every=7`` is not a multiple of the batch width: the csr engine
+        must cut its batches at 14, 21, ... so each watermark is saved, and
+        a crash at 14 leaves exactly the 14-push prefix behind."""
+        graph = barabasi_albert_graph(60, 2, seed=8)
+        path = tmp_path / "build.ckpt"
+        crashing = CrashingCheckpoint(path, every=7, crash_after=2)
+        with pytest.raises(SimulatedKill):
+            if crashed == "csr":
+                build_flat_labels_csr(graph, checkpoint=crashing)
+            else:
+                build_labels(graph, checkpoint=crashing)
+        assert decode_checkpoint(path.read_bytes()).watermark == 14
+
+        stats = BuildStats()
+        resume = BuildCheckpoint(path, every=7)
+        finished = build_flat_labels_csr(graph, stats=stats, checkpoint=resume)
+        assert_identical(finished.to_label_set(), build_labels(graph))
+        assert stats.resumed_pushes == 14
+        assert stats.pushes == graph.n - 14
+        assert stats.checkpoint_saves == len(range(21, graph.n, 7))
+
     def test_resume_is_noop_when_no_checkpoint(self, tmp_path):
         graph = grid_graph(4, 6)
         stats = BuildStats()

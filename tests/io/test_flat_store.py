@@ -7,6 +7,8 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.flat_labels import FlatLabels
+from repro.core.hp_spc import build_labels
 from repro.core.index import SPCIndex
 from repro.exceptions import SerializationError
 from repro.generators.classic import cycle_graph, star_graph
@@ -53,12 +55,13 @@ def test_mmap_load_matches_ram_load(tmp_path, ba_flat):
     assert mapped.equals(ba_flat)
 
 
-def test_columns_narrowed_on_save(tmp_path, ba_flat):
-    # the sequential engine emits int64 columns; the file stores the
+def test_columns_narrowed_on_save(tmp_path, ba_graph, ba_flat):
+    # the python engine's freeze emits int64 columns; the file stores the
     # narrowest lossless widths and load keeps them narrow
-    assert ba_flat.count.dtype == np.int64
+    wide = FlatLabels.from_label_set(build_labels(ba_graph))
+    assert wide.count.dtype == np.int64
     path = tmp_path / "labels.spcf"
-    save_flat_labels(ba_flat, path)
+    save_flat_labels(wide, path)
     back = load_flat_labels(path)
     assert back.count.dtype == np.uint32
     assert back.dist.dtype == np.uint16

@@ -122,14 +122,16 @@ def test_csr_engine_bit_identical_on_random_graphs(graph_and_order):
 @settings(**SETTINGS)
 def test_csr_batch_engine_bit_identical_on_random_graphs(graph_and_order,
                                                          batch_size):
-    """Freeze-free rank-batched construction == frozen sequential csr."""
-    from repro.kernels.batch_push import build_flat_labels_batched
-    from repro.kernels.hub_push import build_flat_labels_csr
+    """The csr engine's rank-batched sweep == its width-1 sequential loop."""
+    from unittest import mock
+
+    from repro.kernels import hub_push
 
     graph, order = graph_and_order
-    reference = build_flat_labels_csr(graph, ordering=order)
-    batched = build_flat_labels_batched(graph, ordering=order,
-                                        batch_size=batch_size)
+    with mock.patch.object(hub_push, "MAX_BATCH", 1):
+        reference = hub_push.build_flat_labels_csr(graph, ordering=order)
+    with mock.patch.object(hub_push, "MAX_BATCH", batch_size):
+        batched = hub_push.build_flat_labels_csr(graph, ordering=order)
     assert batched.equals(reference)
     # ...and both match the frozen python reference engine.
     python_labels = build_labels(graph, ordering=order)

@@ -73,13 +73,28 @@ class TestBuildQueryRoundtrip:
     def test_build_significant_path(self, graph_file, tmp_path):
         path, _ = graph_file
         index_path = str(tmp_path / "g.idx")
-        assert main(["build", path, index_path, "--ordering", "significant-path"]) == 0
+        assert main(["build", path, index_path, "--ordering", "significant-path",
+                     "--engine", "python"]) == 0
+
+    def test_default_engine_is_csr(self, graph_file, tmp_path, capsys):
+        path, _ = graph_file
+        assert main(["build", path, str(tmp_path / "g.idx")]) == 0
+        assert "engine: csr" in capsys.readouterr().out
+
+    def test_adaptive_ordering_with_default_engine_is_usage_error(
+            self, graph_file, tmp_path, capsys):
+        path, _ = graph_file
+        index_path = tmp_path / "g.idx"
+        assert main(["build", path, str(index_path),
+                     "--ordering", "significant-path"]) == EXIT_USAGE
+        assert "--engine python" in capsys.readouterr().err
+        assert not index_path.exists()
 
     def test_build_csr_engine_identical_index(self, graph_file, tmp_path, capsys):
         path, _ = graph_file
         python_path = str(tmp_path / "python.idx")
         csr_path = str(tmp_path / "csr.idx")
-        assert main(["build", path, python_path]) == 0
+        assert main(["build", path, python_path, "--engine", "python"]) == 0
         assert main(["build", path, csr_path, "--engine", "csr"]) == 0
         assert "engine: csr" in capsys.readouterr().out
         with open(python_path, "rb") as a, open(csr_path, "rb") as b:

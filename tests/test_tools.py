@@ -67,7 +67,10 @@ class TestConstructionSmoke:
         assert result.returncode == 0, result.stderr
         report = json.loads(output.read_text())
         assert report["identical"] is True
-        assert report["python_build_stats"] == report["csr_build_stats"]
+        assert report["counters_match"] is True
+        for counter in report["compared_counters"]:
+            assert (report["python_build_stats"][counter]
+                    == report["csr_build_stats"][counter]), counter
         assert report["python_build_stats"]["pushes"] == 400
         assert report["csr_seconds"] > 0 and report["python_seconds"] > 0
 

@@ -6,18 +6,19 @@ Three tiers, selected with ``--tier``:
 ``smoke`` (default, runs on every PR)
     Builds one generated Barabási–Albert graph with the ``python`` and
     ``csr`` engines (:func:`repro.bench.harness.compare_builders`),
-    requires entry-for-entry identical labelings, equal construction
-    counters, and at least ``--min-speedup``; then builds the same graph
-    with the rank-batched ``csr-batch`` engine and requires bit-identity
-    with csr. Timings land in ``BENCH_construction.json``.
+    requires entry-for-entry identical labelings, equal shared
+    construction counters (``BuildStats.SHARED``; the sweep-work counters
+    ``visits`` / ``prunes`` / ``join_terms`` are reported, not compared,
+    because the rank-batched csr sweep does different work), and at least
+    ``--min-speedup``. Timings land in ``BENCH_construction.json``.
 
 ``scaling`` (runs on every PR, bigger box budget)
-    First replays a small bit-identity oracle (csr vs csr-batch at
+    First replays a bit-identity oracle (csr vs the python engine at
     ``--oracle-vertices``), then builds a ``--vertices`` (default 100k)
-    graph with the csr-batch engine under ``--max-seconds`` /
-    ``--max-rss-mb`` budgets, spot-checks ``--bfs-samples`` single-source
-    sweeps against the vectorized BFS oracle, and reports label
-    bytes/vertex plus peak RSS.
+    graph with the csr engine under ``--max-seconds`` / ``--max-rss-mb``
+    budgets, spot-checks ``--bfs-samples`` single-source sweeps against
+    the vectorized BFS oracle, and reports label bytes/vertex plus peak
+    RSS.
 
 ``nightly`` (scheduled job)
     The scaling tier with million-vertex defaults and looser budgets —
@@ -58,7 +59,6 @@ def run_smoke(args):
     from repro.bench.harness import compare_builders
     from repro.core.hp_spc import BuildStats
     from repro.generators.random_graphs import barabasi_albert_graph
-    from repro.kernels.batch_push import build_flat_labels_batched
 
     graph = barabasi_albert_graph(args.vertices, args.attach, seed=args.seed)
     print(f"graph: barabasi_albert(n={graph.n}, m={graph.m})")
@@ -74,23 +74,12 @@ def run_smoke(args):
     print(f"speedup      : {comparison['speedup']:.2f}x "
           f"(floor {args.min_speedup:.2f}x)")
     print(f"identical    : {comparison['identical']}")
-
-    # The rank-batched engine rides the same graph: bit-identical labels
-    # required (its counter convention differs, so stats are reported,
-    # not compared).
-    batch_stats = BuildStats()
-    started = time.perf_counter()
-    batch_flat = build_flat_labels_batched(graph, ordering=args.ordering,
-                                           stats=batch_stats)
-    batch_seconds = time.perf_counter() - started
-    # compare_builders does not expose the labelings; rebuild csr once.
-    from repro.kernels.hub_push import build_flat_labels_csr
-
-    csr_flat = build_flat_labels_csr(graph, ordering=args.ordering)
-    batch_identical = batch_flat.equals(csr_flat)
-    print(f"csr-batch    : {batch_seconds:.2f}s, "
-          f"{batch_flat.total_entries()} entries, "
-          f"identical: {batch_identical}")
+    python_stats = python_result["build_stats"]
+    csr_stats = csr_result["build_stats"]
+    counters_match = all(python_stats[name] == csr_stats[name]
+                         for name in BuildStats.SHARED)
+    print(f"counters     : {', '.join(BuildStats.SHARED)} match: "
+          f"{counters_match}")
 
     report = {
         "tier": "smoke",
@@ -100,14 +89,13 @@ def run_smoke(args):
         "repeat": args.repeat,
         "python_seconds": round(python_result["seconds"], 3),
         "csr_seconds": round(csr_result["seconds"], 3),
-        "csr_batch_seconds": round(batch_seconds, 3),
         "speedup": round(comparison["speedup"], 3),
         "identical": comparison["identical"],
-        "csr_batch_identical": batch_identical,
         "label_entries": csr_result["entries"],
-        "python_build_stats": python_result["build_stats"],
-        "csr_build_stats": csr_result["build_stats"],
-        "csr_batch_build_stats": batch_stats.as_dict(),
+        "compared_counters": list(BuildStats.SHARED),
+        "counters_match": counters_match,
+        "python_build_stats": python_stats,
+        "csr_build_stats": csr_stats,
         "min_speedup": args.min_speedup,
         "python_version": platform.python_version(),
     }
@@ -118,13 +106,9 @@ def run_smoke(args):
         print("FAIL: csr labeling is not entry-for-entry identical to python",
               file=sys.stderr)
         failed = True
-    if python_result["build_stats"] != csr_result["build_stats"]:
-        print("FAIL: construction counters differ between engines",
+    if not counters_match:
+        print("FAIL: shared construction counters differ between engines",
               file=sys.stderr)
-        failed = True
-    if not batch_identical:
-        print("FAIL: csr-batch labeling is not entry-for-entry identical "
-              "to csr", file=sys.stderr)
         failed = True
     if comparison["speedup"] < args.min_speedup:
         print(f"FAIL: csr engine speedup {comparison['speedup']:.2f}x "
@@ -134,91 +118,79 @@ def run_smoke(args):
 
 
 def run_scaling(args):
-    import os
-    import tempfile
-
     import numpy as np
 
     from repro.core.batch_query import single_source
+    from repro.core.flat_labels import FlatLabels
+    from repro.core.hp_spc import build_labels
     from repro.generators.random_graphs import barabasi_albert_graph
-    from repro.kernels.batch_push import (
-        build_flat_labels_batched,
+    from repro.kernels.bfs import bfs_count_csr
+    from repro.kernels.hub_push import (
+        build_flat_labels_csr,
         default_batch_size,
     )
-    from repro.kernels.bfs import bfs_count_csr
-    from repro.kernels.hub_push import build_flat_labels_csr
 
     failed = False
 
-    # Gate 1: small-graph oracle — the batched engine must agree with the
-    # sequential csr engine bit-for-bit before its large build counts.
+    # Gate 1: small-graph oracle — the csr engine must agree with the
+    # python reference engine bit-for-bit before its large build counts.
     oracle_graph = barabasi_albert_graph(args.oracle_vertices, args.attach,
                                          seed=args.seed)
-    oracle_ref = build_flat_labels_csr(oracle_graph, ordering=args.ordering)
-    oracle_batch = build_flat_labels_batched(
-        oracle_graph, ordering=args.ordering, batch_size=args.batch_size,
+    oracle_ref = FlatLabels.from_label_set(
+        build_labels(oracle_graph, ordering=args.ordering)
     )
-    oracle_ok = oracle_batch.equals(oracle_ref)
+    oracle_csr = build_flat_labels_csr(oracle_graph, ordering=args.ordering)
+    oracle_ok = oracle_csr.equals(oracle_ref)
+    del oracle_ref, oracle_csr
     print(f"oracle (n={oracle_graph.n}): bit-identical = {oracle_ok}")
     if not oracle_ok:
-        print("FAIL: csr-batch differs from csr on the oracle graph",
+        print("FAIL: csr differs from python on the oracle graph",
               file=sys.stderr)
         failed = True
 
     # Gate 2: the large build itself, under time/memory budgets.
     graph = barabasi_albert_graph(args.vertices, args.attach, seed=args.seed)
     print(f"graph: barabasi_albert(n={graph.n}, m={graph.m})")
-    batch = args.batch_size or default_batch_size(graph.n)
-    print(f"batch size: {batch}; spill: {bool(args.spill)}; "
-          f"mmap: {bool(args.mmap)}")
-    with tempfile.TemporaryDirectory() as tmp:
-        spill_dir = os.path.join(tmp, "spill") if args.spill else None
-        mmap_dir = os.path.join(tmp, "cols") if args.mmap else None
-        if spill_dir:
-            os.makedirs(spill_dir)
-        if mmap_dir:
-            os.makedirs(mmap_dir)
-        started = time.perf_counter()
-        flat = build_flat_labels_batched(
-            graph, ordering=args.ordering, batch_size=args.batch_size,
-            spill_dir=spill_dir, mmap_dir=mmap_dir,
-        )
-        build_seconds = time.perf_counter() - started
-        peak_rss = _peak_rss_mb()
-        entries = flat.total_entries()
-        bytes_per_vertex = flat.nbytes() / graph.n
-        avg_label = entries / graph.n
-        print(f"build        : {build_seconds:.1f}s "
-              f"(budget {args.max_seconds or 'none'})")
-        print(f"entries      : {entries} (avg |L(v)| = {avg_label:.1f})")
-        print(f"bytes/vertex : {bytes_per_vertex:.1f}")
-        print(f"peak rss     : {peak_rss:.0f} MiB "
-              f"(budget {args.max_rss_mb or 'none'})")
+    batch = default_batch_size(graph.n)
+    print(f"batch width: {batch}")
+    started = time.perf_counter()
+    flat = build_flat_labels_csr(graph, ordering=args.ordering)
+    build_seconds = time.perf_counter() - started
+    peak_rss = _peak_rss_mb()
+    entries = flat.total_entries()
+    bytes_per_vertex = flat.nbytes() / graph.n
+    avg_label = entries / graph.n
+    print(f"build        : {build_seconds:.1f}s "
+          f"(budget {args.max_seconds or 'none'})")
+    print(f"entries      : {entries} (avg |L(v)| = {avg_label:.1f})")
+    print(f"bytes/vertex : {bytes_per_vertex:.1f}")
+    print(f"peak rss     : {peak_rss:.0f} MiB "
+          f"(budget {args.max_rss_mb or 'none'})")
 
-        # Gate 3: sampled single-source sweeps against the BFS oracle —
-        # catches any at-scale wrongness the small oracle can't see.
-        rng = np.random.default_rng(args.seed)
-        sources = rng.integers(0, graph.n, size=args.bfs_samples)
-        check_started = time.perf_counter()
-        bad = 0
-        for source in sources:
-            ref_dist, ref_count = bfs_count_csr(graph, int(source))
-            got_dist, got_count = single_source(flat, int(source))
-            unreachable = ref_dist < 0
-            got_dist = got_dist.copy()
-            got_dist[np.isinf(got_dist)] = -1
-            if not (np.array_equal(got_dist.astype(np.int64), ref_dist)
-                    and np.array_equal(
-                        got_count.astype(np.int64)[~unreachable],
-                        ref_count[~unreachable])):
-                bad += 1
-        check_seconds = time.perf_counter() - check_started
-        print(f"bfs spot-check: {args.bfs_samples} sources, {bad} mismatches "
-              f"({check_seconds:.1f}s)")
-        if bad:
-            print(f"FAIL: {bad} single-source sweeps disagree with BFS",
-                  file=sys.stderr)
-            failed = True
+    # Gate 3: sampled single-source sweeps against the BFS oracle —
+    # catches any at-scale wrongness the small oracle can't see.
+    rng = np.random.default_rng(args.seed)
+    sources = rng.integers(0, graph.n, size=args.bfs_samples)
+    check_started = time.perf_counter()
+    bad = 0
+    for source in sources:
+        ref_dist, ref_count = bfs_count_csr(graph, int(source))
+        got_dist, got_count = single_source(flat, int(source))
+        unreachable = ref_dist < 0
+        got_dist = got_dist.copy()
+        got_dist[np.isinf(got_dist)] = -1
+        if not (np.array_equal(got_dist.astype(np.int64), ref_dist)
+                and np.array_equal(
+                    got_count.astype(np.int64)[~unreachable],
+                    ref_count[~unreachable])):
+            bad += 1
+    check_seconds = time.perf_counter() - check_started
+    print(f"bfs spot-check: {args.bfs_samples} sources, {bad} mismatches "
+          f"({check_seconds:.1f}s)")
+    if bad:
+        print(f"FAIL: {bad} single-source sweeps disagree with BFS",
+              file=sys.stderr)
+        failed = True
 
     if args.max_seconds is not None and build_seconds > args.max_seconds:
         print(f"FAIL: build took {build_seconds:.1f}s "
@@ -234,10 +206,8 @@ def run_scaling(args):
         "graph": {"family": "barabasi_albert", "n": graph.n, "m": graph.m,
                   "attach": args.attach, "seed": args.seed},
         "ordering": args.ordering,
-        "engine": "csr-batch",
-        "batch_size": batch,
-        "spill": bool(args.spill),
-        "mmap": bool(args.mmap),
+        "engine": "csr",
+        "batch_width": batch,
         "build_seconds": round(build_seconds, 3),
         "max_seconds": args.max_seconds,
         "peak_rss_mb": round(peak_rss, 1),
@@ -281,8 +251,6 @@ def main(argv=None):
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="smoke: fail below this python/csr speedup "
                              "(default 1.0)")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="csr-batch ranks per sweep (default: auto)")
     parser.add_argument("--oracle-vertices", type=int, default=10_000,
                         help="scaling/nightly: size of the bit-identity "
                              "oracle graph (default 10000)")
@@ -295,12 +263,6 @@ def main(argv=None):
     parser.add_argument("--max-rss-mb", type=float, default=None,
                         help="scaling/nightly: fail when peak RSS exceeds "
                              "this budget")
-    parser.add_argument("--spill", action="store_true",
-                        help="scaling/nightly: stream emission chunks to a "
-                             "temp spill dir during the build")
-    parser.add_argument("--mmap", action="store_true",
-                        help="scaling/nightly: memory-map the final label "
-                             "columns instead of allocating them in RAM")
     parser.add_argument("--output", default="BENCH_construction.json")
     args = parser.parse_args(argv)
 

@@ -37,7 +37,7 @@
 #               raw count_many with <5% planning overhead, and an
 #               uncompiled batch, planned on every run, within <15%
 #   scaling-gate tools/ci_construction_smoke.py --tier scaling (CI runs the
-#               100k budgeted csr-batch build; the dry run scales it down
+#               100k budgeted csr build; the dry run scales it down
 #               to keep a laptop pass under a minute)
 #
 # The nightly million-vertex job (--tier nightly) is schedule-only and not
@@ -141,7 +141,6 @@ if [ "${1:-}" != "--skip-bench" ]; then
     # exercising the same oracle + budget + BFS spot-check machinery.
     python tools/ci_construction_smoke.py --tier scaling \
         --vertices 20000 --oracle-vertices 4000 --bfs-samples 5 \
-        --spill --mmap \
         --output "${TMPDIR:-/tmp}/BENCH_construction_scaling.local.json" \
         || failures=$((failures + 1))
 fi

@@ -262,7 +262,7 @@ def main():
     parser.add_argument("--threshold", type=int, default=32,
                         help="pending mutations triggering a rebuild")
     parser.add_argument("--engine", default="csr",
-                        choices=["python", "csr", "csr-batch"])
+                        choices=["python", "csr"])
     parser.add_argument("--query-interval", type=float, default=0.2,
                         help="pause between checked queries per thread; the "
                              "10k BFS oracle is expensive enough to starve "

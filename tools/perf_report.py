@@ -73,7 +73,6 @@ def render_construction(record):
         rows = [
             ("python engine", _get(record, "python_seconds")),
             ("csr engine", _get(record, "csr_seconds")),
-            ("csr-batch engine", _get(record, "csr_batch_seconds")),
         ]
         lines += ["| Engine | Build seconds |", "|---|---|"]
         for name, seconds in rows:
@@ -81,10 +80,9 @@ def render_construction(record):
                 lines.append(f"| {name} | {_fmt(seconds, '.2f')} |")
         lines += [
             "",
-            f"All engines bit-identical: "
-            f"{_fmt(record.get('identical'))} (csr vs python), "
-            f"{_fmt(record.get('csr_batch_identical'))} (csr-batch vs csr); "
-            f"csr speedup over python "
+            f"csr bit-identical to python: "
+            f"{_fmt(record.get('identical'))}; shared build counters match: "
+            f"{_fmt(record.get('counters_match'))}; csr speedup over python "
             f"{_fmt(record.get('speedup'), '.2f')}x "
             f"(floor {_fmt(record.get('min_speedup'), '.2f')}x); "
             f"{_fmt(record.get('label_entries'))} label entries.",
@@ -93,8 +91,7 @@ def render_construction(record):
         lines += [
             f"| Metric | Value |", "|---|---|",
             f"| Tier | {tier} |",
-            f"| Engine | {_fmt(record.get('engine'))} "
-            f"(batch size {_fmt(record.get('batch_size'))}) |",
+            f"| Engine | {_fmt(record.get('engine'))} |",
             f"| Build seconds | {_fmt(record.get('build_seconds'), '.1f')} "
             f"(budget {_fmt(record.get('max_seconds'))}) |",
             f"| Peak RSS | {_fmt(record.get('peak_rss_mb'), '.0f')} MiB "
