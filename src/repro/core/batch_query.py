@@ -6,12 +6,17 @@ many pairs at once: the label rows of a chunk of pairs are gathered, every
 entry is keyed ``pair_index·n + rank`` (the source keys and the target
 keys each come out sorted), one stable sort merges the two key runs so
 that common hubs sit side by side, and segmented ``minimum``/``add``
-reductions take each pair's distance and count. No per-pair Python and no shared buffer, so concurrent callers need
-no coordination. Single-source and set-to-set queries scatter one side's
-hubs into dense rank-indexed arrays and sweep label columns in bulk. A
-single pair (:func:`count_pair`) skips the batch machinery: its two rows
-are merged in Python. A chain of small numpy calls is faster alone but
-hands the interpreter lock to other threads mid-query, which a threaded
+reductions take each pair's distance and count. No per-pair Python and
+no shared buffer, so concurrent callers need no coordination.
+Single-source queries sweep hub-major: a target meets the source only at
+one of the source's hubs, so only those hubs' posting lists
+(:attr:`FlatLabels.hub_major
+<repro.core.flat_labels.FlatLabels.hub_major>`) are read and reduced per
+target. Set-to-set queries scatter the source side's hubs into dense
+rank-indexed arrays and sweep the target rows in bulk. A single pair
+(:func:`count_pair`) skips the batch machinery: its two rows are merged
+in Python. A chain of small numpy calls is faster alone but hands the
+interpreter lock to other threads mid-query, which a threaded
 server pays for in latency.
 
 Semantics match :mod:`repro.core.query` exactly for the plain (unreduced)
@@ -62,7 +67,7 @@ def _validate_ids(flat, vertices):
 class _QueryScratch:
     """Reusable rank-indexed scatter buffers for one :class:`FlatLabels`.
 
-    Single-source and set-to-set queries scatter a label row into dense
+    Set-to-set queries scatter the source side's label rows into dense
     ``(dist, count)`` arrays of length ``n``; allocating those per call
     dominates small queries. One clean pair is cached on the flat store
     and borrowed under a non-blocking lock — concurrent callers simply
@@ -349,15 +354,31 @@ def _may_wrap(flat, sigma_bound, rows, terms):
     return float(sigma_bound) * float(row_max.max()) * terms >= JOIN_BOUND
 
 
+def _posting_spans(view, hubs, lo, hi):
+    """``(starts, lens)`` of the posting lists of ``hubs`` in ``view``,
+    each cut to its vertices in ``[lo, hi)`` (a list runs in vertex order,
+    so one ``searchsorted`` per hub finds the cut)."""
+    starts, lens = _row_spans(view.indptr, hubs)
+    if lo == 0 and hi == len(view.indptr) - 1:
+        return starts, lens
+    cuts = np.array([view.vertex[a:a + k].searchsorted((lo, hi))
+                     for a, k in zip(starts.tolist(), lens.tolist())])
+    return starts + cuts[:, 0], cuts[:, 1] - cuts[:, 0]
+
+
 def single_source_range(flat, s, lo, hi, deadline=None):
     """``(dist, count)`` arrays from ``s`` over targets ``lo <= t < hi``.
 
-    The sharded building block behind :func:`single_source`: scatter
-    ``L(s)`` once, then sweep only the CSR slice of rows ``[lo, hi)`` —
-    segmented reductions over a contiguous label range, so a shard worker
-    pays for exactly the vertices it owns. Results are positional:
-    element ``i`` answers target ``lo + i``. ``count`` is int64, or an
-    object array of python ints when the store's counts could wrap int64.
+    The sharded building block behind :func:`single_source`, swept
+    hub-major: a target meets ``s`` only at a hub of ``L(s)``, so only
+    those hubs' posting lists in :attr:`FlatLabels.hub_major
+    <repro.core.flat_labels.FlatLabels.hub_major>` are read, each cut to
+    the targets in ``[lo, hi)`` (a shard worker pays for the vertices it
+    owns). Every entry adds ``dist(s, h)`` of its hub, ``np.minimum.at``
+    takes each target's distance, and ``np.add.at`` sums the count
+    products of the entries at it. Results are positional: element ``i``
+    answers target ``lo + i``. ``count`` is int64, or an object array of
+    python ints when the store's counts could wrap int64.
     """
     registry = get_registry()
     if registry.enabled:
@@ -369,43 +390,36 @@ def single_source_range(flat, s, lo, hi, deadline=None):
     if deadline is not None:
         deadline.check()
     width = hi - lo
-    rank_s, _, dist_s, count_s = flat.row(s)
+    start, stop = int(flat.indptr[s]), int(flat.indptr[s + 1])
     wide = not flat.overflow_free and _may_wrap(
-        flat, flat.row_max_count[s], slice(lo, hi), len(rank_s))
+        flat, flat.row_max_count[s], slice(lo, hi), stop - start)
     mins = np.full(width, INF)
     counts = np.zeros(width, dtype=object if wide else INT)
-    if width == 0:
+    if width == 0 or start == stop:
         return mins, counts
-    rank_i = rank_s.astype(np.intp)
-    with _borrow_scratch(flat) as (hub_dist, hub_count):
-        hub_dist[rank_i] = dist_s.astype(np.float64)
-        hub_count[rank_i] = count_s.astype(INT)
-        try:
-            start = int(flat.indptr[lo])
-            stop = int(flat.indptr[hi])
-            ranks = flat.rank[start:stop].astype(np.intp)
-            totals = hub_dist[ranks] + flat.dist[start:stop]
-            if totals.size:
-                seg_starts = np.asarray(flat.indptr[lo:hi], dtype=INT) - start
-                seg_lens = np.diff(flat.indptr[lo:hi + 1])
-                nonempty = seg_lens > 0
-                clipped = np.minimum(seg_starts, totals.size - 1)
-                raw_min = np.minimum.reduceat(totals, clipped)
-                mins[nonempty] = raw_min[nonempty]
-                at_min = totals == np.repeat(mins, seg_lens)
-                prods = hub_count[ranks]
-                if wide:
-                    prods = prods.astype(object)  # python ints
-                prods *= flat.count[start:stop]
-                prods = np.where(at_min, prods, 0)
-                raw_sum = np.add.reduceat(prods, clipped)
-                counts[nonempty] = raw_sum[nonempty]
-        finally:
-            hub_dist[rank_i] = INF
-            hub_count[rank_i] = 0
-    unreachable = ~np.isfinite(mins)
-    counts[unreachable] = 0
-    mins[unreachable] = INF
+    view = flat.hub_major
+    starts, lens = _posting_spans(
+        view, np.asarray(flat.rank[start:stop], dtype=INT), lo, hi)
+    # The lists are contiguous runs: concatenating slices beats gathering
+    # the same entries through an index array.
+    spans = [slice(a, a + k) for a, k in zip(starts.tolist(), lens.tolist())]
+    vertex = np.concatenate([view.vertex[span] for span in spans])
+    if lo:
+        vertex -= lo
+    totals = np.add(np.concatenate([view.dist[span] for span in spans]),
+                    np.asarray(flat.dist[start:stop]).repeat(lens), dtype=INT)
+    best = np.full(width, INT_MAX)
+    np.minimum.at(best, vertex, totals)
+    met = (totals == best[vertex]).nonzero()[0]
+    # Each entry at its target's minimum: its hub's place in L(s), and its
+    # own place in the view.
+    ends = lens.cumsum()
+    via = ends.searchsorted(met, side="right")
+    terms = np.asarray(flat.count[start:stop])[via].astype(counts.dtype)
+    terms *= view.count[met + (starts + lens - ends)[via]].astype(counts.dtype)
+    np.add.at(counts, vertex[met], terms)
+    reached = best < INT_MAX
+    mins[reached] = best[reached]
     if lo <= s < hi:
         # The diagonal: the empty path, not a hub meeting.
         mins[s - lo] = 0.0
@@ -416,11 +430,8 @@ def single_source_range(flat, s, lo, hi, deadline=None):
 def single_source(flat, s):
     """``(dist, count)`` arrays from ``s`` over every vertex.
 
-    The flat twin of :meth:`repro.core.inverted.InvertedLabelIndex
-    .single_source`: scatter ``L(s)`` into rank-indexed arrays, then one
-    vectorized pass over *all* label entries plus two segmented reductions
-    produce every target at once. Equivalent to
-    :func:`single_source_range` over ``[0, n)``.
+    The columnar twin of :meth:`repro.core.inverted.InvertedLabelIndex
+    .single_source`: :func:`single_source_range` over ``[0, n)``.
     """
     return single_source_range(flat, s, 0, flat.n)
 

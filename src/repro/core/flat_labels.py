@@ -13,6 +13,7 @@ and the frozen form is exactly what an SPCF index file stores
 (:mod:`repro.io.flat_store`).
 """
 
+from collections import namedtuple
 from time import perf_counter
 
 import numpy as np
@@ -40,6 +41,17 @@ def narrow_dtypes(dist, count):
     return dist_dtype, count_dtype
 
 
+class HubMajor(namedtuple("HubMajor", ("indptr", "vertex", "dist", "count"))):
+    """The label entries grouped by hub (see :attr:`FlatLabels.hub_major`).
+
+    ``indptr[r]:indptr[r+1]`` delimits the posting list of the rank-``r``
+    hub. Its entries carry the ``vertex`` whose label holds them, in
+    ascending order, and that entry's ``dist`` and ``count``.
+    """
+
+    __slots__ = ()
+
+
 class FlatLabels:
     """Read-only CSR view of a finalized labeling.
 
@@ -62,7 +74,8 @@ class FlatLabels:
     """
 
     __slots__ = ("n", "indptr", "rank", "dist", "count", "canonical", "order",
-                 "_hub", "_row_max_count", "_overflow_free", "_scratch")
+                 "_hub", "_row_max_count", "_overflow_free", "_hub_major",
+                 "_scratch")
 
     def __init__(self, n, indptr, rank, hub, dist, count, canonical, order):
         self.n = n
@@ -75,6 +88,7 @@ class FlatLabels:
         self.order = order
         self._row_max_count = None
         self._overflow_free = None
+        self._hub_major = None
         # Reusable rank-indexed scatter buffers, owned and managed by
         # repro.core.batch_query (borrowed per call, restored clean).
         self._scratch = None
@@ -109,6 +123,30 @@ class FlatLabels:
                 )
             self._row_max_count = row_max
         return self._row_max_count
+
+    @property
+    def hub_major(self):
+        """The entries regrouped by hub: a :class:`HubMajor` view.
+
+        One stable argsort of ``rank`` puts every hub's posting list in one
+        contiguous run, its entries still in vertex order; ``vertex`` is
+        uint32 and ``dist``/``count`` keep the store's own dtypes. Derived
+        on first access and cached, like ``hub`` (two threads may race to
+        derive it; either copy is valid), and never written to SPCF.
+        Single-source sweeps read only the posting lists of the source's
+        hubs through it.
+        """
+        if self._hub_major is None:
+            rank = np.asarray(self.rank)
+            order = rank.argsort(kind="stable")
+            indptr = np.zeros(self.n + 1, dtype=INT)
+            np.cumsum(np.bincount(rank, minlength=self.n), out=indptr[1:])
+            vertex = np.arange(self.n, dtype=np.uint32).repeat(
+                np.diff(self.indptr))[order]
+            self._hub_major = HubMajor(indptr, vertex,
+                                       np.asarray(self.dist)[order],
+                                       np.asarray(self.count)[order])
+        return self._hub_major
 
     @property
     def overflow_free(self):
@@ -216,13 +254,16 @@ class FlatLabels:
     def nbytes(self):
         """In-memory footprint of the numpy columns.
 
-        The lazily-derived ``hub`` column counts only once materialized —
-        frugal instances never pay for it unless a caller asks for hubs.
+        The lazily-derived ``hub`` column and :attr:`hub_major` view count
+        only once materialized — frugal instances never pay for them unless
+        a caller asks for hubs or a single-source sweep.
         """
         columns = [self.indptr, self.rank, self.dist, self.count,
                    self.canonical, self.order]
         if self._hub is not None:
             columns.append(self._hub)
+        if self._hub_major is not None:
+            columns.extend(self._hub_major)
         return sum(column.nbytes for column in columns)
 
     def count_dtype_escaped(self):

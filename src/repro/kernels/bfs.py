@@ -20,20 +20,19 @@ from repro.exceptions import LabelingError
 INT64_MAX = np.iinfo(np.int64).max
 
 
-def count_guard_threshold(max_degree, max_multiplicity=1):
+def count_guard_threshold(max_degree):
     """Largest per-vertex count the int64 kernels accept without risk.
 
-    The counting recurrence sums at most ``max_degree`` forwarded terms
-    into one vertex, each at most ``count * multiplicity``. If every count
-    checked so far is ``<= threshold`` then no int64 addition or
-    multiplication can have wrapped before the guard inspects the new
-    level, so overflow detection is exact (by induction over BFS levels).
+    The counting recurrence sums at most ``max_degree`` forwarded counts
+    into one vertex. If every count checked so far is ``<= threshold``
+    then no int64 addition can have wrapped before the guard inspects the
+    new level, so overflow detection is exact (by induction over BFS
+    levels).
     Kernels raise :class:`~repro.exceptions.LabelingError` when a count
     exceeds the threshold; callers needing wider counts must use the
     pure-Python engines, which carry arbitrary-precision ints.
     """
-    divisor = max(1, int(max_degree)) * max(1, int(max_multiplicity))
-    return INT64_MAX // divisor
+    return INT64_MAX // max(1, int(max_degree))
 
 
 def expand_ranges(starts, counts):

@@ -42,7 +42,19 @@ def normalize_pair(dist, count):
 
 
 def normalize_single_source(dist, count):
-    """Coerce array/list single-source columns into value tuples."""
+    """Coerce array/list single-source columns into value tuples.
+
+    Integer ndarray columns convert as whole columns: distances go to an
+    object column of python ints with ``inf`` wherever the count is 0, and
+    each column leaves numpy through one ``.tolist()``. Lists and object
+    (python-int) counts take the per-element path.
+    """
+    if isinstance(count, np.ndarray) and count.dtype.kind in "iu":
+        dist = np.asarray(dist)
+        unreached = count == 0
+        out_dist = np.where(unreached, 0, dist).astype(np.int64).astype(object)
+        out_dist[unreached] = INF
+        return (tuple(out_dist.tolist()), tuple(count.tolist()))
     if isinstance(dist, np.ndarray):
         dist = dist.tolist()
     if isinstance(count, np.ndarray):

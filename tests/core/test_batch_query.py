@@ -246,6 +246,26 @@ class TestSingleSourceRange:
             with pytest.raises(ValueError):
                 single_source_range(flat, 0, lo, hi)
 
+    def test_hub_major_view(self, flat, tmp_path):
+        from repro.io.flat_store import load_flat_labels, save_flat_labels
+
+        view = flat.hub_major
+        assert flat.hub_major is view  # derived once
+        for r in range(flat.n):
+            postings = [v for v in range(flat.n) if r in flat.row(v)[0].tolist()]
+            lo, hi = view.indptr[r], view.indptr[r + 1]
+            assert view.vertex[lo:hi].tolist() == postings
+            for v, d, c in zip(postings, view.dist[lo:hi], view.count[lo:hi]):
+                at = flat.row(v)[0].tolist().index(r)
+                assert (d, c) == (flat.row(v)[2][at], flat.row(v)[3][at])
+        path = tmp_path / "g.spcf"
+        save_flat_labels(flat, path)
+        reloaded = load_flat_labels(path, mmap=True)
+        assert reloaded._hub_major is None  # not stored in the file
+        assert reloaded.hub_major is not view
+        for got, want in zip(reloaded.hub_major, view):
+            assert np.array_equal(got, want)
+
 
 class TestScratchReuse:
     """Per-flat scratch buffers (borrowed by single-source and set-to-set
@@ -297,7 +317,7 @@ class TestScratchReuse:
     def test_validation_failure_leaves_scratch_clean(self, flat):
         from repro.exceptions import VertexError
 
-        single_source(flat, 0)  # materialise the scratch
+        count_set_to_set(flat, [0], [1])  # materialise the scratch
         with pytest.raises(VertexError):
             single_source(flat, flat.n)
         with pytest.raises(VertexError):
@@ -468,6 +488,28 @@ class TestOverflowExact:
         engine = QueryEngine(index=index, cache=None, backends=("flat",))
         answers = engine.run(Batch((Count(s, t), Count(t, s), Count(s, s))))
         assert list(answers) == [(130, 2 ** 64), (130, 2 ** 64), (0, 1)]
+
+    def test_single_source_is_exact(self, chains):
+        from repro.core.batch_query import single_source_range
+
+        _, s, t, index = chains
+        flat = index.to_flat()
+        dist, count = single_source(flat, s)
+        assert (dist[t], count[t]) == (130.0, 2 ** 64)
+        assert type(count[t]) is int
+        parts = [single_source_range(flat, s, 0, 100),
+                 single_source_range(flat, s, 100, flat.n)]
+        assert np.concatenate([p[0] for p in parts]).tolist() == dist.tolist()
+        assert np.concatenate([p[1] for p in parts]).tolist() == count.tolist()
+
+    def test_query_engine_flat_single_source(self, chains):
+        from repro.query.ast import SingleSource
+        from repro.query.engine import QueryEngine
+
+        _, s, t, index = chains
+        engine = QueryEngine(index=index, cache=None, backends=("flat",))
+        dist, count = engine.run(SingleSource(s))
+        assert (dist[t], count[t]) == (130, 2 ** 64)
 
     def test_arrays_raise_rather_than_wrap(self, chains):
         from repro.exceptions import LabelingError

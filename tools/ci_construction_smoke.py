@@ -5,12 +5,16 @@ Three tiers, selected with ``--tier``:
 
 ``smoke`` (default, runs on every PR)
     Builds one generated Barabási–Albert graph with the ``python`` and
-    ``csr`` engines (:func:`repro.bench.harness.compare_builders`),
-    requires entry-for-entry identical labelings, equal shared
-    construction counters (``BuildStats.SHARED``; the sweep-work counters
-    ``visits`` / ``prunes`` / ``join_terms`` are reported, not compared,
-    because the rank-batched csr sweep does different work), and at least
-    ``--min-speedup``. Timings land in ``BENCH_construction.json``.
+    ``csr`` engines, ``--rounds`` times each, alternating engines
+    (:func:`repro.bench.harness.compare_builders` per round). Requires
+    entry-for-entry identical labelings, equal shared construction
+    counters (``BuildStats.SHARED``; the sweep-work counters ``visits`` /
+    ``prunes`` / ``join_terms`` are reported, not compared, because the
+    rank-batched csr sweep does different work), and a median of the
+    per-round python/csr ratios of at least ``--min-speedup``: a round's
+    two builds run back to back, so a slow phase of the host shifts one
+    ratio, not the reading. Each engine's median and every run land in
+    ``BENCH_construction.json``.
 
 ``scaling`` (runs on every PR, bigger box budget)
     First replays a bit-identity oracle (csr vs the python engine at
@@ -56,6 +60,8 @@ def _peak_rss_mb():
 
 
 def run_smoke(args):
+    import statistics
+
     from repro.bench.harness import compare_builders
     from repro.core.hp_spc import BuildStats
     from repro.generators.random_graphs import barabasi_albert_graph
@@ -63,17 +69,29 @@ def run_smoke(args):
     graph = barabasi_albert_graph(args.vertices, args.attach, seed=args.seed)
     print(f"graph: barabasi_albert(n={graph.n}, m={graph.m})")
 
-    comparison = compare_builders(graph, engines=("python", "csr"),
-                                  ordering=args.ordering, repeat=args.repeat)
-    python_result = comparison["engines"]["python"]
-    csr_result = comparison["engines"]["csr"]
-    print(f"python engine: {python_result['seconds']:.2f}s, "
+    rounds = []
+    for number in range(1, args.rounds + 1):
+        comparison = compare_builders(graph, engines=("python", "csr"),
+                                      ordering=args.ordering)
+        rounds.append(comparison)
+        print(f"round {number}: python "
+              f"{comparison['engines']['python']['seconds']:.2f}s, csr "
+              f"{comparison['engines']['csr']['seconds']:.2f}s, ratio "
+              f"{comparison['speedup']:.2f}x")
+    python_runs = [r["engines"]["python"]["seconds"] for r in rounds]
+    csr_runs = [r["engines"]["csr"]["seconds"] for r in rounds]
+    speedup = statistics.median(r["speedup"] for r in rounds)
+    identical = all(r["identical"] for r in rounds)
+    # Counters are deterministic, so the last round stands for every one.
+    python_result = rounds[-1]["engines"]["python"]
+    csr_result = rounds[-1]["engines"]["csr"]
+    print(f"python engine: median {statistics.median(python_runs):.2f}s, "
           f"{python_result['entries']} entries")
-    print(f"csr engine   : {csr_result['seconds']:.2f}s, "
+    print(f"csr engine   : median {statistics.median(csr_runs):.2f}s, "
           f"{csr_result['entries']} entries")
-    print(f"speedup      : {comparison['speedup']:.2f}x "
-          f"(floor {args.min_speedup:.2f}x)")
-    print(f"identical    : {comparison['identical']}")
+    print(f"speedup      : {speedup:.2f}x median of {len(rounds)} paired "
+          f"ratios (floor {args.min_speedup:.2f}x)")
+    print(f"identical    : {identical}")
     python_stats = python_result["build_stats"]
     csr_stats = csr_result["build_stats"]
     counters_match = all(python_stats[name] == csr_stats[name]
@@ -86,11 +104,14 @@ def run_smoke(args):
         "graph": {"family": "barabasi_albert", "n": graph.n, "m": graph.m,
                   "attach": args.attach, "seed": args.seed},
         "ordering": args.ordering,
-        "repeat": args.repeat,
-        "python_seconds": round(python_result["seconds"], 3),
-        "csr_seconds": round(csr_result["seconds"], 3),
-        "speedup": round(comparison["speedup"], 3),
-        "identical": comparison["identical"],
+        "rounds": len(rounds),
+        "python_seconds": round(statistics.median(python_runs), 3),
+        "csr_seconds": round(statistics.median(csr_runs), 3),
+        "python_runs": [round(seconds, 3) for seconds in python_runs],
+        "csr_runs": [round(seconds, 3) for seconds in csr_runs],
+        "round_speedups": [round(r["speedup"], 3) for r in rounds],
+        "speedup": round(speedup, 3),
+        "identical": identical,
         "label_entries": csr_result["entries"],
         "compared_counters": list(BuildStats.SHARED),
         "counters_match": counters_match,
@@ -102,7 +123,7 @@ def run_smoke(args):
     _write_report(report, args.output)
 
     failed = False
-    if not comparison["identical"]:
+    if not identical:
         print("FAIL: csr labeling is not entry-for-entry identical to python",
               file=sys.stderr)
         failed = True
@@ -110,8 +131,8 @@ def run_smoke(args):
         print("FAIL: shared construction counters differ between engines",
               file=sys.stderr)
         failed = True
-    if comparison["speedup"] < args.min_speedup:
-        print(f"FAIL: csr engine speedup {comparison['speedup']:.2f}x "
+    if speedup < args.min_speedup:
+        print(f"FAIL: csr engine speedup {speedup:.2f}x "
               f"< floor {args.min_speedup:.2f}x", file=sys.stderr)
         failed = True
     return 1 if failed else 0
@@ -245,12 +266,12 @@ def main(argv=None):
                         help="Barabási–Albert attachment degree (default 3)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--ordering", default="degree")
-    parser.add_argument("--repeat", type=int, default=1,
-                        help="smoke: builds per engine; best reported "
-                             "(default 1)")
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="smoke: rounds of one python and one csr "
+                             "build each (default 3)")
     parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="smoke: fail below this python/csr speedup "
-                             "(default 1.0)")
+                        help="smoke: fail when the median per-round "
+                             "python/csr ratio is below this (default 1.0)")
     parser.add_argument("--oracle-vertices", type=int, default=10_000,
                         help="scaling/nightly: size of the bit-identity "
                              "oracle graph (default 10000)")
@@ -265,6 +286,8 @@ def main(argv=None):
                              "this budget")
     parser.add_argument("--output", default="BENCH_construction.json")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
 
     default_n, default_secs, default_rss = TIER_DEFAULTS[args.tier]
     if args.vertices is None:

@@ -35,7 +35,10 @@
 #               The bench smoke also gates the query compilation layer:
 #               compiled Batch(Count...) answers must be bit-identical to
 #               raw count_many with <5% planning overhead, and an
-#               uncompiled batch, planned on every run, within <15%
+#               uncompiled batch, planned on every run, within <15%.
+#               The construction smoke builds with both engines in 3
+#               alternating rounds and gates the median per-round
+#               python/csr ratio
 #   scaling-gate tools/ci_construction_smoke.py --tier scaling (CI runs the
 #               100k budgeted csr build; the dry run scales it down
 #               to keep a laptop pass under a minute)
@@ -132,7 +135,7 @@ if [ "${1:-}" != "--skip-bench" ]; then
     python tools/ci_bench_smoke.py --vertices 4000 --queries 10000 \
         --output "${TMPDIR:-/tmp}/BENCH_ci_smoke.local.json" \
         || failures=$((failures + 1))
-    python tools/ci_construction_smoke.py --vertices 4000 \
+    python tools/ci_construction_smoke.py --vertices 4000 --rounds 3 \
         --output "${TMPDIR:-/tmp}/BENCH_construction.local.json" \
         || failures=$((failures + 1))
 

@@ -71,19 +71,24 @@ def render_construction(record):
     tier = record.get("tier", "smoke")
     if tier == "smoke":
         rows = [
-            ("python engine", _get(record, "python_seconds")),
-            ("csr engine", _get(record, "csr_seconds")),
+            ("python engine", _get(record, "python_seconds"),
+             _get(record, "python_runs")),
+            ("csr engine", _get(record, "csr_seconds"),
+             _get(record, "csr_runs")),
         ]
-        lines += ["| Engine | Build seconds |", "|---|---|"]
-        for name, seconds in rows:
+        lines += ["| Engine | Median build seconds | Runs |", "|---|---|---|"]
+        for name, seconds, runs in rows:
             if seconds is not None:
-                lines.append(f"| {name} | {_fmt(seconds, '.2f')} |")
+                runs = ", ".join(_fmt(run, ".2f") for run in runs or ())
+                lines.append(f"| {name} | {_fmt(seconds, '.2f')} | "
+                             f"{runs or '—'} |")
         lines += [
             "",
             f"csr bit-identical to python: "
             f"{_fmt(record.get('identical'))}; shared build counters match: "
             f"{_fmt(record.get('counters_match'))}; csr speedup over python "
-            f"{_fmt(record.get('speedup'), '.2f')}x "
+            f"{_fmt(record.get('speedup'), '.2f')}x, the median of "
+            f"{_fmt(record.get('rounds'))} paired per-round ratios "
             f"(floor {_fmt(record.get('min_speedup'), '.2f')}x); "
             f"{_fmt(record.get('label_entries'))} label entries.",
         ]
