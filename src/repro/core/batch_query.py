@@ -2,12 +2,19 @@
 
 Where :mod:`repro.core.query` walks two Python lists per query, everything
 here is array-at-a-time. A pair batch is Algorithm 2's merge join done for
-many pairs at once: the label rows of a chunk of pairs are gathered, every
-entry is keyed ``pair_index·n + rank`` (the source keys and the target
-keys each come out sorted), one stable sort merges the two key runs so
-that common hubs sit side by side, and segmented ``minimum``/``add``
-reductions take each pair's distance and count. No per-pair Python and
-no shared buffer, so concurrent callers need no coordination.
+many pairs at once, in two stages per chunk of pairs. The top-ranked hubs
+sit in almost every label, so their entries are a dense core
+(:attr:`FlatLabels.core <repro.core.flat_labels.FlatLabels.core>`, one
+row per vertex): adding the two core rows of a pair, a row minimum and
+the count products at it meet them with no sort. Each label row's
+remaining tail is then merged by sort: the tails of the chunk are
+gathered, every entry is keyed ``pair_index·n + rank`` (the source keys
+and the target keys each come out sorted), one stable sort merges the two
+key runs so that common hubs sit side by side, segmented
+``minimum``/``add`` reductions take each pair's tail distance and count,
+and the two answers merge. No per-pair Python and no shared buffer, so
+concurrent callers need no coordination. A one-pair batch takes the
+scalar merge instead, which costs less than the join's fixed numpy calls.
 Single-source queries sweep hub-major: a target meets the source only at
 one of the source's hubs, so only those hubs' posting lists
 (:attr:`FlatLabels.hub_major
@@ -123,14 +130,41 @@ def _gather_rows(starts, lens):
     return entry_idx, ends
 
 
-#: Label entries (source plus target rows) one join chunk gathers at most,
-#: bounding the join's temporaries whatever the batch size. A pair whose
-#: two rows alone exceed it still forms a chunk of its own.
+#: Label entries one join chunk gathers at most, counting each pair's core
+#: row (:attr:`FlatLabels.core <repro.core.flat_labels.FlatLabels.core>`)
+#: as ``K`` entries and its two tails entry by entry, which bounds the
+#: join's temporaries whatever the batch size. A pair that alone exceeds
+#: it still forms a chunk of its own.
 CHUNK_ENTRIES = 1 << 17
 
 
+def _core_chunk(core, sources, targets, out_dist, out_count):
+    """Answer one chunk of pairs at its core hubs into the ``out_*`` slices.
+
+    Adding the two core rows of a pair gives ``δ(s,h)+δ(h,t)`` for every
+    core hub ``h`` at once; the row minimum is the pair's core distance
+    and the count products at it sum to its core count. A hub missing from
+    either label adds the sentinel, which no real sum reaches, and carries
+    a zero count, so a pair that meets at no core hub sums to count 0 and
+    keeps its ``(inf, 0)`` slot.
+    """
+    totals = core.dist[sources]
+    totals += core.dist[targets]
+    best = totals.min(axis=1)
+    # Every row hits its own minimum at least once, so the hits' rows run
+    # 0, 1, ..., pairs - 1 in order and each run is one pair.
+    rows, hubs = (totals == best[:, None]).nonzero()
+    terms = np.multiply(core.count[sources[rows], hubs],
+                        core.count[targets[rows], hubs], dtype=INT)
+    out_count[:] = np.add.reduceat(terms, rows.searchsorted(
+        np.arange(len(best))))
+    # Tested against zero, not for a positive sum: a pair the overflow
+    # bound rerouted may wrap, and its slot must still hold a distance.
+    np.copyto(out_dist, best, where=out_count != 0)
+
+
 def _join_chunk(n, rank, dist, count, starts, lens, out_dist, out_count):
-    """Answer one chunk of pairs into the ``out_*`` slices (Algorithm 2).
+    """Merge one chunk's tail meetings into the ``out_*`` slices (Algorithm 2).
 
     ``starts``/``lens`` span the chunk's source rows, then its target rows.
     Every entry is keyed ``pair_index·n + rank``. Ranks increase within a
@@ -138,8 +172,11 @@ def _join_chunk(n, rank, dist, count, starts, lens, out_dist, out_count):
     two sorted runs of unique keys, and a common hub of a pair is a key in
     both. One stable sort merges the runs (NumPy's stable sort of int64 is
     timsort, which finds the two runs and merges them in linear time) and
-    leaves each common hub as an adjacent equal pair, source first. The per-pair minimum of ``δ(s,h)+δ(h,t)`` and the sum of
-    ``σ(s,h)·σ(h,t)`` at it are two segmented reductions over the matches.
+    leaves each common hub as an adjacent equal pair, source first. The
+    per-pair minimum of ``δ(s,h)+δ(h,t)`` and the sum of ``σ(s,h)·σ(h,t)``
+    at it are two segmented reductions over the matches; each then merges
+    with the pair's answer so far (a smaller distance replaces it, an
+    equal one adds its count).
     """
     pairs = len(out_dist)
     idx, ends = _gather_rows(starts, lens)
@@ -162,8 +199,11 @@ def _join_chunk(n, rank, dist, count, starts, lens, out_dist, out_count):
     best = np.minimum.reduceat(totals, run_start)
     terms = np.multiply(count[src], count[tgt], dtype=INT)
     terms *= totals == best.repeat(run_len[met])
-    out_dist[met] = best
-    out_count[met] = np.add.reduceat(terms, run_start)
+    sums = np.add.reduceat(terms, run_start)
+    so_far = out_dist[met]
+    out_count[met] = np.where(best < so_far, sums,
+                              out_count[met] + sums * (best == so_far))
+    out_dist[met] = np.minimum(so_far, best)
 
 
 def _exact_pair(flat, s, t):
@@ -212,13 +252,31 @@ def count_pair(flat, s, t):
     return _exact_pair(flat, s, t)
 
 
+def _one_pair(flat, s, t, deadline):
+    """A one-pair batch: :func:`count_pair`'s scalar merge, metered as a
+    batch. The merge costs less than the fixed numpy calls of a join."""
+    if deadline is not None:
+        deadline.check()
+    registry = get_registry()
+    if not registry.enabled:
+        return count_pair(flat, s, t)
+    started = perf_counter()
+    answer = count_pair(flat, s, t)
+    registry.counter("spc_queries_total", engine="flat", kind="pair").inc()
+    registry.histogram("spc_batch_query_seconds").observe(
+        perf_counter() - started)
+    return answer
+
+
 def _join(flat, sources, targets, deadline):
     """Shared body of :func:`count_many_arrays` and :func:`count_many`.
 
     Returns ``(dist, count, exact)``: the int64 answer columns plus
     ``{pair_index: (dist, count)}`` python-int answers for the pairs the
     overflow bound rerouted to :func:`_exact_pair` (their column slots are
-    not meaningful).
+    not meaningful). Each chunk of pairs is answered at its core hubs by
+    :func:`_core_chunk`, then over the tails past each row's core prefix
+    by :func:`_join_chunk`.
     """
     registry = get_registry()
     metered = registry.enabled
@@ -241,33 +299,45 @@ def _join(flat, sources, targets, deadline):
     # __getitem__ would cost more than the join itself on small batches.
     indptr, rank, dist, count = (np.asarray(column) for column in
                                  (flat.indptr, flat.rank, flat.dist, flat.count))
+    core = flat.core
+    width = core.dist.shape[1]
     diagonal = sources == targets
     starts, lens = _row_spans(indptr, vertices)
-    len_s = lens[:pairs]
-    len_t = lens[pairs:]
     if not flat.overflow_free:
         # The bound caps the pair's sum of products; float rounding is
         # harmless because JOIN_BOUND sits a factor of two below int64's.
         row_max = flat.row_max_count
         bound = (row_max[sources].astype(np.float64) * row_max[targets]
-                 * np.minimum(len_s, len_t))
+                 * np.minimum(lens[:pairs], lens[pairs:]))
         for i in np.flatnonzero((bound >= JOIN_BOUND) & ~diagonal).tolist():
             exact[i] = _exact_pair(flat, int(sources[i]), int(targets[i]))
-    ends = (len_s + len_t).cumsum()
+    # From here on the spans cover only the tails past the core prefixes.
+    skip = core.prefix[vertices]
+    starts += skip
+    lens -= skip
+    len_s = lens[:pairs]
+    len_t = lens[pairs:]
+    ends = (len_s + len_t + width).cumsum()
     chunks = 0
     lo = 0
     while lo < pairs:
         if deadline is not None:
             deadline.check()
-        limit = (int(ends[lo - 1]) if lo else 0) + CHUNK_ENTRIES
-        hi = max(lo + 1, int(ends.searchsorted(limit, side="right")))
-        if hi - lo == pairs:
-            spans = starts, lens  # one chunk: no copy of the spans
-        else:
-            spans = (np.concatenate((starts[lo:hi], starts[pairs + lo:pairs + hi])),
-                     np.concatenate((len_s[lo:hi], len_t[lo:hi])))
-        _join_chunk(flat.n, rank, dist, count, *spans,
-                    out_dist[lo:hi], out_count[lo:hi])
+        first = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(ends.searchsorted(first + CHUNK_ENTRIES,
+                                               side="right")))
+        if width:
+            _core_chunk(core, sources[lo:hi], targets[lo:hi],
+                        out_dist[lo:hi], out_count[lo:hi])
+        if int(ends[hi - 1]) - first > width * (hi - lo):  # any tail entry
+            if hi - lo == pairs:
+                spans = starts, lens  # one chunk: no copy of the spans
+            else:
+                spans = (np.concatenate((starts[lo:hi],
+                                         starts[pairs + lo:pairs + hi])),
+                         np.concatenate((len_s[lo:hi], len_t[lo:hi])))
+            _join_chunk(flat.n, rank, dist, count, *spans,
+                        out_dist[lo:hi], out_count[lo:hi])
         chunks += 1
         lo = hi
 
@@ -291,24 +361,33 @@ def count_many_arrays(flat, sources, targets, deadline=None):
 
     ``dist`` is float64 (``inf`` marks disconnected pairs), ``count`` is
     int64. Pairs are answered in chunks of at most :data:`CHUNK_ENTRIES`
-    gathered label entries, each one vectorized sort-merge join (see
-    :func:`_join_chunk`); no per-pair Python and no shared buffer, so
-    concurrent callers need no coordination.
+    gathered label entries, each met at the dense core hubs (see
+    :func:`_core_chunk`), then over the row tails by one vectorized
+    sort-merge join (see :func:`_join_chunk`); no per-pair Python and no
+    shared buffer, so concurrent callers need no coordination. A one-pair
+    batch is answered by :func:`count_pair`'s scalar merge.
 
     Counts are exact: a pair whose int64 arithmetic the store cannot rule
     out is answered by a python-int merge instead, and if its exact count
     does not fit int64 this raises :class:`~repro.exceptions.LabelingError`
     naming the pair (:func:`count_many` returns such counts as python ints).
 
-    ``deadline`` (duck-typed ``check()``) is consulted before every chunk,
-    so a huge batch under a per-request budget raises
-    :class:`~repro.exceptions.DeadlineExceeded` promptly rather than
-    running to completion.
+    ``deadline`` (duck-typed ``check()``) is consulted before every chunk
+    and before a one-pair merge, so a huge batch under a per-request
+    budget raises :class:`~repro.exceptions.DeadlineExceeded` promptly
+    rather than running to completion.
     """
-    dist, count, exact = _join(flat, sources, targets, deadline)
+    sources = np.asarray(sources, dtype=INT)
+    targets = np.asarray(targets, dtype=INT)
+    if sources.shape == targets.shape == (1,):
+        dist, count = np.full(1, INF), np.zeros(1, dtype=INT)
+        exact = {0: _one_pair(flat, int(sources[0]), int(targets[0]),
+                              deadline)}
+    else:
+        dist, count, exact = _join(flat, sources, targets, deadline)
     for i, (d, c) in exact.items():
         if c > INT_MAX:
-            s, t = int(np.asarray(sources)[i]), int(np.asarray(targets)[i])
+            s, t = int(sources[i]), int(targets[i])
             raise LabelingError(
                 f"pair ({s}, {t}) has {c} shortest paths, which does not fit "
                 "int64; use count_many for python-int counts"
@@ -324,11 +403,12 @@ def count_many(flat, pairs, deadline=None):
     Python-native results — ``(inf, 0)`` for disconnected pairs, integer
     distances otherwise, exact python-int counts even past int64 — so
     elements compare equal to :func:`repro.core.query.count_query` output.
-    ``deadline`` is threaded through to the join.
+    ``deadline`` is threaded through to the join. A one-pair batch is
+    answered by :func:`count_pair`'s scalar merge.
     """
     pairs = list(pairs)
-    if not pairs:
-        return []
+    if len(pairs) < 2:
+        return [_one_pair(flat, int(s), int(t), deadline) for s, t in pairs]
     sources = np.fromiter((s for s, _ in pairs), dtype=INT, count=len(pairs))
     targets = np.fromiter((t for _, t in pairs), dtype=INT, count=len(pairs))
     dist, count, exact = _join(flat, sources, targets, deadline)

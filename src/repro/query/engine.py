@@ -68,10 +68,18 @@ class CompiledQuery:
     def plan(self):
         """The current :class:`~repro.query.planner.Plan` (re-planned
         whenever the engine's generation or backend line-up changed)."""
+        return self._current_plan(None)
+
+    def _current_plan(self, n):
+        """The plan, re-planned when the engine's token moved. A fresh
+        plan checks the ids against ``n`` (unless ``None``) in the
+        planner's own pass over the node."""
         token = self.engine.cache_token()
         if self._plan is None or token != self._token:
-            self._plan = self.engine.plan(self.node)
+            self._plan = self.engine._planner.plan(self.node, n=n)
             self._token = token
+            if n is not None:
+                self._validated_n = n
         return self._plan
 
     def run(self, deadline=None):
@@ -79,10 +87,13 @@ class CompiledQuery:
 
         Validation is memoised per id space: the node is immutable, so
         re-checking its vertex ids on every run of a hot compiled batch
-        would be pure overhead.
+        would be pure overhead. A run that plans afresh checks them in the
+        planner's pass.
         """
-        plan = self.plan
         n = self.engine.n
+        if n == self._validated_n:
+            n = None
+        plan = self._current_plan(n)
         if n is not None and n != self._validated_n:
             self.node.validate(n)
             self._validated_n = n
@@ -218,18 +229,21 @@ class QueryEngine:
 
         ``validated=True`` skips id validation — only
         :class:`CompiledQuery` passes it, after memoising its own check.
+        Planning checks ids in its own pass over the node, so ``node`` is
+        validated up front only when a plan is given or the cache will be
+        consulted first.
         """
-        if not validated:
-            n = self.n
-            if n is not None:
-                node.validate(n)
+        n = None if validated else self.n
+        if n is not None and (plan is not None or self._cache is not None):
+            node.validate(n)
+            n = None
         if self._cache is not None:
             token = self.cache_token()
             hit, value = self._cache.lookup(token, node.key())
             if hit:
                 return value
         if plan is None:
-            plan = self._planner.plan(node)
+            plan = self._planner.plan(node, n=n)
         result = self._execute(plan.root, deadline)
         if self._cache is not None:
             self._cache.store(token, node.key(), result)

@@ -54,11 +54,11 @@ DEFAULT_SAMPLES = 400
 class PairGroup:
     """A batch's pair-operator children, answered by one ``pairs`` call.
 
-    ``indexes`` are the children's positions in the batch, ``pairs``
-    their ``(s, t)`` in the same order; ``splicers`` is ``None`` when
-    every member is a plain :class:`Count` (whose answer needs no
-    projection), else each member's ``from_pair`` (``None`` for a
-    ``Count``).
+    ``indexes`` are the children's positions in the batch (a ``range``
+    when the batch is all ``Count``), ``pairs`` their ``(s, t)`` in the
+    same order; ``splicers`` is ``None`` when every member is a plain
+    :class:`Count` (whose answer needs no projection), else each member's
+    ``from_pair`` (``None`` for a ``Count``).
     """
 
     __slots__ = ("backend", "backend_name", "queries", "indexes", "pairs",
@@ -170,9 +170,16 @@ class QueryPlanner:
             )
         return min(candidates, key=lambda b: b.pair_cost())
 
-    def plan(self, node):
-        """Produce a :class:`Plan` for ``node`` and record plan metrics."""
-        root = self._plan_node(node)
+    def plan(self, node, n=None):
+        """Produce a :class:`Plan` for ``node`` and record plan metrics.
+
+        With ``n`` given, the node's vertex ids are checked against
+        ``[0, n)`` as it is planned, raising the
+        :class:`~repro.exceptions.VertexError` that ``node.validate(n)``
+        would; a batch checks its children in the same pass that groups
+        them.
+        """
+        root = self._plan_node(node, n)
         plan = Plan(root)
         registry = get_registry()
         if registry.enabled:
@@ -187,9 +194,11 @@ class QueryPlanner:
                                          len(group.indexes))
         return plan
 
-    def _plan_node(self, node):
+    def _plan_node(self, node, n=None):
         if isinstance(node, Batch):
-            return self._plan_batch(node)
+            return self._plan_batch(node, n)
+        if n is not None:
+            node.validate(n)
         if isinstance(node, PAIR_OPS):
             backend = self._cheapest_pair(node)
             return PlanNode(node, backend, backend.name, backend.pair_cost())
@@ -209,24 +218,52 @@ class QueryPlanner:
             return self._plan_topk(node)
         raise PlanError(f"unknown query node {type(node).__name__}")
 
-    def _plan_batch(self, node):
-        """One pass: pair children join the group, the rest plan alone."""
-        indexes, pairs, splicers = [], [], []
-        positions, children = [], []
-        for i, child in enumerate(node.queries):
-            if isinstance(child, PAIR_OPS):
-                indexes.append(i)
-                pairs.append((child.s, child.t))
-                splicers.append(None if type(child) is Count
-                                else child.from_pair)
-            else:
-                positions.append(i)
-                children.append(self._plan_node(child))
+    def _plan_batch(self, node, n):
+        """One pass: pair children join the group, the rest plan alone.
+
+        With ``n`` given the pass also checks ids. A :class:`Count` whose
+        ``s`` and ``t`` are plain ints in ``[0, n)`` needs no call; any
+        other child takes its own ``validate``, in batch order, so a bad id
+        raises what ``Batch.validate`` raises. The other children are
+        planned only after every child passed.
+        """
+        queries = node.queries
+        pairs = []
+        add = pairs.append
+        # The common batch is all Count: its leading run builds only pairs.
+        for child in queries:
+            if type(child) is not Count:
+                break
+            s, t = child.s, child.t
+            if n is not None and not (type(s) is type(t) is int
+                                      and 0 <= s < n and 0 <= t < n):
+                child.validate(n)
+            add((s, t))
+        head = len(pairs)
+        positions, rest = [], []
+        if head == len(queries):
+            indexes, splicers = range(head), None
+        else:
+            indexes, splicers = list(range(head)), [None] * head
+            for i in range(head, len(queries)):
+                child = queries[i]
+                if n is not None:
+                    child.validate(n)
+                if isinstance(child, PAIR_OPS):
+                    indexes.append(i)
+                    add((child.s, child.t))
+                    splicers.append(None if type(child) is Count
+                                    else child.from_pair)
+                else:
+                    positions.append(i)
+                    rest.append(child)
+            indexes = tuple(indexes)
+            splicers = tuple(splicers) if any(splicers) else None
+        children = [self._plan_node(child) for child in rest]
         group = None
-        if indexes:
-            group = PairGroup(self._cheapest_pair(node.queries[indexes[0]]),
-                              node.queries, tuple(indexes), pairs,
-                              tuple(splicers) if any(splicers) else None)
+        if pairs:
+            group = PairGroup(self._cheapest_pair(queries[indexes[0]]),
+                              queries, indexes, pairs, splicers)
         cost = sum(child.cost for child in children)
         cost += group.cost if group is not None else 0.0
         return PlanNode(node, None, "batch", cost, children=children,

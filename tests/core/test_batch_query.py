@@ -98,6 +98,15 @@ class TestSemantics:
         flat = FlatLabels.from_label_set(build_labels(graph))
         assert count_many(flat, [(0, 2)]) == [(float("inf"), 0)]
 
+    def test_arrays_disconnected_pairs_read_inf(self):
+        """An unmet pair's distance slot stays ``inf``, not a sentinel."""
+        graph = Graph.from_edges(5, [(0, 1), (2, 3)])
+        flat = FlatLabels.from_label_set(build_labels(graph))
+        assert 0 < flat.core.dist.shape[1]
+        dist, count = count_many_arrays(flat, [0, 1, 0, 4], [2, 0, 4, 4])
+        assert dist.tolist() == [float("inf"), 1.0, float("inf"), 0.0]
+        assert count.tolist() == [0, 1, 0, 1]
+
     def test_empty_batch(self):
         flat = FlatLabels.from_label_set(build_labels(cycle_graph(4)))
         assert count_many(flat, []) == []
@@ -265,6 +274,213 @@ class TestSingleSourceRange:
         assert reloaded.hub_major is not view
         for got, want in zip(reloaded.hub_major, view):
             assert np.array_equal(got, want)
+
+
+def _pairs_agree_with_count_pair(flat, pairs):
+    from repro.core.batch_query import count_pair
+
+    want = [count_pair(flat, s, t) for s, t in pairs]
+    assert count_many(flat, pairs) == want
+    dist, count = count_many_arrays(flat, [s for s, _ in pairs],
+                                    [t for _, t in pairs])
+    assert [(d, c) if c else (float("inf"), 0)
+            for d, c in zip(dist.tolist(), count.tolist())] == want
+
+
+class TestDenseCore:
+    """The pair join meets the top hubs in dense arrays, the rest by sort."""
+
+    @pytest.fixture(scope="class")
+    def flat(self):
+        return SPCIndex.build(barabasi_albert_graph(60, 2, seed=21)).to_flat()
+
+    @staticmethod
+    def _check_core(flat):
+        """Entry by entry: the core is the rank prefix, sized by bytes."""
+        core = flat.core
+        width = core.dist.shape[1]
+        assert 0 < width < flat.n
+        assert core.count.dtype == flat.count.dtype
+        columns = flat.rank.nbytes + flat.dist.nbytes + flat.count.nbytes
+        cell = core.dist.itemsize + core.count.itemsize
+        assert flat.n * width * cell <= columns < flat.n * (width + 1) * cell
+        sentinel = np.iinfo(core.dist.dtype).max // 2
+        for v in range(flat.n):
+            rank, _, dist, count = (a.tolist() for a in flat.row(v))
+            head = [r for r in rank if r < width]
+            assert core.prefix[v] == len(head) and rank[:len(head)] == head
+            want_dist = [sentinel] * width
+            want_count = [0] * width
+            for r, d, c in zip(rank, dist, count):
+                if r < width:
+                    want_dist[r], want_count[r] = d, c
+            assert core.dist[v].tolist() == want_dist
+            assert core.count[v].tolist() == want_count
+
+    def test_core_view(self, flat, tmp_path):
+        from repro.io.flat_store import load_flat_labels, save_flat_labels
+
+        before = flat.nbytes()
+        core = flat.core
+        assert flat.core is core  # derived once
+        assert flat.nbytes() == before + sum(a.nbytes for a in core)
+        self._check_core(flat)
+        path = tmp_path / "g.spcf"
+        save_flat_labels(flat, path)
+        reloaded = load_flat_labels(path, mmap=True)
+        assert reloaded._core is None  # not stored in the file
+        assert reloaded.core is not core
+        self._check_core(reloaded)  # sized by the file's narrow columns
+
+    def test_batches_agree_with_count_pair(self, flat):
+        rng = random.Random(3)
+        pairs = [(rng.randrange(flat.n), rng.randrange(flat.n))
+                 for _ in range(300)]
+        _pairs_agree_with_count_pair(flat, pairs)
+
+    def test_empty_core(self):
+        """Labels too sparse to pay for one dense column: all tail."""
+        # Vertices 0 and 1 meet at the rank-5 hub; no other label entry.
+        flat = FlatLabels(6, np.array([0, 1, 2, 2, 2, 2, 2]),
+                          np.array([5, 5]), None, np.array([1, 2]),
+                          np.array([2, 3]), np.array([True, False]),
+                          np.arange(6))
+        assert flat.core.dist.shape == (6, 0)
+        assert count_many(flat, [(0, 1), (1, 0), (0, 2), (3, 3)]) == [
+            (3, 6), (3, 6), (float("inf"), 0), (0, 1)]
+
+    def test_core_holds_every_rank(self):
+        graph = grid_graph(4, 6)
+        labels = build_labels(graph)
+        flat = FlatLabels.from_label_set(labels)
+        assert flat.core.dist.shape == (graph.n, graph.n)
+        assert flat.core.prefix.tolist() == np.diff(flat.indptr).tolist()
+        pairs = _all_pairs(graph.n)
+        assert count_many(flat, pairs) == [count_query(labels, s, t)
+                                           for s, t in pairs]
+
+    def test_wide_distances(self):
+        """A long grid: distances past uint8's sentinel, core and tail."""
+        graph = grid_graph(70, 2)
+        labels = build_labels(graph)
+        flat = FlatLabels.from_label_set(labels).compact()
+        core = flat.core
+        assert int(flat.dist.max()) > 63
+        assert core.dist.dtype == np.uint16
+        assert 0 < core.dist.shape[1] < flat.n
+        assert (core.prefix < np.diff(flat.indptr)).any()  # tails exist
+        rng = random.Random(5)
+        pairs = [(rng.randrange(graph.n), rng.randrange(graph.n))
+                 for _ in range(400)] + [(0, graph.n - 1)]
+        assert count_many(flat, pairs) == [count_query(labels, s, t)
+                                           for s, t in pairs]
+
+    @pytest.mark.parametrize("max_dist,dtype", [
+        (0, np.uint8), (63, np.uint8), (64, np.uint16), (16383, np.uint16),
+        (16384, np.uint32), (2**30 - 1, np.uint32), (2**30, np.uint64),
+        (2**32 - 1, np.uint64)])
+    def test_core_dist_dtype(self, max_dist, dtype):
+        from repro.core.flat_labels import core_dist_dtype
+
+        got = core_dist_dtype(max_dist)
+        assert got == dtype
+        sentinel = int(np.iinfo(got).max) // 2
+        assert 2 * max_dist < sentinel and 2 * sentinel <= np.iinfo(got).max
+
+    def test_int64_count_escape(self):
+        from tests.conftest import diamond_chains_through_hub
+
+        graph, s, t = diamond_chains_through_hub()
+        flat = SPCIndex.build(graph, engine="csr").to_flat().compact()
+        assert flat.count_dtype_escaped() and flat.rank.dtype == np.uint32
+        assert flat.core.count.dtype == np.int64
+        assert flat.core.count.max() == 2 ** 32
+        rng = random.Random(9)
+        pairs = [(rng.randrange(graph.n), rng.randrange(graph.n))
+                 for _ in range(200)]
+        _pairs_agree_with_count_pair(flat, pairs)
+
+    def test_concurrent_first_use(self):
+        """Threads racing to derive the core all answer exactly."""
+        import sys
+        import threading
+
+        graph = barabasi_albert_graph(120, 2, seed=13)
+        labels = build_labels(graph)
+        rng = random.Random(2)
+        pairs = [(rng.randrange(graph.n), rng.randrange(graph.n))
+                 for _ in range(200)]
+        want = [count_query(labels, s, t) for s, t in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                flat = FlatLabels.from_label_set(labels)
+                results = []
+                threads = [threading.Thread(
+                    target=lambda: results.append(count_many(flat, pairs)))
+                    for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert results == [want] * 6
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestOnePair:
+    """A one-pair batch takes the scalar merge, with the batch contract."""
+
+    @pytest.fixture(scope="class")
+    def flat(self):
+        return SPCIndex.build(barabasi_albert_graph(60, 2, seed=21)).to_flat()
+
+    def test_answers_match_count_pair(self, flat):
+        from repro.core.batch_query import count_pair
+
+        for s, t in ((0, 5), (7, 7), (59, 3)):
+            want = count_pair(flat, s, t)
+            assert count_many(flat, [(s, t)]) == [want]
+            dist, count = count_many_arrays(flat, [s], [t])
+            assert (dist.tolist(), count.tolist()) == ([want[0]], [want[1]])
+            assert dist.dtype == np.float64 and count.dtype == np.int64
+
+    def test_disconnected(self):
+        flat = FlatLabels.from_label_set(
+            build_labels(Graph.from_edges(4, [(0, 1), (2, 3)])))
+        dist, count = count_many_arrays(flat, [0], [2])
+        assert (dist.tolist(), count.tolist()) == ([float("inf")], [0])
+
+    def test_rejects_bad_ids(self, flat):
+        from repro.exceptions import VertexError
+
+        for pair in ((flat.n, 0), (0, -1)):
+            with pytest.raises(VertexError):
+                count_many(flat, [pair])
+            with pytest.raises(VertexError):
+                count_many_arrays(flat, [pair[0]], [pair[1]])
+
+    def test_expired_deadline_checked_first(self, flat):
+        from repro.exceptions import DeadlineExceeded
+        from repro.serving.deadline import Deadline
+
+        ticks = iter(range(10**6))
+        expired = Deadline(0.5, clock=lambda: next(ticks))
+        with pytest.raises(DeadlineExceeded):
+            count_many(flat, [(0, 1)], deadline=expired)
+        with pytest.raises(DeadlineExceeded):
+            count_many_arrays(flat, [0], [1], deadline=expired)
+
+    def test_metered_as_a_batch(self, flat):
+        from repro.observability.metrics import MetricsRegistry, scoped_registry
+
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            count_many(flat, [(0, 1)])
+        assert registry.sum_values("spc_queries_total") == 1
+        assert registry.sum_values("spc_query_exact_reroutes_total") == 0
 
 
 class TestScratchReuse:
@@ -456,6 +672,30 @@ class TestDeadline:
         assert next(ticks) - 1 == 3 < chunks
 
 
+    def test_expires_during_the_core_stage(self, monkeypatch):
+        from repro.core import batch_query
+        from repro.exceptions import DeadlineExceeded
+        from repro.serving.deadline import Deadline
+
+        flat = FlatLabels.from_label_set(build_labels(grid_graph(4, 6)))
+        assert flat.core.dist.shape[1] == flat.n  # no entry left for a tail
+        stages = []
+        core_chunk = batch_query._core_chunk
+        monkeypatch.setattr(batch_query, "_core_chunk", lambda *args: (
+            stages.append("core"), core_chunk(*args)))
+        monkeypatch.setattr(batch_query, "_join_chunk",
+                            lambda *args: stages.append("tail"))
+        monkeypatch.setattr(batch_query, "CHUNK_ENTRIES", 5 * flat.n)
+        pairs = _all_pairs(flat.n)[:100]
+        assert _chunks_of(flat, pairs) == 20  # five core rows a chunk
+        stages.clear()
+        ticks = iter(range(10**6))
+        deadline = Deadline(2.5, clock=lambda: next(ticks))
+        with pytest.raises(DeadlineExceeded):
+            count_many(flat, pairs, deadline=deadline)
+        assert stages == ["core", "core"]
+
+
 class TestOverflowExact:
     """Counts past int64 come back exact or raise; they never wrap.
 
@@ -510,6 +750,15 @@ class TestOverflowExact:
         engine = QueryEngine(index=index, cache=None, backends=("flat",))
         dist, count = engine.run(SingleSource(s))
         assert (dist[t], count[t]) == (130, 2 ** 64)
+
+    def test_batch_through_the_core_is_exact(self, chains):
+        _, s, t, index = chains
+        flat = index.to_flat()
+        # s and t meet only at the top-ranked hub, a core column.
+        assert flat.core.dist.shape[1] > 0
+        assert flat.row(s)[0][0] == flat.row(t)[0][0] == 0
+        assert count_many(flat, [(s, t), (t, s), (s, s), (s + 3, t + 3)]) == [
+            (130, 2 ** 64), (130, 2 ** 64), (0, 1), (126, 2 ** 62)]
 
     def test_arrays_raise_rather_than_wrap(self, chains):
         from repro.exceptions import LabelingError

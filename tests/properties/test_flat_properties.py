@@ -12,8 +12,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import batch_query
 from repro.core.batch_query import (
     count_many,
+    count_pair,
     count_set_to_set,
     single_source,
     single_source_range,
@@ -71,6 +73,30 @@ def test_count_many_agrees_under_random_orders(graph_and_order):
     pairs = [(s, t) for s in range(graph.n) for t in range(graph.n)]
     for (s, t), got in zip(pairs, count_many(flat, pairs)):
         assert got == count_query(labels, s, t)
+
+
+@given(graphs(max_n=40, edge_bias=0.06), st.booleans(),
+       st.sampled_from([1, 40, 300, 1 << 17]), st.data())
+@settings(**SETTINGS)
+def test_count_many_agrees_with_count_pair(graph, compact, cap, data):
+    """Core plus tail, at any chunking, equals the scalar merge.
+
+    Sparse graphs keep labels short, so the core (sized by the label
+    columns' bytes) holds only a prefix of the ranks and most rows have a
+    tail; compacting narrows the columns and so the core.
+    """
+    flat = FlatLabels.from_label_set(build_labels(graph))
+    if compact:
+        flat = flat.compact()
+    vertex = st.integers(min_value=0, max_value=graph.n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    saved = batch_query.CHUNK_ENTRIES
+    batch_query.CHUNK_ENTRIES = cap
+    try:
+        answers = count_many(flat, pairs)
+    finally:
+        batch_query.CHUNK_ENTRIES = saved
+    assert answers == [count_pair(flat, s, t) for s, t in pairs]
 
 
 @given(graphs(), st.data())

@@ -24,6 +24,7 @@ from repro.query import (
     TopKBetweenness,
 )
 from repro.query.backends import FlatBackend
+from repro.query.planner import QueryPlanner
 
 INF = float("inf")
 
@@ -188,6 +189,31 @@ class TestValidation:
             big_engine.run(Count(-1, 0))
         with pytest.raises(VertexError):
             big_engine.run(Count(True, 0))
+
+    @pytest.mark.parametrize("children", [
+        (Count(0, 1), Count(64, 0), Count(0, -1)),
+        (Count(0, 1), Count(0, 64)),
+        (Count(0, 1), Distance(0, 64), Count(0, -1)),
+        (Count(0, 1), SingleSource(65), Count(-1, 0)),
+        (Count(0, 1), Count(0, 2.0)),
+        (Count(False, 1),),
+    ], ids=["count-s", "count-t", "distance", "single-source", "float",
+            "bool"])
+    def test_batch_planning_raises_what_validate_raises(self, big_engine,
+                                                        children):
+        """Planning checks a batch's ids in its own pass; the error names
+        the same id as ``Batch.validate``, before any backend runs."""
+        batch = Batch(children)
+        with pytest.raises(VertexError) as expected:
+            batch.validate(64)
+        planner = QueryPlanner([FlatBackend(big_engine.index)])
+        for run in (lambda: planner.plan(batch, n=64),
+                    lambda: QueryEngine(index=big_engine.index,
+                                        cache=None).run(batch),
+                    lambda: big_engine.compile(batch).run()):
+            with pytest.raises(VertexError) as got:
+                run()
+            assert got.value.vertex is expected.value.vertex
 
     def test_failed_validation_caches_nothing(self, big_engine):
         with pytest.raises(VertexError):
