@@ -34,7 +34,7 @@ timeout is declared dead and respawned.
 
 The router does not trust a worker's framing: replies are deframed by a
 router-side incremental decoder
-(:class:`repro.serving.cluster._FrameDecoder`) that treats a short read,
+(:class:`_FrameDecoder`) that treats a short read,
 a torn length prefix, or an unpicklable frame as *that worker's* death —
 a crashing worker can corrupt at most its own pipe, never the router.
 
@@ -51,6 +51,10 @@ most one outstanding batch, so the router's view of worker state (idle,
 busy, reloading) is exact and reloads can wait for the in-flight batch
 to finish on the old arena instead of interrupting it.
 """
+
+import os
+import pickle
+import struct
 
 #: Router → worker request kinds.
 PAIRS = "pairs"
@@ -73,3 +77,80 @@ ERR_DEADLINE = "deadline"
 ERR_VERTEX = "vertex"
 ERR_SERIALIZATION = "serialization"
 ERR_ERROR = "error"
+
+
+class _WorkerGone(Exception):
+    """Internal: the worker behind a pipe can never speak again."""
+
+
+class _FrameDecoder:
+    """Incremental router-side decoder for Connection-framed pickles.
+
+    The router must never trust a worker's framing: a process dying
+    inside ``write(2)`` leaves a truncated length-prefixed frame on the
+    pipe, and a blocking ``Connection.recv`` on that would wedge (or
+    crash) the router itself. This decoder reads the raw (non-blocking)
+    fd, buffers bytes, and yields only complete frames; a zero-byte
+    read marks ``eof`` (worker death — any buffered partial frame is
+    simply the torn write it died inside), and a frame that fails to
+    unpickle raises :class:`_WorkerGone`, failing that worker only.
+
+    Wire format matches CPython's ``multiprocessing.connection``: a
+    4-byte big-endian signed length, with ``-1`` escaping to an 8-byte
+    unsigned extended length, then the pickled payload.
+    """
+
+    __slots__ = ("fd", "eof", "_buf")
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.eof = False
+        self._buf = bytearray()
+
+    def pump(self):
+        """Drain the fd; return complete decoded messages, set ``eof``.
+
+        Raises :class:`_WorkerGone` on an undecodable frame. Messages
+        decoded before an EOF are still returned — the caller processes
+        them, then checks ``eof`` and runs the death path.
+        """
+        while not self.eof:
+            try:
+                chunk = os.read(self.fd, 1 << 16)
+            except BlockingIOError:
+                break
+            except OSError as exc:
+                raise _WorkerGone(f"pipe read failed: {exc}") from exc
+            if not chunk:
+                self.eof = True
+                break
+            self._buf += chunk
+        messages = []
+        while True:
+            frame = self._next_frame()
+            if frame is None:
+                break
+            try:
+                messages.append(pickle.loads(frame))
+            except Exception as exc:
+                raise _WorkerGone(f"undecodable frame: {exc!r}") from exc
+        return messages
+
+    def _next_frame(self):
+        buf = self._buf
+        if len(buf) < 4:
+            return None
+        size, = struct.unpack("!i", bytes(buf[:4]))
+        offset = 4
+        if size == -1:
+            if len(buf) < 12:
+                return None
+            size, = struct.unpack("!Q", bytes(buf[4:12]))
+            offset = 12
+        if size < 0:
+            raise _WorkerGone(f"corrupt frame length {size}")
+        if len(buf) < offset + size:
+            return None
+        frame = bytes(buf[offset:offset + size])
+        del buf[:offset + size]
+        return frame

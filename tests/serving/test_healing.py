@@ -30,7 +30,7 @@ from repro.serving import (
     SERVED_INDEX,
     ClusterService,
 )
-from repro.serving.cluster import _Job
+from repro.serving.jobs import _Job
 from repro.testing.faults import StalledWorker, TornPipeWrite
 from repro.utils.rng import random_pairs
 
