@@ -18,12 +18,15 @@ additionally guard their ``perf_counter`` reads behind
 :func:`set_registry`) to start recording; a bit-identity test asserts
 labels are unchanged either way, and a CI smoke bounds the overhead.
 
-Thread safety: every metric guards its state with a lock, and the
-registry guards its family table, so serving threads and reload threads
-can bump concurrently.
+Thread safety: every metric guards its state with a lock (a histogram
+buffers observations in a deque, whose appends are atomic, and folds it
+under its lock), and the registry guards its family table, so serving
+threads and reload threads can bump concurrently.
 """
 
 import bisect
+import collections
+import functools
 import threading
 
 __all__ = [
@@ -48,6 +51,9 @@ DEFAULT_LATENCY_BUCKETS = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 100.0,
 )
 
+#: Buffered histogram observations folded into the buckets at once.
+_FOLD_EVERY = 1024
+
 #: Default boundaries for size-like observations (entries, bytes, chunks).
 DEFAULT_SIZE_BUCKETS = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
@@ -55,18 +61,47 @@ DEFAULT_SIZE_BUCKETS = (
 )
 
 
-class Counter:
-    """Monotonically increasing counter (Prometheus ``counter``)."""
+class _Scalar:
+    """A counter's or gauge's value: its own total plus tracked sources."""
 
-    __slots__ = ("name", "labels", "_value", "_lock")
-
-    kind = "counter"
+    __slots__ = ("name", "labels", "_value", "_lock", "_sources")
 
     def __init__(self, name, labels=()):
         self.name = name
         self.labels = labels
         self._value = 0
         self._lock = threading.Lock()
+        self._sources = ()
+
+    def track(self, source):
+        """Add ``source()``, a live reading kept elsewhere, to :attr:`value`.
+
+        A hot path that already keeps a tally under its own lock publishes
+        it this way at no cost per event: the metric reads it when read.
+        Several sources (two services sharing one registry) add up.
+        """
+        with self._lock:
+            self._sources += (source,)
+
+    @property
+    def value(self):
+        """Current value."""
+        return self._value + sum(source() for source in self._sources)
+
+    def as_dict(self):
+        """JSON-able snapshot of this metric."""
+        return {"value": self.value}
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name}{dict(self.labels)}={self.value})"
+
+
+class Counter(_Scalar):
+    """Monotonically increasing counter (Prometheus ``counter``)."""
+
+    __slots__ = ()
+
+    kind = "counter"
 
     def inc(self, amount=1):
         """Add ``amount`` (must be >= 0) to the counter."""
@@ -75,34 +110,16 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    @property
-    def value(self):
-        """Current total."""
-        return self._value
 
-    def as_dict(self):
-        """JSON-able snapshot of this counter."""
-        return {"value": self._value}
-
-    def __repr__(self):
-        return f"Counter({self.name}{dict(self.labels)}={self._value})"
-
-
-class Gauge:
+class Gauge(_Scalar):
     """Point-in-time value that can go up and down (Prometheus ``gauge``)."""
 
-    __slots__ = ("name", "labels", "_value", "_lock")
+    __slots__ = ()
 
     kind = "gauge"
 
-    def __init__(self, name, labels=()):
-        self.name = name
-        self.labels = labels
-        self._value = 0
-        self._lock = threading.Lock()
-
     def set(self, value):
-        """Replace the gauge's value."""
+        """Replace the gauge's own value (tracked sources still add)."""
         with self._lock:
             self._value = value
 
@@ -114,18 +131,6 @@ class Gauge:
     def dec(self, amount=1):
         """Subtract ``amount``."""
         self.inc(-amount)
-
-    @property
-    def value(self):
-        """Current value."""
-        return self._value
-
-    def as_dict(self):
-        """JSON-able snapshot of this gauge."""
-        return {"value": self._value}
-
-    def __repr__(self):
-        return f"Gauge({self.name}{dict(self.labels)}={self._value})"
 
 
 class Histogram:
@@ -139,8 +144,8 @@ class Histogram:
     worker-process or per-shard observations aggregate.
     """
 
-    __slots__ = ("name", "labels", "buckets", "_counts", "_sum", "_count",
-                 "_lock")
+    __slots__ = ("name", "labels", "buckets", "_counts", "_sum", "_lock",
+                 "_pending")
 
     kind = "histogram"
 
@@ -155,16 +160,31 @@ class Histogram:
         self.buckets = bounds
         self._counts = [0] * (len(bounds) + 1)  # + the +Inf bucket
         self._sum = 0.0
-        self._count = 0
         self._lock = threading.Lock()
+        self._pending = collections.deque()
 
     def observe(self, value):
-        """Record one observation."""
-        index = bisect.bisect_left(self.buckets, value)
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
+        """Record one observation.
+
+        The call only appends to a buffer (atomic, no lock); the buffer
+        folds into the buckets every ``_FOLD_EVERY`` observations and
+        before every read, which halves the cost of an observation on a
+        hot path such as one served request.
+        """
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= _FOLD_EVERY:
+            with self._lock:
+                self._fold()
+
+    def _fold(self):
+        """Move buffered observations into the buckets (lock held)."""
+        pending = self._pending
+        values = [pending.popleft() for _ in range(len(pending))]
+        where = functools.partial(bisect.bisect_left, self.buckets)
+        for index, hits in collections.Counter(map(where, values)).items():
+            self._counts[index] += hits
+        self._sum += sum(values)
 
     def merge(self, other):
         """Fold ``other`` (identical boundaries) into this histogram."""
@@ -174,27 +194,31 @@ class Histogram:
                 f"into {self.name!r}: bucket boundaries differ"
             )
         with other._lock:
+            other._fold()
             counts = list(other._counts)
-            total, count = other._sum, other._count
+            total = other._sum
         with self._lock:
+            self._fold()
             for i, c in enumerate(counts):
                 self._counts[i] += c
             self._sum += total
-            self._count += count
 
     @property
     def count(self):
         """Total number of observations."""
-        return self._count
+        return sum(self.bucket_counts())
 
     @property
     def sum(self):
         """Sum of all observed values."""
-        return self._sum
+        with self._lock:
+            self._fold()
+            return self._sum
 
     def bucket_counts(self):
         """Non-cumulative per-bucket counts (last entry is ``+Inf``)."""
         with self._lock:
+            self._fold()
             return list(self._counts)
 
     def cumulative_counts(self):
@@ -231,16 +255,17 @@ class Histogram:
     def as_dict(self):
         """JSON-able snapshot: boundaries, raw counts, sum and count."""
         with self._lock:
+            self._fold()
             return {
                 "buckets": list(self.buckets),
                 "counts": list(self._counts),
                 "sum": self._sum,
-                "count": self._count,
+                "count": sum(self._counts),
             }
 
     def __repr__(self):
         return (f"Histogram({self.name}{dict(self.labels)}: "
-                f"count={self._count}, sum={self._sum:.6f})")
+                f"count={self.count}, sum={self.sum:.6f})")
 
 
 class _NoopMetric:
@@ -263,6 +288,9 @@ class _NoopMetric:
         """No-op."""
 
     def set(self, value):
+        """No-op."""
+
+    def track(self, source):
         """No-op."""
 
     def observe(self, value):

@@ -36,23 +36,24 @@ from repro.exceptions import (
     ServiceOverloaded,
     ServingError,
 )
-from repro.serving.admission import DEFAULT_RETRY_AFTER_CAP, AdmissionQueue
-from repro.serving.breaker import CircuitBreaker
-from repro.serving.cluster import ClusterService
-from repro.serving.deadline import Deadline
-from repro.serving.reload import IndexWatcher, ReloadThread
-from repro.serving.service import (
+from repro.serving.admission import (
     CIRCUIT_OPEN,
     DEADLINE,
+    DEFAULT_RETRY_AFTER_CAP,
     ERROR,
     INVALID,
     SERVED_DEGRADED,
     SERVED_INDEX,
     SHED,
     TERMINAL_STATUSES,
+    AdmissionQueue,
     QueryResult,
-    SPCService,
 )
+from repro.serving.breaker import CircuitBreaker
+from repro.serving.cluster import ClusterService
+from repro.serving.deadline import Deadline
+from repro.serving.reload import IndexWatcher, ReloadThread
+from repro.serving.service import SPCService
 from repro.serving.shards import STRATEGIES, ShardPlan
 
 __all__ = [

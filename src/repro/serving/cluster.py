@@ -1,14 +1,19 @@
 """Shared-memory multiprocess serving cluster with scatter-gather sharding.
 
 :class:`ClusterService` is the multiprocess sibling of
-:class:`~repro.serving.service.SPCService`. N worker processes each map
-the *same* SPCF v4 flat label file read-only (one physical copy of the
-label columns, shared through the page cache — see
-:func:`repro.io.flat_store.open_shared`), and a selectors-based router
-thread owns the serving defences: admission control with capped
-retry-after hints, a circuit breaker over worker health, hot reload by
-file-signature watching, and the same non-raising
-:class:`~repro.serving.service.QueryResult` surface.
+:class:`~repro.serving.service.SPCService`, and the multiprocess executor
+of the same request lifecycle (:mod:`repro.serving.admission`): one gate
+(closed check, vertex validation, breaker, admission) in front of every
+request, one deadline rule, one status table and one outcome tally. N
+worker processes each map the *same* SPCF v4 flat label file read-only
+(one physical copy of the label columns, shared through the page cache —
+see :func:`repro.io.flat_store.open_shared`), and a selectors-based
+router thread owns the rest of the serving defences: a circuit breaker
+over worker health, hot reload by file-signature watching, and the same
+non-raising :class:`~repro.serving.admission.QueryResult` surface. The
+scatter-gather jobs live in :mod:`repro.serving.jobs` and the frame
+decoder in :mod:`repro.serving.protocol`; this module is the router and
+its supervisor.
 
 The router earns its throughput from *batching*, not just parallelism:
 pair requests destined for the same shard are coalesced into one
@@ -49,7 +54,7 @@ workers adopt the down shard (every worker maps the full arena), or —
 when no worker is live at all and a ``graph`` was provided — a BFS
 fallback thread answers from the logical graph via
 :class:`~repro.resilience.ResilientSPCIndex`; either way the
-:class:`~repro.serving.service.QueryResult` carries a
+:class:`~repro.serving.admission.QueryResult` carries a
 ``degraded_shards`` annotation instead of an error. Tail robustness
 comes from hedging: a sub-request that outlives its latency-derived
 hedge delay is duplicated to a sibling replica and the first
@@ -72,11 +77,9 @@ from concurrent.futures import Future
 import numpy as np
 
 from repro.exceptions import (
-    CircuitOpenError,
     DeadlineExceeded,
     ReproError,
     SerializationError,
-    ServiceOverloaded,
     VertexError,
 )
 from repro.io.flat_store import read_flat_meta
@@ -86,9 +89,18 @@ from repro.query.ast import PAIR_OPS, Batch, Count, SetToSet, SingleSource
 from repro.query.backends import normalize_pair, normalize_single_source
 from repro.query.engine import QueryEngine
 from repro.serving import protocol
-from repro.serving.admission import DEFAULT_RETRY_AFTER_CAP, AdmissionQueue
+from repro.serving.admission import (
+    DEADLINE,
+    DEFAULT_RETRY_AFTER_CAP,
+    ERROR,
+    SERVED_DEGRADED,
+    SERVED_INDEX,
+    AdmissionQueue,
+    QueryResult,
+    RequestLifecycle,
+    status_of,
+)
 from repro.serving.breaker import CircuitBreaker
-from repro.serving.deadline import Deadline
 from repro.serving.jobs import (
     INF,
     _ClusterOracle,
@@ -101,16 +113,6 @@ from repro.serving.jobs import (
 )
 from repro.serving.protocol import _FrameDecoder, _WorkerGone
 from repro.serving.reload import IndexWatcher
-from repro.serving.service import (
-    CIRCUIT_OPEN,
-    DEADLINE,
-    ERROR,
-    INVALID,
-    SERVED_DEGRADED,
-    SERVED_INDEX,
-    SHED,
-    QueryResult,
-)
 from repro.serving.shards import ShardPlan
 
 #: Worker lifecycle states as the router sees them.
@@ -124,26 +126,22 @@ DEAD = "dead"
 #: Whole-gather retries allowed when replies straddle a generation swap.
 GATHER_RETRY_LIMIT = 3
 
-_ERR_STATUS = {
-    protocol.ERR_DEADLINE: DEADLINE,
-    protocol.ERR_VERTEX: INVALID,
-    protocol.ERR_SERIALIZATION: ERROR,
-    protocol.ERR_ERROR: ERROR,
-}
-
-
-def _err_exception(kind, message):
-    """Rehydrate a worker's typed ERR reply into a library exception."""
-    if kind == protocol.ERR_SERIALIZATION:
-        return SerializationError(message)
-    return ReproError(message)
-
-
 def _deadline_error(deadline):
     """A :class:`DeadlineExceeded` carrying the request's real budget."""
-    if deadline is None:  # pragma: no cover - defensive
-        return DeadlineExceeded(0.0, 0.0)
     return DeadlineExceeded(deadline.budget, deadline.elapsed())
+
+
+def _err_exception(kind, message, deadline):
+    """Rehydrate a worker's ERR reply as the typed error it was raised as."""
+    if kind == protocol.ERR_DEADLINE:
+        return _deadline_error(deadline)
+    if kind == protocol.ERR_SERIALIZATION:
+        return SerializationError(message)
+    if kind == protocol.ERR_VERTEX:
+        error = VertexError(None, 0)
+        error.args = (message,)  # the wire carries only the worker's text
+        return error
+    return ReproError(message)
 
 
 class _Worker:
@@ -231,30 +229,14 @@ class _Flight:
         self.degraded = ()
 
 
-class _MetricHandles:
-    """Hot-path metric instruments, resolved once at construction.
+class _BatchMetrics:
+    """Per-batch metric instruments, resolved once at construction (the
+    per-request ones are the :class:`~repro.serving.admission
+    .RequestLifecycle`'s; rare paths look theirs up per call)."""
 
-    Registry lookups build a label key and take a lock per call; at
-    cluster throughput (tens of thousands of requests per second on one
-    core) those few microseconds per request are real capacity. The
-    request path therefore touches pre-resolved handles only. Rare
-    paths (reload, worker death) still look instruments up lazily, so
-    they keep working even if the registry is swapped mid-flight.
-    """
-
-    __slots__ = ("requests", "outcomes", "seconds", "inflight",
-                 "batch_size", "batches", "batch_seconds")
+    __slots__ = ("batch_size", "batches", "batch_seconds")
 
     def __init__(self, registry, shards):
-        self.requests = registry.counter("spc_cluster_requests_total")
-        self.outcomes = {
-            status: registry.counter("spc_cluster_request_outcomes_total",
-                                     status=status)
-            for status in (SERVED_INDEX, SERVED_DEGRADED, SHED, CIRCUIT_OPEN,
-                           DEADLINE, INVALID, ERROR)
-        }
-        self.seconds = registry.histogram("spc_cluster_request_seconds")
-        self.inflight = registry.gauge("spc_cluster_inflight_requests")
         self.batch_size = registry.histogram(
             "spc_cluster_batch_size",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256))
@@ -324,12 +306,8 @@ class _DegradedExecutor(threading.Thread):
         """One fallback call mapped onto a (status, answer, error) triple."""
         try:
             return (SERVED_DEGRADED, work(), None)
-        except DeadlineExceeded as exc:
-            return (DEADLINE, None, exc)
-        except VertexError as exc:
-            return (INVALID, None, exc)
         except ReproError as exc:
-            return (ERROR, None, exc)
+            return (status_of(exc), None, exc)
 
 
 class ClusterService:
@@ -357,7 +335,8 @@ class ClusterService:
         admits up to ``capacity + queue_limit`` outstanding requests and
         sheds the rest with a capped retry-after hint.
     default_deadline:
-        Per-request budget in seconds when the caller gives none.
+        Per-request budget in seconds when the caller gives none
+        (``None``: :data:`~repro.serving.admission.MAX_REQUEST_SECONDS`).
     breaker / failure_threshold / reset_timeout:
         Circuit breaker over worker failures (a worker death or a
         corrupt-arena error trips it; request-level deadline and vertex
@@ -396,10 +375,12 @@ class ClusterService:
         the worker).
     heartbeat_interval / stall_timeout:
         Idle workers are pinged every ``heartbeat_interval`` seconds
-        (0 disables); a missed pong, or a deadline-carrying batch
-        overrunning its budget by ``stall_timeout``, declares the worker
-        stalled: it is SIGKILLed and respawned. Batches with no deadline
-        are exempt from stall kills (a long exact scan is not a stall).
+        (0 disables); a missed pong, or a batch overrunning its deadline
+        budget by ``stall_timeout``, declares the worker stalled: it is
+        SIGKILLed and respawned. Every request carries a budget (a
+        request with no timeout and no ``default_deadline`` gets
+        :data:`~repro.serving.admission.MAX_REQUEST_SECONDS`), so every
+        batch is covered.
     hedge_delay / hedge_multiplier / hedge_floor:
         Tail hedging. ``"auto"`` (default) duplicates a sub-request to
         an idle sibling once it has waited ``hedge_multiplier`` × the
@@ -429,8 +410,6 @@ class ClusterService:
                 f"(workers={workers})")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if default_deadline is not None and default_deadline <= 0:
-            raise ValueError("default_deadline must be positive or None")
         if respawn_backoff <= 0 or respawn_backoff_max < respawn_backoff:
             raise ValueError("respawn_backoff must be positive and <= "
                              "respawn_backoff_max")
@@ -449,29 +428,27 @@ class ClusterService:
         self.max_batch = max_batch
         self.default_deadline = default_deadline
         self._clock = clock
-        self._admission = AdmissionQueue(capacity, queue_limit,
-                                         retry_after_cap=retry_after_cap,
-                                         clock=clock)
+        self._life = RequestLifecycle(
+            "spc_cluster", AdmissionQueue.offer, capacity=capacity,
+            queue_limit=queue_limit, retry_after_cap=retry_after_cap,
+            default_deadline=default_deadline,
+            reload_check_every=reload_check_every,
+            counters=("batches", "gather_retries", "reloads",
+                      "reload_failures", "worker_failures", "respawns",
+                      "stalls", "hedges", "hedge_wins", "degraded_requests",
+                      "drains", "replays"),
+            clock=clock)
+        self._admission = self._life.admission
         if breaker is None:
             breaker = CircuitBreaker(failure_threshold=failure_threshold,
                                      reset_timeout=reset_timeout, clock=clock)
         self.breaker = breaker
         self._watcher = IndexWatcher(self.index_path)
-        self._reload_check_every = reload_check_every
         self._target_generation = 0
         self._closing = False
         self._closed = False
-        self._stats_lock = threading.Lock()
-        self.counters = {
-            "requests": 0, "batches": 0, "gather_retries": 0,
-            SERVED_INDEX: 0, SERVED_DEGRADED: 0, SHED: 0, CIRCUIT_OPEN: 0,
-            DEADLINE: 0, INVALID: 0, ERROR: 0, "reloads": 0,
-            "reload_failures": 0, "worker_failures": 0, "respawns": 0,
-            "stalls": 0, "hedges": 0, "hedge_wins": 0,
-            "degraded_requests": 0, "drains": 0, "replays": 0,
-        }
         registry = get_registry()
-        self._metrics = (_MetricHandles(registry, self.plan.shards)
+        self._metrics = (_BatchMetrics(registry, self.plan.shards)
                          if registry.enabled else None)
         self._asleep = False
         self._inbox = collections.deque()
@@ -520,11 +497,11 @@ class ClusterService:
             worker = _Worker(index, index % self.plan.shards, respawn_backoff)
             self._workers.append(worker)
             self._spawn_process(worker, 0)
-        registry = get_registry()
-        if registry.enabled:
-            for shard in range(self.plan.shards):
-                registry.gauge("spc_cluster_workers", shard=str(shard)).set(
-                    sum(1 for w in self._workers if w.shard == shard))
+        workers = self._workers
+        for shard in range(self.plan.shards):
+            get_registry().gauge("spc_cluster_workers", shard=str(shard)).track(
+                lambda shard=shard: sum(1 for w in workers
+                                        if w.live and w.shard == shard))
         self._router = threading.Thread(target=self._run,
                                         name="spc-cluster-router",
                                         daemon=True)
@@ -618,41 +595,11 @@ class ClusterService:
         """
         started = self._clock()
         future = Future()
-        self._bump("requests")
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.requests.inc()
-        if self._closed or self._closing or self._failed:
-            return self._reject(future, started, ERROR,
-                                ReproError("cluster is closed"))
-        try:
-            s = int(s)
-            t = int(t)
-            if not (0 <= s < self.n):
-                raise VertexError(s, self.n)
-            if not (0 <= t < self.n):
-                raise VertexError(t, self.n)
-        except (TypeError, ValueError):
-            return self._reject(future, started, INVALID,
-                                ReproError(f"bad vertex pair ({s!r}, {t!r})"))
-        except VertexError as exc:
-            return self._reject(future, started, INVALID, exc)
-        deadline = self._deadline(timeout)
-        try:
-            self.breaker.before_call()
-        except CircuitOpenError as exc:
-            return self._reject(future, started, CIRCUIT_OPEN, exc)
-        try:
-            ordinal = self._admission.offer()
-        except ServiceOverloaded as exc:
-            return self._reject(future, started, SHED, exc)
-        self._observe_admission()
-        request = _PairRequest(s, t, deadline, started, future)
-        self._inbox.append(("pair", request))
-        self._wake()
-        if (self._reload_check_every
-                and ordinal % self._reload_check_every == 0):
-            self.check_reload()
+        deadline = self._admit(future, started, timeout, (s, t))
+        if deadline is not None:
+            self._inbox.append(("pair", _PairRequest(
+                int(s), int(t), deadline, started, future)))
+            self._wake()
         return future
 
     def submit(self, s, t, timeout=None):
@@ -678,39 +625,22 @@ class ClusterService:
         """
         pairs = list(pairs)
         if not pairs:
-            started = self._clock()
-            self._bump("requests")
-            future = Future()
-            self._bump(SERVED_INDEX)
-            future.set_result(QueryResult(
-                SERVED_INDEX, answer=[], elapsed=self._clock() - started,
-                generation=self.generation))
-            return future
+            return self._served_empty([])
         try:
             sources = np.fromiter((p[0] for p in pairs), dtype=np.int64,
                                   count=len(pairs))
             targets = np.fromiter((p[1] for p in pairs), dtype=np.int64,
                                   count=len(pairs))
         except (TypeError, ValueError):
-            future = Future()
-            self._bump("requests")
-            return self._reject(future, self._clock(), INVALID,
-                                ReproError("pairs must be (int, int) tuples"))
-        bad = None
-        if int(sources.min()) < 0 or int(sources.max()) >= self.n:
-            bad = sources
-        elif int(targets.min()) < 0 or int(targets.max()) >= self.n:
-            bad = targets
-        if bad is not None:
-            offender = int(bad[(bad < 0) | (bad >= self.n)][0])
-            future = Future()
-            self._bump("requests")
-            return self._reject(future, self._clock(), INVALID,
-                                VertexError(offender, self.n))
+            # Some id is not an integer: the gate names it.
+            return self._submit_job(None, [v for p in pairs for v in p],
+                                    timeout)
+        extremes = [int(ids.min()) for ids in (sources, targets)]
+        extremes += [int(ids.max()) for ids in (sources, targets)]
         return self._submit_job(
             lambda future, deadline, started: _PairBatchJob(
                 future, deadline, started, sources, targets, self.plan),
-            validate=(), timeout=timeout)
+            extremes, timeout)
 
     def submit_many(self, pairs, timeout=None):
         """Blocking :meth:`submit_many_nowait`: always a terminal result."""
@@ -727,24 +657,19 @@ class ClusterService:
         return self._submit_job(
             lambda future, deadline, started: _SingleSourceJob(
                 future, deadline, started, int(s), self.plan),
-            validate=[s], timeout=timeout).result()
+            [s], timeout).result()
 
     def set_to_set(self, sources, targets, timeout=None):
         """Scatter-gather ``(sd(S, T), spc(S, T))`` over target shards."""
         sources = [int(v) for v in sources]
         targets = [int(v) for v in targets]
         if not sources or not targets:
-            result = QueryResult(SERVED_INDEX, answer=(INF, 0),
-                                 generation=self.generation)
-            self._bump(SERVED_INDEX)
-            future = Future()
-            future.set_result(result)
-            return future.result()
+            return self._served_empty((INF, 0)).result()
         buckets = self.plan.split_targets(targets)
         return self._submit_job(
             lambda future, deadline, started: _SetToSetJob(
                 future, deadline, started, sources, buckets),
-            validate=sources + targets, timeout=timeout).result()
+            sources + targets, timeout).result()
 
     def submit_query(self, node, timeout=None):
         """Run a compiled query AST node against the cluster.
@@ -760,7 +685,7 @@ class ClusterService:
         cluster's shedding/deadline/breaker behaviour per sub-request.
         Answers are normalised to the query layer's value conventions.
         """
-        deadline = self._deadline(timeout)
+        deadline = self._life.deadline(timeout, self._clock())
         if type(node) is Count:
             return self.submit(node.s, node.t, timeout=deadline)
         if isinstance(node, PAIR_OPS):
@@ -804,16 +729,8 @@ class ClusterService:
         engine = QueryEngine(oracle=adapter, n=self.n, cache=None)
         try:
             answer = engine.run(node, deadline=deadline)
-        except ServiceOverloaded as exc:
-            result = QueryResult(SHED, error=exc)
-        except CircuitOpenError as exc:
-            result = QueryResult(CIRCUIT_OPEN, error=exc)
-        except DeadlineExceeded as exc:
-            result = QueryResult(DEADLINE, error=exc)
-        except VertexError as exc:
-            result = QueryResult(INVALID, error=exc)
         except ReproError as exc:
-            result = QueryResult(ERROR, error=exc)
+            result = QueryResult(status_of(exc), error=exc)
         else:
             status = SERVED_DEGRADED if adapter.degraded else SERVED_INDEX
             result = QueryResult(status, answer=answer,
@@ -822,56 +739,51 @@ class ClusterService:
         result.generation = self.generation
         return result
 
-    def _submit_job(self, factory, validate, timeout):
-        """Common admission/validation path for scatter-gather jobs.
+    def _admit(self, future, started, timeout, vertices):
+        """The gate every request passes: closed check, vertex validation,
+        breaker and admission, in that order.
 
-        Returns the future; blocking entry points call ``.result()`` on
-        it, :meth:`submit_many_nowait` hands it straight to the caller.
+        Returns the request's deadline, or ``None`` after resolving
+        ``future`` with the terminal result of whichever step refused it.
         """
+        life = self._life
+        deadline = life.deadline(timeout, started)
+        try:
+            if self._closed or self._closing or self._failed:
+                raise ReproError("cluster is closed")
+            for v in vertices:
+                try:
+                    if 0 <= v < self.n:
+                        continue
+                except TypeError:  # not a number: still not a vertex
+                    pass
+                raise VertexError(v, self.n)
+            self.breaker.before_call()
+            poll = life.admit(deadline)
+        except ReproError as exc:
+            future.set_result(life.fail(exc, self._clock() - started,
+                                        self.generation))
+            return None
+        if poll:
+            self.check_reload()
+        return deadline
+
+    def _submit_job(self, factory, vertices, timeout):
+        """:meth:`_admit` a scatter-gather job and queue it; returns the
+        future (blocking entry points call ``.result()`` on it)."""
         started = self._clock()
         future = Future()
-        self._bump("requests")
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.requests.inc()
-        if self._closed or self._closing or self._failed:
-            return self._reject(future, started, ERROR,
-                                ReproError("cluster is closed"))
-        for v in validate:
-            v = int(v)
-            if not (0 <= v < self.n):
-                return self._reject(future, started, INVALID,
-                                    VertexError(v, self.n))
-        deadline = self._deadline(timeout)
-        try:
-            self.breaker.before_call()
-        except CircuitOpenError as exc:
-            return self._reject(future, started, CIRCUIT_OPEN, exc)
-        try:
-            self._admission.offer()
-        except ServiceOverloaded as exc:
-            return self._reject(future, started, SHED, exc)
-        self._observe_admission()
-        job = factory(future, deadline, started)
-        self._inbox.append(("job", job))
-        self._wake()
+        deadline = self._admit(future, started, timeout, vertices)
+        if deadline is not None:
+            self._inbox.append(("job", factory(future, deadline, started)))
+            self._wake()
         return future
 
-    def _deadline(self, timeout):
-        """Normalise a caller timeout against the service default."""
-        if timeout is None:
-            timeout = self.default_deadline
-        return Deadline.of(timeout, clock=self._clock)
-
-    def _reject(self, future, started, status, error):
-        """Resolve a request terminally before it reaches the router."""
-        self._bump(status)
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.outcomes[status].inc()
-        future.set_result(QueryResult(status, error=error,
-                                      elapsed=self._clock() - started,
-                                      generation=self.generation))
+    def _served_empty(self, answer):
+        """An empty request: answered without a worker, but tallied."""
+        future = Future()
+        future.set_result(self._life.finish(SERVED_INDEX, 0.0, answer=answer,
+                                            generation=self.generation))
         return future
 
     # -- hot reload -----------------------------------------------------------
@@ -949,10 +861,8 @@ class ClusterService:
 
     def stats(self):
         """Counter snapshot plus per-worker state for dashboards."""
-        with self._stats_lock:
-            counters = dict(self.counters)
         return {
-            "counters": counters,
+            "counters": self._life.snapshot(),
             "generation": self.generation,
             "target_generation": self._target_generation,
             "shards": self.plan.shards,
@@ -980,19 +890,12 @@ class ClusterService:
         if not live:
             raise ReproError("no live workers")
         future = Future()
-        job = _StatsJob(future, live)
+        started = self._clock()
+        job = _StatsJob(future, self._life.deadline(timeout, started), started,
+                        live)
         self._inbox.append(("job", job))
         self._wake()
         return future.result(timeout=timeout)
-
-    def _bump(self, key):
-        with self._stats_lock:
-            self.counters[key] = self.counters.get(key, 0) + 1
-
-    def _observe_admission(self):
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inflight.set(self._admission.in_flight)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -1233,36 +1136,31 @@ class ClusterService:
     def _dispatch_pairs(self, worker, shard):
         pending = self._pending[shard]
         members = []
-        budget = None
-        unlimited = False
+        budget = 0.0
+        now = self._clock()
         while pending and len(members) < self.max_batch:
             request = pending.popleft()
             if request.done:
                 continue
-            if request.deadline is not None:
-                remaining = request.deadline.remaining()
-                if remaining <= 0:
-                    self._finish_pair(request, DEADLINE,
-                                      error=_deadline_error(request.deadline))
-                    continue
-                budget = remaining if budget is None else max(budget,
-                                                              remaining)
-            else:
-                unlimited = True
+            remaining = request.deadline.expires_at - now
+            if remaining <= 0:
+                self._finish_pair(request, DEADLINE,
+                                  error=_deadline_error(request.deadline))
+                continue
+            budget = max(budget, remaining)
             members.append(request)
         if not members:
             return
         batch_id = self._next_id()
         message = (protocol.PAIRS, batch_id,
-                   [r.s for r in members], [r.t for r in members],
-                   None if unlimited else budget)
+                   [r.s for r in members], [r.t for r in members], budget)
         if not self._send(worker, message):
             for request in reversed(members):
                 pending.appendleft(request)
             return
         now = self._clock()
         flight = _Flight("pairs", batch_id, worker, shard, message, now,
-                         None if unlimited else budget)
+                         budget)
         flight.members = members
         if worker.shard != shard:
             flight.degraded = (shard,)
@@ -1278,13 +1176,10 @@ class ClusterService:
     def _dispatch_sub(self, worker, job, key):
         if job.done or job.offloaded:
             return
-        budget = None
-        if job.deadline is not None:
-            budget = job.deadline.remaining()
-            if budget <= 0:
-                self._finish_job(job, DEADLINE,
-                                 error=_deadline_error(job.deadline))
-                return
+        budget = job.deadline.remaining()
+        if budget <= 0:
+            self._finish_job(job, DEADLINE, error=_deadline_error(job.deadline))
+            return
         batch_id = self._next_id()
         shard = job.shard_for(key)
         message = job.message(key, batch_id, budget)
@@ -1343,13 +1238,17 @@ class ClusterService:
             if self._fallback is not None:
                 self._offload_shard(shard)
                 continue
-            error = ReproError(f"no live workers for shard {shard}")
-            while self._pending[shard]:
-                self._finish_pair(self._pending[shard].popleft(), ERROR,
-                                  error=error)
-            while self._subs[shard]:
-                job, _ = self._subs[shard].popleft()
-                self._finish_job(job, ERROR, error=error)
+            self._fail_queued(shard, ReproError(
+                f"no live workers for shard {shard}"))
+
+    def _fail_queued(self, shard, error):
+        """Fail every pair and job sub still queued on ``shard``."""
+        while self._pending[shard]:
+            self._finish_pair(self._pending[shard].popleft(), ERROR,
+                              error=error)
+        while self._subs[shard]:
+            job, _ = self._subs[shard].popleft()
+            self._finish_job(job, ERROR, error=error)
 
     def _offload_shard(self, shard):
         """Move a dead shard's backlog onto the BFS fallback thread."""
@@ -1390,12 +1289,9 @@ class ClusterService:
         self._executor.submit(("job", job))
 
     def _note_degraded(self, shard, count=1):
-        with self._stats_lock:
-            self.counters["degraded_requests"] += count
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("spc_cluster_degraded_requests_total",
-                             shard=str(shard)).inc(count)
+        self._life.bump("degraded_requests", count,
+                        "spc_cluster_degraded_requests_total",
+                        shard=str(shard))
 
     # -- reply handling -------------------------------------------------------
 
@@ -1458,10 +1354,8 @@ class ClusterService:
             twin.twin = None
             flight.twin = None
             if flight.is_hedge:
-                self._bump("hedge_wins")
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter("spc_cluster_hedge_wins_total").inc()
+                self._life.bump("hedge_wins",
+                                family="spc_cluster_hedge_wins_total")
         if message[0] == protocol.OK:
             self._latency[flight.home_shard].append(
                 self._clock() - flight.sent_at)
@@ -1488,15 +1382,9 @@ class ClusterService:
             # A respawned (or drain-replacement) worker is back: count
             # it as recovery evidence so an open breaker can close.
             self.breaker.record_success()
-            registry = get_registry()
-            if registry.enabled:
-                shard = str(worker.shard)
-                registry.gauge("spc_cluster_workers", shard=shard).set(
-                    sum(1 for w in self._workers
-                        if w.live and w.shard == worker.shard))
-                if worker.died_at is not None:
-                    registry.histogram("spc_cluster_respawn_seconds").observe(
-                        now - worker.died_at)
+            if worker.died_at is not None:
+                get_registry().histogram("spc_cluster_respawn_seconds").observe(
+                    now - worker.died_at)
             get_event_log().emit("cluster_worker_up", worker=worker.index,
                                  shard=worker.shard,
                                  generation=worker.generation,
@@ -1506,44 +1394,47 @@ class ClusterService:
 
     def _on_pairs_reply(self, worker, flight, message):
         members = flight.members
-        self._bump("batches")
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.batches[worker.shard].inc()
-            metrics.batch_seconds[worker.shard].observe(
-                self._clock() - flight.sent_at)
+        now = self._clock()
+        self._count_batch(worker, flight, now)
         if message[0] == protocol.ERR:
-            kind, detail = message[2], message[3]
-            status = _ERR_STATUS.get(kind, ERROR)
-            if status == ERROR:
-                self.breaker.record_failure()
-            for request in members:
-                error = (_deadline_error(request.deadline)
-                         if kind == protocol.ERR_DEADLINE
-                         else _err_exception(kind, detail))
-                self._finish_pair(request, status, error=error)
+            errors = [_err_exception(message[2], message[3], request.deadline)
+                      for request in members]
+            status = self._failed_status(errors[0])
+            for request, error in zip(members, errors):
+                self._finish_pair(request, status, error=error, now=now)
             return
         self.breaker.record_success()
         generation = message[2]
         answers = message[3]
         for request, answer in zip(members, answers):
-            if (request.deadline is not None
-                    and request.deadline.remaining() <= 0):
-                self._finish_pair(request, DEADLINE,
+            if now >= request.deadline.expires_at:
+                self._finish_pair(request, DEADLINE, now=now,
                                   error=_deadline_error(request.deadline))
             else:
                 self._finish_pair(request, SERVED_INDEX, answer=answer,
                                   generation=generation,
-                                  degraded=flight.degraded)
+                                  degraded=flight.degraded, now=now)
 
-    def _on_sub_error(self, job, kind, detail):
-        status = _ERR_STATUS.get(kind, ERROR)
+    def _count_batch(self, worker, flight, now):
+        """Tally one worker round-trip; returns the batch metric handles."""
+        self._life.bump("batches")
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.batches[worker.shard].inc()
+            metrics.batch_seconds[worker.shard].observe(now - flight.sent_at)
+        return metrics
+
+    def _failed_status(self, error):
+        """The status a worker's ERR reply ends its requests in; a
+        worker-side failure (status ``error``) counts against the breaker."""
+        status = status_of(error)
         if status == ERROR:
             self.breaker.record_failure()
-        error = (_deadline_error(job.deadline)
-                 if kind == protocol.ERR_DEADLINE
-                 else _err_exception(kind, detail))
-        self._finish_job(job, status, error=error)
+        return status
+
+    def _on_sub_error(self, job, kind, detail):
+        error = _err_exception(kind, detail, job.deadline)
+        self._finish_job(job, self._failed_status(error), error=error)
 
     def _on_sub_reply(self, worker, flight, message):
         job, key = flight.job, flight.key
@@ -1551,12 +1442,8 @@ class ClusterService:
             # A bulk sub is one coalesced worker round-trip, same as a
             # router-built pair batch — account it under the same
             # counters so the batching instruments cover both doors.
-            self._bump("batches")
-            metrics = self._metrics
+            metrics = self._count_batch(worker, flight, self._clock())
             if metrics is not None:
-                metrics.batches[worker.shard].inc()
-                metrics.batch_seconds[worker.shard].observe(
-                    self._clock() - flight.sent_at)
                 metrics.batch_size.observe(len(job.subs[key][0]))
         if message[0] == protocol.ERR:
             self._on_sub_error(job, message[2], message[3])
@@ -1572,10 +1459,8 @@ class ClusterService:
             # A rolling swap landed mid-gather: never merge two index
             # generations into one answer — retry the whole scatter.
             generations = {gen for gen, _ in job.replies.values()}
-            self._bump("gather_retries")
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("spc_cluster_gather_retries_total").inc()
+            self._life.bump("gather_retries",
+                            family="spc_cluster_gather_retries_total")
             if job.retries >= GATHER_RETRY_LIMIT:
                 self._finish_job(job, ERROR, error=ReproError(
                     f"gather saw mixed generations {sorted(generations)} "
@@ -1604,19 +1489,17 @@ class ClusterService:
         registry = get_registry()
         if ok:
             worker.generation = generation
-            self._bump("reloads")
+            self._life.bump("reloads", family="spc_cluster_reloads_total",
+                            outcome="success")
             if registry.enabled:
-                registry.counter("spc_cluster_reloads_total",
-                                 outcome="success").inc()
                 registry.gauge("spc_cluster_generation").set(self.generation)
             get_event_log().emit("cluster_worker_reloaded",
                                  worker=worker.index, shard=worker.shard,
                                  generation=generation)
         else:
-            self._bump("reload_failures")
-            if registry.enabled:
-                registry.counter("spc_cluster_reloads_total",
-                                 outcome="failure").inc()
+            self._life.bump("reload_failures",
+                            family="spc_cluster_reloads_total",
+                            outcome="failure")
             get_event_log().emit("cluster_reload_failed",
                                  worker=worker.index, shard=worker.shard,
                                  detail=str(detail))
@@ -1637,16 +1520,10 @@ class ClusterService:
         if worker.process is not None:
             self._reaped.append(worker.process)
             worker.process = None
-        self._bump("worker_failures")
+        self._life.bump("worker_failures",
+                        family="spc_cluster_worker_failures_total",
+                        shard=str(worker.shard))
         self.breaker.record_failure()
-        registry = get_registry()
-        if registry.enabled:
-            shard = str(worker.shard)
-            registry.counter("spc_cluster_worker_failures_total",
-                             shard=shard).inc()
-            registry.gauge("spc_cluster_workers", shard=shard).set(
-                sum(1 for w in self._workers
-                    if w.live and w.shard == worker.shard))
         get_event_log().emit("cluster_worker_died", worker=worker.index,
                              shard=worker.shard)
         # Replay, don't fail: only this worker's in-flight keys are
@@ -1691,7 +1568,7 @@ class ClusterService:
             flight.twin.twin = None
             flight.twin = None
             return
-        self._bump("replays")
+        self._life.bump("replays")
         if flight.kind == "pairs":
             for request in reversed(flight.members):
                 if not request.done:
@@ -1722,11 +1599,7 @@ class ClusterService:
                     self._stall_kill(worker, "no HELLO within start_timeout")
                 continue
             if worker.state == BUSY:
-                # Unlimited-budget flights are exempt: a long exact scan
-                # with no deadline is work, not a stall.
-                if (worker.busy_budget is not None
-                        and worker.busy_since is not None
-                        and now - worker.busy_since
+                if (now - worker.busy_since
                         > worker.busy_budget + self._stall_timeout):
                     self._stall_kill(worker, "batch overran its deadline "
                                              "budget")
@@ -1760,10 +1633,8 @@ class ClusterService:
             elif worker.state == STARTING:
                 consider(worker.spawned_at + self._start_timeout)
             elif worker.state == BUSY:
-                if (worker.busy_budget is not None
-                        and worker.busy_since is not None):
-                    consider(worker.busy_since + worker.busy_budget
-                             + self._stall_timeout)
+                consider(worker.busy_since + worker.busy_budget
+                         + self._stall_timeout)
             elif worker.state == RELOADING:
                 if worker.busy_since is not None:
                     consider(worker.busy_since + self._stall_timeout + 5.0)
@@ -1788,11 +1659,8 @@ class ClusterService:
         """A stalled worker is indistinguishable from a dead one to its
         callers — SIGKILL it (works through SIGSTOP too) and let the
         ordinary death path replay and respawn."""
-        self._bump("stalls")
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("spc_cluster_stalls_total",
-                             shard=str(worker.shard)).inc()
+        self._life.bump("stalls", family="spc_cluster_stalls_total",
+                        shard=str(worker.shard))
         get_event_log().emit("cluster_worker_stalled", worker=worker.index,
                              shard=worker.shard, reason=reason,
                              state=worker.state)
@@ -1806,11 +1674,8 @@ class ClusterService:
     def _respawn_now(self, worker):
         worker.respawn_at = None
         worker.respawns += 1
-        self._bump("respawns")
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("spc_cluster_respawns_total",
-                             shard=str(worker.shard)).inc()
+        self._life.bump("respawns", family="spc_cluster_respawns_total",
+                        shard=str(worker.shard))
         get_event_log().emit("cluster_worker_respawn", worker=worker.index,
                              shard=worker.shard, attempt=worker.respawns)
         self._spawn_process(worker, self._target_generation)
@@ -1885,10 +1750,7 @@ class ClusterService:
         sibling.busy_since = now
         sibling.busy_budget = flight.budget
         self._inflight[batch_id] = hedge
-        self._bump("hedges")
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("spc_cluster_hedges_total").inc()
+        self._life.bump("hedges", family="spc_cluster_hedges_total")
         get_event_log().emit("cluster_hedge", worker=flight.worker.index,
                              sibling=sibling.index,
                              shard=flight.home_shard)
@@ -1903,11 +1765,8 @@ class ClusterService:
         if not worker.draining:
             worker.draining = True
             worker.drain_respawn = respawn
-            self._bump("drains")
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("spc_cluster_drains_total",
-                                 shard=str(worker.shard)).inc()
+            self._life.bump("drains", family="spc_cluster_drains_total",
+                            shard=str(worker.shard))
             get_event_log().emit("cluster_worker_drain",
                                  worker=worker.index, shard=worker.shard,
                                  respawn=respawn)
@@ -1976,12 +1835,7 @@ class ClusterService:
         ``submit()`` caller can ever hang across shutdown.
         """
         for shard in range(self.plan.shards):
-            while self._pending[shard]:
-                self._finish_pair(self._pending[shard].popleft(), ERROR,
-                                  error=error)
-            while self._subs[shard]:
-                job, _ = self._subs[shard].popleft()
-                self._finish_job(job, ERROR, error=error)
+            self._fail_queued(shard, error)
         for flight in list(self._inflight.values()):
             if flight.cancelled:
                 continue
@@ -2014,21 +1868,15 @@ class ClusterService:
     # -- terminal bookkeeping -------------------------------------------------
 
     def _finish_pair(self, request, status, answer=None, error=None,
-                     generation=0, degraded=()):
+                     generation=0, degraded=(), now=None):
         if request.done:
             return
         request.done = True
-        elapsed = self._clock() - request.started
-        self._admission.release(elapsed)
-        self._bump(status)
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.outcomes[status].inc()
-            metrics.seconds.observe(elapsed)
-            metrics.inflight.set(self._admission.in_flight)
-        _set_result(request.future, QueryResult(
-            status, answer=answer, error=error, elapsed=elapsed,
-            generation=generation, degraded_shards=degraded))
+        life = self._life
+        elapsed = (self._clock() if now is None else now) - request.started
+        life.release(elapsed)
+        _set_result(request.future, life.finish(
+            status, elapsed, answer, error, generation, degraded))
 
     def _finish_job(self, job, status, answer=None, error=None, generation=0):
         if job.done:
@@ -2036,14 +1884,12 @@ class ClusterService:
         job.done = True
         elapsed = self._clock() - job.started
         if job.admitted:
-            self._admission.release(elapsed)
-            self._bump(status)
-            metrics = self._metrics
-            if metrics is not None:
-                metrics.outcomes[status].inc()
-                metrics.seconds.observe(elapsed)
-        job.resolve(status, answer, error, generation, elapsed,
-                    degraded=tuple(sorted(job.degraded)))
+            self._life.release(elapsed)
+            job.resolve(self._life.finish(status, elapsed, answer, error,
+                                          generation,
+                                          tuple(sorted(job.degraded))))
+        else:
+            job.resolve(QueryResult(status, answer, error, elapsed))
 
 
 def worker_entry(conn, path, generation, verify, fault=None):

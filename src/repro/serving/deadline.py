@@ -34,7 +34,7 @@ class Deadline:
         Callable returning monotonic seconds; injectable for tests.
     """
 
-    __slots__ = ("budget", "_clock", "_started")
+    __slots__ = ("budget", "expires_at", "_clock", "_started")
 
     def __init__(self, budget, clock=time.monotonic, start=None):
         if budget is not None and budget <= 0:
@@ -42,6 +42,10 @@ class Deadline:
         self.budget = budget
         self._clock = clock
         self._started = clock() if start is None else start
+        #: Clock reading at which the budget is spent (``inf`` when
+        #: unlimited): one clock reading can then test many deadlines.
+        self.expires_at = (float("inf") if budget is None
+                           else self._started + budget)
 
     @classmethod
     def of(cls, timeout, clock=time.monotonic):

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.exceptions import ReproError
 from repro.serving import protocol
-from repro.serving.service import SERVED_DEGRADED, SERVED_INDEX, QueryResult
+from repro.serving.admission import SERVED_DEGRADED, SERVED_INDEX
 
 INF = float("inf")
 
@@ -101,13 +101,9 @@ class _Job:
         """Whole-job answer from the BFS fallback (override per type)."""
         raise ReproError("job has no degraded path")
 
-    def resolve(self, status, answer, error, generation, elapsed,
-                degraded=()):
-        """Complete the caller-visible future with a terminal result."""
-        _set_result(self.future, QueryResult(
-            status, answer=answer, error=error, elapsed=elapsed,
-            generation=generation, degraded_shards=degraded,
-        ))
+    def resolve(self, result):
+        """Complete the caller-visible future with its terminal result."""
+        _set_result(self.future, result)
 
 
 class _SingleSourceJob(_Job):
@@ -234,8 +230,8 @@ class _StatsJob(_Job):
     requires_uniform = False
     admitted = False
 
-    def __init__(self, future, worker_indexes):
-        super().__init__(future, None, 0.0)
+    def __init__(self, future, deadline, started, worker_indexes):
+        super().__init__(future, deadline, started)
         for index in worker_indexes:
             self.subs[index] = index
 
@@ -251,15 +247,15 @@ class _StatsJob(_Job):
         """Worker payload dicts, ordered by worker index."""
         return [payloads[key] for key in sorted(payloads)]
 
-    def resolve(self, status, answer, error, generation, elapsed,
-                degraded=()):
+    def resolve(self, result):
         """Stats callers get the raw payload list, or the typed error."""
-        if status == SERVED_INDEX:
-            _set_result(self.future, answer)
+        if result.status == SERVED_INDEX:
+            _set_result(self.future, result.answer)
         else:
             try:
                 self.future.set_exception(
-                    error if error is not None else ReproError(status))
+                    result.error if result.error is not None
+                    else ReproError(result.status))
             except InvalidStateError:  # pragma: no cover - shutdown race
                 pass
 

@@ -2,7 +2,11 @@
 
 :class:`~repro.resilience.ResilientSPCIndex` guarantees *correct* answers
 under index failure; this layer guarantees *bounded* answers under load.
-Every request passes through four defences:
+It is the in-process executor of the request lifecycle in
+:mod:`repro.serving.admission`, which it shares with
+:class:`~repro.serving.cluster.ClusterService`: admission, deadline,
+status table and outcome tally are written there once. Every request
+passes through four defences:
 
 1. **Admission control** — at most ``capacity`` requests execute
    concurrently; up to ``queue_limit`` more wait (within their deadline).
@@ -10,11 +14,13 @@ Every request passes through four defences:
    :class:`~repro.exceptions.ServiceOverloaded` carrying a retry-after
    hint derived from observed service latency — melting down is the one
    thing a loaded service must never do.
-2. **Deadline budget** — ``timeout`` (or ``default_deadline``) becomes a
-   :class:`~repro.serving.deadline.Deadline` threaded all the way into the
-   label-scan chunks and BFS levels, so even the degraded path returns
-   (with :class:`~repro.exceptions.DeadlineExceeded`) within one
-   checkpoint interval of the budget.
+2. **Deadline budget** — ``timeout`` (or ``default_deadline``, or else
+   the server-side ceiling :data:`~repro.serving.admission
+   .MAX_REQUEST_SECONDS`) becomes a :class:`~repro.serving.deadline
+   .Deadline` threaded all the way into the label-scan chunks and BFS
+   levels, so even the degraded path returns (with
+   :class:`~repro.exceptions.DeadlineExceeded`) within one checkpoint
+   interval of the budget.
 3. **Circuit breaker** — consecutive degraded-path failures trip a
    :class:`~repro.serving.breaker.CircuitBreaker`; while open, degraded
    queries fail fast with :class:`~repro.exceptions.CircuitOpenError`
@@ -39,66 +45,21 @@ and per-outcome tallies for operators.
 import threading
 import time
 
-from repro.exceptions import (
-    CircuitOpenError,
-    DeadlineExceeded,
-    ReproError,
-    ServiceOverloaded,
-    VertexError,
-)
+from repro.exceptions import ReproError
 from repro.observability.events import get_event_log
-from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
 from repro.query.ast import Count
 from repro.query.engine import QueryEngine
 from repro.resilience import ResilientSPCIndex
-from repro.serving.admission import DEFAULT_RETRY_AFTER_CAP, AdmissionQueue
-from repro.serving.breaker import CircuitBreaker
-from repro.serving.deadline import Deadline
-from repro.serving.reload import IndexWatcher
-
-#: Terminal statuses a request can end in (the chaos-gate contract).
-SERVED_INDEX = "index"
-SERVED_DEGRADED = "degraded"
-SHED = "shed"
-CIRCUIT_OPEN = "circuit_open"
-DEADLINE = "deadline"
-INVALID = "invalid"
-ERROR = "error"
-
-TERMINAL_STATUSES = frozenset(
-    (SERVED_INDEX, SERVED_DEGRADED, SHED, CIRCUIT_OPEN, DEADLINE, INVALID, ERROR)
+from repro.serving.admission import (
+    DEFAULT_RETRY_AFTER_CAP,
+    SERVED_DEGRADED,
+    SERVED_INDEX,
+    AdmissionQueue,
+    RequestLifecycle,
 )
-
-
-class QueryResult:
-    """One request's terminal outcome: status, answer or typed error."""
-
-    __slots__ = ("status", "answer", "error", "elapsed", "generation",
-                 "degraded_shards")
-
-    def __init__(self, status, answer=None, error=None, elapsed=0.0, generation=0,
-                 degraded_shards=()):
-        self.status = status
-        self.answer = answer
-        self.error = error
-        self.elapsed = elapsed
-        self.generation = generation
-        self.degraded_shards = tuple(degraded_shards)
-
-    @property
-    def ok(self):
-        """True when an exact answer was produced (index or degraded)."""
-        return self.status in (SERVED_INDEX, SERVED_DEGRADED)
-
-    def __repr__(self):
-        degraded = (f", degraded_shards={self.degraded_shards}"
-                    if self.degraded_shards else "")
-        return (
-            f"QueryResult(status={self.status!r}, answer={self.answer!r}, "
-            f"elapsed={self.elapsed * 1e3:.2f}ms, gen={self.generation}"
-            f"{degraded})"
-        )
+from repro.serving.breaker import CircuitBreaker
+from repro.serving.reload import IndexWatcher
 
 
 class SPCService:
@@ -121,7 +82,7 @@ class SPCService:
         :class:`~repro.serving.admission.AdmissionQueue`).
     default_deadline:
         Per-request budget in seconds when the caller gives none
-        (``None`` = unlimited).
+        (``None``: :data:`~repro.serving.admission.MAX_REQUEST_SECONDS`).
     breaker:
         A :class:`CircuitBreaker` for the degraded path, or ``None`` to
         build one from ``failure_threshold`` / ``reset_timeout``.
@@ -140,12 +101,16 @@ class SPCService:
                  breaker=None, failure_threshold=5, reset_timeout=1.0,
                  reload_check_every=16, bfs_engine="python", io_retries=1,
                  require_fingerprint=False, clock=time.monotonic):
-        if default_deadline is not None and default_deadline <= 0:
-            raise ValueError("default_deadline must be positive or None")
         self._clock = clock
-        self._admission = AdmissionQueue(capacity, queue_limit,
-                                         retry_after_cap=retry_after_cap,
-                                         clock=clock)
+        self._life = RequestLifecycle(
+            "spc", AdmissionQueue.admit, capacity=capacity,
+            queue_limit=queue_limit, retry_after_cap=retry_after_cap,
+            default_deadline=default_deadline,
+            reload_check_every=reload_check_every,
+            counters=("reloads", "reload_failures"), queue_gauge=True,
+            clock=clock)
+        self._admission = self._life.admission
+        self.counters = self._life.counters
         self.capacity = capacity
         self.queue_limit = queue_limit
         self.default_deadline = default_deadline
@@ -163,54 +128,7 @@ class SPCService:
         # outlive the data it was computed from.
         self._query_engine = QueryEngine(resilient=self._resilient, cache=None)
         self._watcher = None if index_path is None else IndexWatcher(index_path)
-        self._reload_check_every = reload_check_every
         self._reload_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self.counters = {
-            "requests": 0,
-            SERVED_INDEX: 0,
-            SERVED_DEGRADED: 0,
-            SHED: 0,
-            CIRCUIT_OPEN: 0,
-            DEADLINE: 0,
-            INVALID: 0,
-            ERROR: 0,
-            "reloads": 0,
-            "reload_failures": 0,
-        }
-
-    # -- admission control ----------------------------------------------------
-
-    def _admit(self, deadline):
-        """Take an execution slot or raise :class:`ServiceOverloaded`.
-
-        Delegates to the shared :class:`~repro.serving.admission
-        .AdmissionQueue`: a request waits in the bounded queue only while
-        its deadline allows; a full queue (or an exhausted budget while
-        queued) sheds the request immediately with a capped retry-after
-        hint.
-        """
-        ordinal = self._admission.admit(deadline)
-        poll = (self._reload_check_every
-                and ordinal % self._reload_check_every == 0)
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge("spc_inflight_requests").set(
-                self._admission.in_flight
-            )
-            registry.gauge("spc_queued_requests").set(self._admission.queued)
-        if poll:
-            self.check_reload()
-
-    def _release(self, elapsed):
-        self._admission.release(elapsed)
-        registry = get_registry()
-        if registry.enabled:
-            registry.histogram("spc_request_seconds").observe(elapsed)
-            registry.gauge("spc_inflight_requests").set(
-                self._admission.in_flight
-            )
-            registry.gauge("spc_queued_requests").set(self._admission.queued)
 
     # -- hot reload -----------------------------------------------------------
 
@@ -232,13 +150,9 @@ class SPCService:
             if not self._watcher.poll():
                 return False
             ok = self._resilient.reload()
-        with self._stats_lock:
-            self.counters["reloads" if ok else "reload_failures"] += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "spc_reloads_total", outcome="success" if ok else "failure"
-            ).inc()
+        self._life.bump("reloads" if ok else "reload_failures",
+                        family="spc_reloads_total",
+                        outcome="success" if ok else "failure")
         get_event_log().emit("service.reload",
                              outcome="success" if ok else "failure",
                              generation=self._resilient.generation)
@@ -257,68 +171,54 @@ class SPCService:
 
     # -- request execution ----------------------------------------------------
 
-    def _bump(self, status):
-        with self._stats_lock:
-            self.counters[status] += 1
-        registry = get_registry()
-        if registry.enabled:
-            if status == "requests":
-                registry.counter("spc_requests_total").inc()
-            else:
-                registry.counter("spc_request_outcomes_total",
-                                 status=status).inc()
+    def _execute(self, work, timeout, started):
+        """Admission, deadline and execution of one request.
 
-    def _execute(self, work, deadline):
-        """Admission + deadline + execution; returns ``(answer, status)``."""
-        self._bump("requests")
-        self._admit(deadline)
-        started = self._clock()
+        Returns the served :class:`QueryResult`, tallied; a request that
+        fails raises its typed error untallied, for the caller to tally
+        (:meth:`submit_query`) or to raise (:meth:`query`).
+        """
+        life = self._life
+        deadline = life.deadline(timeout, started)
+        if life.admit(deadline):
+            self.check_reload()
+        admitted = self._clock()
         try:
             with get_tracer().span("serve.request"):
-                if deadline is not None:
-                    deadline.check()
+                deadline.check()
                 answer = work(deadline)
-            status = (SERVED_INDEX if self._resilient.status == "index"
-                      else SERVED_DEGRADED)
-            self._bump(status)
-            return answer, status
         finally:
-            self._release(self._clock() - started)
-
-    def _deadline(self, timeout):
-        budget = self.default_deadline if timeout is None else timeout
-        return Deadline.of(budget, clock=self._clock)
+            life.release(self._clock() - admitted)
+        status = (SERVED_INDEX if self._resilient.status == "index"
+                  else SERVED_DEGRADED)
+        return life.finish(status, self._clock() - started, answer=answer,
+                           generation=self._resilient.generation)
 
     def query(self, s, t, timeout=None):
         """``(sd(s,t), spc(s,t))`` under the service's defences.
 
         Raises the typed serving errors (:class:`ServiceOverloaded`,
         :class:`DeadlineExceeded`, :class:`CircuitOpenError`) and
-        :class:`VertexError`; never returns a wrong count.
+        :class:`VertexError`; never returns a wrong count. Like
+        :meth:`query_many` and :meth:`single_source`, it tallies only the
+        requests it answers.
         """
-        deadline = self._deadline(timeout)
-        answer, _ = self._execute(
+        return self._execute(
             lambda d: self._resilient.count_with_distance(s, t, deadline=d),
-            deadline,
-        )
-        return answer
+            timeout, self._clock()).answer
 
     def query_many(self, pairs, timeout=None):
         """Batched ``(sd, spc)`` tuples under one shared deadline budget."""
         pairs = list(pairs)
-        deadline = self._deadline(timeout)
-        answer, _ = self._execute(
-            lambda d: self._resilient.count_many(pairs, deadline=d), deadline,
-        )
-        return answer
+        return self._execute(
+            lambda d: self._resilient.count_many(pairs, deadline=d), timeout,
+            self._clock()).answer
 
     def single_source(self, s, timeout=None):
         """``(dist, count)`` arrays from ``s`` under the service's defences."""
-        deadline = self._deadline(timeout)
-        answer, _ = self._execute(
-            lambda d: self._resilient.single_source(s, deadline=d), deadline,
-        )
-        return answer
+        return self._execute(
+            lambda d: self._resilient.single_source(s, deadline=d), timeout,
+            self._clock()).answer
 
     def submit(self, s, t, timeout=None):
         """Non-raising :meth:`query`: always a terminal :class:`QueryResult`.
@@ -341,31 +241,13 @@ class SPCService:
         with the same terminal :class:`QueryResult` statuses.
         """
         started = self._clock()
-        deadline = self._deadline(timeout)
         try:
-            answer, status = self._execute(
-                lambda d: self._query_engine.run(node, deadline=d), deadline,
-            )
-        except ServiceOverloaded as exc:
-            self._bump(SHED)
-            result = QueryResult(SHED, error=exc)
-        except CircuitOpenError as exc:
-            self._bump(CIRCUIT_OPEN)
-            result = QueryResult(CIRCUIT_OPEN, error=exc)
-        except DeadlineExceeded as exc:
-            self._bump(DEADLINE)
-            result = QueryResult(DEADLINE, error=exc)
-        except VertexError as exc:
-            self._bump(INVALID)
-            result = QueryResult(INVALID, error=exc)
+            return self._execute(
+                lambda d: self._query_engine.run(node, deadline=d), timeout,
+                started)
         except ReproError as exc:
-            self._bump(ERROR)
-            result = QueryResult(ERROR, error=exc)
-        else:
-            result = QueryResult(status, answer=answer)
-        result.elapsed = self._clock() - started
-        result.generation = self._resilient.generation
-        return result
+            return self._life.fail(exc, self._clock() - started,
+                                   self._resilient.generation)
 
     # -- observability --------------------------------------------------------
 
@@ -386,10 +268,8 @@ class SPCService:
 
     def stats(self):
         """Flat counter snapshot for dashboards and the smoke gates."""
-        with self._stats_lock:
-            counters = dict(self.counters)
         return {
-            "counters": counters,
+            "counters": self._life.snapshot(),
             "generation": self._resilient.generation,
             "ema_latency": self._admission.ema_latency,
             "admission": self._admission.snapshot(),

@@ -32,6 +32,7 @@ from repro.exceptions import (
     VertexError,
 )
 from repro.io.flat_store import open_shared
+from repro.observability.metrics import MetricsRegistry, set_registry
 from repro.serving import protocol
 from repro.serving.deadline import Deadline
 
@@ -114,6 +115,10 @@ def worker_main(conn, path, generation, verify=True, fault=None):
     (e.g. it wrote a torn frame); marker-file dedup inside the fault
     keeps firing deterministic across supervisor respawns.
     """
+    # Nothing reads a worker's metrics: the router keeps the serving
+    # families. A registry inherited enabled across the fork would only
+    # spend the worker's time on them.
+    set_registry(MetricsRegistry(enabled=False))
     try:
         flat, meta, signature = open_shared(path, verify=verify)
     except (OSError, SerializationError) as exc:

@@ -306,9 +306,10 @@ class TestDrains:
 
 class TestCloseResolvesFutures:
     def test_close_resolves_wedged_inflight(self, arena, tmp_path):
-        # A worker SIGSTOPs holding a no-deadline batch; nothing will
-        # ever kill it (unlimited budget, heartbeats off). close() must
-        # still resolve every outstanding future terminally.
+        # A worker SIGSTOPs holding a no-deadline batch; with heartbeats
+        # off, only the server-side ceiling (60 s) would kill it, long
+        # after this test. close() must still resolve every outstanding
+        # future terminally.
         fault = StalledWorker(tmp_path, after_replies=1, times=1)
         service = ClusterService(arena, workers=1, heartbeat_interval=0,
                                  respawn=False, _fault=fault)

@@ -305,14 +305,23 @@ def render_streaming(record):
 
 def render_observability(record):
     overhead = record.get("overhead", {})
+    serving = record.get("serving_overhead", {})
     coverage = record.get("coverage", {})
     return [
         "| Metric | Value |", "|---|---|",
         f"| Instrumented build (n = {_fmt(overhead.get('vertices'))}) | "
         f"{_fmt(overhead.get('enabled_seconds'), '.2f')}s vs "
         f"{_fmt(overhead.get('disabled_seconds'), '.2f')}s bare |",
-        f"| Overhead ratio | {_fmt(overhead.get('ratio'), '.3f')} "
+        f"| Build overhead, median of {_fmt(overhead.get('pairs'))} paired "
+        f"ratios | {_fmt(overhead.get('ratio'), '.3f')} "
         f"(budget {_fmt(overhead.get('max_overhead'))}) |",
+        f"| Cluster burst of {_fmt(serving.get('burst'))} pairs "
+        f"(n = {_fmt(serving.get('vertices'))}) | "
+        f"{_fmt(serving.get('enabled_seconds'), '.4f')}s vs "
+        f"{_fmt(serving.get('disabled_seconds'), '.4f')}s bare |",
+        f"| Serving overhead, median of {_fmt(serving.get('pairs'))} paired "
+        f"ratios | {_fmt(serving.get('ratio'), '.3f')} "
+        f"(budget {_fmt(serving.get('max_overhead'))}) |",
         f"| Metric families observed | {_fmt(coverage.get('families'))} "
         f"({_fmt(coverage.get('uncatalogued'))} uncatalogued) |",
         f"| Trace spans | {_fmt(coverage.get('spans'))} |",
