@@ -1,8 +1,9 @@
 """Query-cost profile: time vs pair distance, and batch primitives.
 
 Complements the paper's single average-query-time numbers: stratifies
-the workload by true pair distance, and measures the single-source sweep
-of the inverted index against issuing n separate pair queries.
+the workload by true pair distance, and measures the hub-major
+single-source sweep (:meth:`SPCIndex.single_source`) against issuing n
+separate pair queries.
 """
 
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from benchmarks.conftest import run_queries
 from repro.bench.workloads import stratified_query_workload
 from repro.core.index import SPCIndex
-from repro.core.inverted import InvertedLabelIndex
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +33,11 @@ def test_query_time_by_distance(benchmark, profile_setup, distance):
 
 def test_single_source_sweep(benchmark, profile_setup):
     graph, index, _ = profile_setup
-    inverted = InvertedLabelIndex(index.labels)
     sources = list(range(0, graph.n, max(1, graph.n // 20)))
 
     def sweep():
         for s in sources:
-            inverted.single_source(s)
+            index.single_source(s)
 
     benchmark(sweep)
     benchmark.extra_info["sources"] = len(sources)
@@ -58,8 +57,7 @@ def test_pairwise_equivalent_of_sweep(benchmark, profile_setup):
 
 def test_sweep_matches_pairwise(profile_setup):
     graph, index, _ = profile_setup
-    inverted = InvertedLabelIndex(index.labels)
     for s in (0, graph.n // 2):
-        dist, count = inverted.single_source(s)
+        dist, count = index.single_source(s)
         for t in range(0, graph.n, 7):
             assert (dist[t], count[t]) == index.count_with_distance(s, t)

@@ -1,26 +1,27 @@
-"""Closeness-style centralities from the inverted label index.
+"""Closeness-style centralities from single-source sweeps.
 
-The inverted index answers a full single-source sweep in one pass over
-the posting lists, which makes distance-aggregating centralities cheap
-once the counting index exists — another §1-style consumer that never
-touches the graph at evaluation time.
+A single-source sweep answers every target of one source at once, which
+makes distance-aggregating centralities cheap once the counting index
+exists — another §1-style consumer that never touches the graph at
+evaluation time.
 
 Sweeps are expressed as :class:`~repro.query.ast.SingleSource` queries
-compiled through :class:`~repro.query.engine.QueryEngine` (the inverted
-index rides the oracle backend, keeping its one-pass ``single_source``);
-only the aggregation math lives here.
+compiled through :class:`~repro.query.engine.QueryEngine` over any index
+or oracle with an ``n`` (an :class:`~repro.core.index.SPCIndex` sweeps
+its labels hub-major; a
+:class:`~repro.baselines.bfs_counting.BFSCountingOracle` runs one
+counting BFS, exact past int64); only the aggregation math lives here.
 """
 
-from repro.core.inverted import InvertedLabelIndex
 from repro.query.ast import SingleSource
 from repro.query.engine import QueryEngine
 
 INF = float("inf")
 
 
-def _sweep_engine(inverted):
-    """A query engine over the inverted index's sweep-capable oracle."""
-    return QueryEngine(oracle=inverted, cache=None)
+def _sweep_engine(oracle):
+    """A query engine over the oracle's single-source sweeps."""
+    return QueryEngine(oracle=oracle, cache=None)
 
 
 def _closeness_from_sweep(dist, n, wf_improved):
@@ -39,46 +40,38 @@ def _harmonic_from_sweep(dist, v):
     return sum(1.0 / d for u, d in enumerate(dist) if u != v and d != INF and d > 0)
 
 
-def closeness_centrality(inverted, v, wf_improved=True):
+def closeness_centrality(oracle, v, wf_improved=True):
     """Closeness of ``v``: ``(r-1) / Σ dist`` over reachable vertices.
 
     With ``wf_improved`` (Wasserman-Faust, networkx's default) the value
     scales by ``(r-1)/(n-1)`` so vertices in small components don't win
     by default. Returns 0.0 for isolated vertices.
     """
-    dist, _ = _sweep_engine(inverted).run(SingleSource(v))
+    dist, _ = _sweep_engine(oracle).run(SingleSource(v))
     return _closeness_from_sweep(dist, len(dist), wf_improved)
 
 
-def harmonic_centrality(inverted, v):
+def harmonic_centrality(oracle, v):
     """Harmonic centrality: ``Σ_{u != v} 1 / dist(v, u)`` (∞ -> 0)."""
-    dist, _ = _sweep_engine(inverted).run(SingleSource(v))
+    dist, _ = _sweep_engine(oracle).run(SingleSource(v))
     return _harmonic_from_sweep(dist, v)
 
 
-def all_closeness(labels_or_inverted, wf_improved=True):
-    """Closeness for every vertex; accepts labels or a prebuilt inverted index."""
-    inverted = _as_inverted(labels_or_inverted)
-    engine = _sweep_engine(inverted)
+def all_closeness(oracle, wf_improved=True):
+    """Closeness for every vertex of the oracle's ``[0, n)``."""
+    engine = _sweep_engine(oracle)
     out = []
-    for v in range(inverted.labels.n):
+    for v in range(oracle.n):
         dist, _ = engine.run(SingleSource(v))
         out.append(_closeness_from_sweep(dist, len(dist), wf_improved))
     return out
 
 
-def all_harmonic(labels_or_inverted):
-    """Harmonic centrality for every vertex."""
-    inverted = _as_inverted(labels_or_inverted)
-    engine = _sweep_engine(inverted)
+def all_harmonic(oracle):
+    """Harmonic centrality for every vertex of the oracle's ``[0, n)``."""
+    engine = _sweep_engine(oracle)
     out = []
-    for v in range(inverted.labels.n):
+    for v in range(oracle.n):
         dist, _ = engine.run(SingleSource(v))
         out.append(_harmonic_from_sweep(dist, v))
     return out
-
-
-def _as_inverted(labels_or_inverted):
-    if isinstance(labels_or_inverted, InvertedLabelIndex):
-        return labels_or_inverted
-    return InvertedLabelIndex(labels_or_inverted)

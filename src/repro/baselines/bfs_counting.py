@@ -46,6 +46,11 @@ class BFSCountingOracle:
     def build(cls, graph, engine="python", **_ignored):
         return cls(graph, engine=engine)
 
+    @property
+    def n(self):
+        """Vertex count of the graph (the query id space)."""
+        return self._graph.n
+
     def count(self, s, t, deadline=None):
         return self.count_with_distance(s, t, deadline=deadline)[1]
 

@@ -6,13 +6,13 @@ Usage (also available as ``python -m repro``):
     repro-spc build  graph.txt index.bin
     repro-spc build  graph.txt index.bin --ordering significant-path --engine python
     repro-spc query  index.bin 12 9075
-    repro-spc query  index.bin --random 5 --graph graph.txt --engine flat
+    repro-spc query  index.bin --random 5 --graph graph.txt
     repro-spc stats  index.bin
     repro-spc verify index.bin graph.txt --samples 500
     repro-spc bench  index.bin --queries 2000 --engine both
     repro-spc serve-smoke index.bin graph.txt --random 500 --deadline-ms 20
     repro-spc build  graph.txt index.bin --trace build-trace.json
-    repro-spc query  index.spcf --random 5 --engine flat --mmap
+    repro-spc query  index.spcf --random 5 --mmap
     repro-spc churn-smoke --vertices 800 --duration 5 --rate 8
     repro-spc metrics --vertices 500 --format prom
 
@@ -187,10 +187,7 @@ def _cmd_query(args):
     else:
         print("query needs either S and T or --random N", file=sys.stderr)
         return 2
-    if args.engine == "flat":
-        answers = index.count_many(pairs)
-    else:
-        answers = [index.count_with_distance(s, t) for s, t in pairs]
+    answers = index.count_many(pairs)
     print("     s       t    dist  #shortest-paths")
     for (s, t), (dist, count) in zip(pairs, answers):
         dist_text = str(dist) if count else "inf"
@@ -711,9 +708,6 @@ def build_parser():
                    help="graph file (for --random ids; with --expr it also "
                         "unlocks the BFS fallback backend)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="python", choices=["python", "flat"],
-                   help="one scalar merge join per pair or the vectorized "
-                        "flat engine")
     p.add_argument("--mmap", action="store_true",
                    help="memory-map the SPCF index instead of loading it "
                         "into RAM (ignored for --weighted SPCL files)")

@@ -510,8 +510,8 @@ def single_source_range(flat, s, lo, hi, deadline=None):
 def single_source(flat, s):
     """``(dist, count)`` arrays from ``s`` over every vertex.
 
-    The columnar twin of :meth:`repro.core.inverted.InvertedLabelIndex
-    .single_source`: :func:`single_source_range` over ``[0, n)``.
+    :func:`single_source_range` over ``[0, n)``: the one single-source
+    sweep over labels.
     """
     return single_source_range(flat, s, 0, flat.n)
 

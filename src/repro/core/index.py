@@ -167,8 +167,7 @@ class SPCIndex:
     def labels(self):
         """A fresh tuple-based :class:`~repro.core.labels.LabelSet` thawed
         from the columns, for offline consumers (label statistics,
-        structure validation, :class:`~repro.core.inverted
-        .InvertedLabelIndex`, the canonical-only estimate of Exp-5).
+        structure validation, the canonical-only estimate of Exp-5).
 
         Not cached: every access thaws again, so bind the result once.
         No query of this class reads it.

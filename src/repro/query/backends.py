@@ -205,8 +205,9 @@ class OracleBackend(Backend):
 
     ``count_many`` and ``single_source`` methods are used when the
     wrapped object has them (so a batching-capable oracle — a cluster
-    adapter, an inverted index — keeps its amortisation); everything
-    else falls back to per-pair queries.
+    adapter, an :class:`~repro.core.index.SPCIndex` sweeping hub-major —
+    keeps its amortisation); everything else falls back to per-pair
+    queries.
     """
 
     name = "oracle"
@@ -226,26 +227,20 @@ class OracleBackend(Backend):
         return n if isinstance(n, int) else None
 
     def pair(self, s, t, deadline=None):
-        return normalize_pair(*_call_pair(self.oracle, s, t, deadline))
+        return normalize_pair(
+            *_call(self.oracle.count_with_distance, s, t, deadline=deadline))
 
     def pairs(self, pairs, deadline=None):
         count_many = getattr(self.oracle, "count_many", None)
         if count_many is not None:
-            try:
-                answers = count_many(pairs, deadline=deadline)
-            except TypeError:
-                answers = count_many(pairs)
-            return [normalize_pair(d, c) for d, c in answers]
+            return [normalize_pair(d, c)
+                    for d, c in _call(count_many, pairs, deadline=deadline)]
         return super().pairs(pairs, deadline=deadline)
 
     def single_source(self, s, deadline=None):
         sweep = getattr(self.oracle, "single_source", None)
         if sweep is not None:
-            try:
-                answer = sweep(s, deadline=deadline)
-            except TypeError:
-                answer = sweep(s)
-            return normalize_single_source(*answer)
+            return normalize_single_source(*_call(sweep, s, deadline=deadline))
         return super().single_source(s, deadline=deadline)
 
     def pair_cost(self):
@@ -254,15 +249,16 @@ class OracleBackend(Backend):
         return 16.0
 
 
-def _call_pair(oracle, s, t, deadline):
-    """``count_with_distance`` with or without deadline support."""
+def _call(method, *args, deadline=None):
+    """``method(*args)``, handing ``deadline`` on when there is one and the
+    method takes it (else the deadline is checked once, up front)."""
     if deadline is None:
-        return oracle.count_with_distance(s, t)
+        return method(*args)
     try:
-        return oracle.count_with_distance(s, t, deadline=deadline)
+        return method(*args, deadline=deadline)
     except TypeError:
         deadline.check()
-        return oracle.count_with_distance(s, t)
+        return method(*args)
 
 
 class ResilientBackend(Backend):

@@ -54,6 +54,8 @@ from repro.io.serialize import graph_fingerprint
 from repro.observability.events import get_event_log
 from repro.observability.metrics import get_registry
 
+INF = float("inf")
+
 
 class ResilientSPCIndex:
     """Shortest-path-counting facade that degrades instead of failing.
@@ -303,51 +305,53 @@ class ResilientSPCIndex:
                 self._publish_state()
         get_event_log().emit("index.demoted", reason=type(exc).__name__)
 
-    def _count_fallback(self, index_hits):
-        with self._lock:
-            self._record("fallback_queries", index_hits)
+    def _serve(self, answers, from_index, from_graph, deadline):
+        """The degrade ladder every query takes, written once.
 
-    def _fallback_call(self, work, queries, deadline):
-        """Run degraded-path ``work()`` behind the breaker and deadline."""
-        if deadline is not None:
-            deadline.check()
-        if self._breaker is not None:
-            self._breaker.before_call()  # raises CircuitOpenError when open
-        try:
-            answer = work()
-        except DeadlineExceeded:
-            if self._breaker is not None:
-                self._breaker.record_failure()
-            raise
-        except (SerializationError, LabelingError):
-            if self._breaker is not None:
-                self._breaker.record_failure()
-            raise
-        if self._breaker is not None:
-            self._breaker.record_success()
-        self._count_fallback(queries)
-        return answer
-
-    def count_with_distance(self, s, t, deadline=None):
-        """``(sd(s,t), spc(s,t))`` — from the index, or BFS when degraded."""
-        self._check_vertex(s)
-        self._check_vertex(t)
+        Snapshot the served index and answer with ``from_index(index)``;
+        an index that misbehaves (:class:`SerializationError`,
+        :class:`LabelingError`) is demoted and the query falls through to
+        ``from_graph()``, the exact online BFS, behind the deadline and
+        the breaker. ``answers`` is added to the counter of the path that
+        answered.
+        """
         index = self._snapshot_index()
         if index is not None:
             try:
-                answer = index.count_with_distance(s, t)
+                answer = from_index(index)
             except (SerializationError, LabelingError) as exc:
                 # The loaded index misbehaved at query time: demote it and
                 # keep serving — the BFS answer below is exact.
                 self._demote(index, exc)
             else:
                 with self._lock:
-                    self._record("index_queries")
+                    self._record("index_queries", answers)
                 return answer
-        return self._fallback_call(
+        if deadline is not None:
+            deadline.check()
+        breaker = self._breaker
+        if breaker is not None:
+            breaker.before_call()  # raises CircuitOpenError when open
+        try:
+            answer = from_graph()
+        except (DeadlineExceeded, SerializationError, LabelingError):
+            if breaker is not None:
+                breaker.record_failure()
+            raise
+        if breaker is not None:
+            breaker.record_success()
+        with self._lock:
+            self._record("fallback_queries", answers)
+        return answer
+
+    def count_with_distance(self, s, t, deadline=None):
+        """``(sd(s,t), spc(s,t))`` — from the index, or BFS when degraded."""
+        self._check_vertex(s)
+        self._check_vertex(t)
+        return self._serve(
+            1, lambda index: index.count_with_distance(s, t),
             lambda: self._oracle.count_with_distance(s, t, deadline=deadline),
-            1, deadline,
-        )
+            deadline)
 
     def count(self, s, t, deadline=None):
         """``spc(s, t)``: the number of shortest paths (0 if disconnected)."""
@@ -363,24 +367,14 @@ class ResilientSPCIndex:
         for s, t in pairs:
             self._check_vertex(s)
             self._check_vertex(t)
-        index = self._snapshot_index()
-        if index is not None:
-            try:
-                answers = index.count_many(pairs, deadline=deadline)
-            except DeadlineExceeded:
-                raise
-            except (SerializationError, LabelingError) as exc:
-                self._demote(index, exc)
-            else:
-                with self._lock:
-                    self._record("index_queries", len(pairs))
-                return answers
 
         def sweep():
             oracle = self._oracle.count_with_distance
             return [oracle(s, t, deadline=deadline) for s, t in pairs]
 
-        return self._fallback_call(sweep, len(pairs), deadline)
+        return self._serve(
+            len(pairs), lambda index: index.count_many(pairs, deadline=deadline),
+            sweep, deadline)
 
     def single_source(self, s, deadline=None):
         """``(dist, count)`` numpy arrays from ``s`` over every vertex.
@@ -390,19 +384,9 @@ class ResilientSPCIndex:
         (float64 ``inf`` distances, int64 counts, ``(0, 1)`` diagonal).
         """
         self._check_vertex(s)
-        index = self._snapshot_index()
-        if index is not None:
-            try:
-                answer = index.single_source(s)
-            except (SerializationError, LabelingError) as exc:
-                self._demote(index, exc)
-            else:
-                with self._lock:
-                    self._record("index_queries")
-                return answer
-        return self._fallback_call(
-            lambda: self._oracle.single_source(s, deadline=deadline), 1, deadline,
-        )
+        return self._serve(
+            1, lambda index: index.single_source(s),
+            lambda: self._oracle.single_source(s, deadline=deadline), deadline)
 
     def set_to_set(self, sources, targets, deadline=None):
         """``(sd(S, T), spc(S, T))``: min distance over all pairs, counts
@@ -420,37 +404,27 @@ class ResilientSPCIndex:
         for v in targets:
             self._check_vertex(v)
         if not sources or not targets:
-            return (float("inf"), 0)
-        index = self._snapshot_index()
-        if index is not None:
-            try:
-                answer = index.set_to_set(sources, targets)
-            except DeadlineExceeded:
-                raise
-            except (SerializationError, LabelingError) as exc:
-                self._demote(index, exc)
-            else:
-                with self._lock:
-                    self._record("index_queries")
-                return answer
+            return (INF, 0)
 
         def sweep():
-            best = float("inf")
-            sigma = 0
+            best, sigma = INF, 0
             for s in sources:
                 dist, count = self._oracle.single_source(s, deadline=deadline)
                 d = dist[targets]
-                local = float(d.min())
-                if local == float("inf"):
+                local = d.min()
+                if local > best or local == INF:
                     continue
-                local_sigma = int(count[targets][d == local].sum())
+                # Summed as python ints: two int64 counts can sum past int64.
+                local_sigma = sum(count[targets][d == local].tolist())
                 if local < best:
                     best, sigma = local, local_sigma
-                elif local == best:
+                else:
                     sigma += local_sigma
-            return (best, sigma)
+            return (int(best), sigma) if sigma else (INF, 0)
 
-        return self._fallback_call(sweep, len(sources), deadline)
+        return self._serve(
+            1, lambda index: index.set_to_set(sources, targets), sweep,
+            deadline)
 
     def __repr__(self):
         return (

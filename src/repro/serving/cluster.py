@@ -126,6 +126,15 @@ DEAD = "dead"
 #: Whole-gather retries allowed when replies straddle a generation swap.
 GATHER_RETRY_LIMIT = 3
 
+#: BFS engine of the fallback oracle that answers shards with no live
+#: worker.
+FALLBACK_ENGINE = "csr"
+
+#: An automatic hedge fires once a sub-request has waited this many
+#: times its shard's observed p95 latency.
+HEDGE_MULTIPLIER = 4.0
+
+
 def _deadline_error(deadline):
     """A :class:`DeadlineExceeded` carrying the request's real budget."""
     return DeadlineExceeded(deadline.budget, deadline.elapsed())
@@ -359,13 +368,10 @@ class ClusterService:
         for shards that have *no* live worker — results come back
         ``SERVED_DEGRADED`` with a ``degraded_shards`` annotation
         instead of failing. Without it, stranded work waits for the
-        respawn (or fails when none is coming).
-    fallback_engine:
-        BFS engine for the fallback oracle (``"csr"`` default).
-    peer_degraded:
-        When True (default), idle workers of healthy shards adopt the
-        queued work of a down/respawning shard — exact answers from the
-        same arena, annotated with the degraded home shard.
+        respawn (or fails when none is coming). Either way, idle workers
+        of healthy shards first adopt the queued work of a
+        down/respawning shard — exact answers from the same arena,
+        annotated with the degraded home shard.
     respawn / respawn_backoff / respawn_backoff_max:
         Supervision: a dead worker is respawned after ``respawn_backoff``
         seconds, doubling per consecutive failure up to
@@ -381,9 +387,9 @@ class ClusterService:
         request with no timeout and no ``default_deadline`` gets
         :data:`~repro.serving.admission.MAX_REQUEST_SECONDS`), so every
         batch is covered.
-    hedge_delay / hedge_multiplier / hedge_floor:
+    hedge_delay / hedge_floor:
         Tail hedging. ``"auto"`` (default) duplicates a sub-request to
-        an idle sibling once it has waited ``hedge_multiplier`` × the
+        an idle sibling once it has waited :data:`HEDGE_MULTIPLIER` × the
         shard's observed p95 latency (at least ``hedge_floor`` seconds,
         needs 16 samples); a float pins the delay; ``None`` disables.
         The first generation-consistent answer wins, the loser is
@@ -397,10 +403,9 @@ class ClusterService:
                  default_deadline=None, breaker=None, failure_threshold=5,
                  reset_timeout=1.0, reload_check_every=64, verify=True,
                  start_timeout=60.0, clock=time.monotonic,
-                 graph=None, fallback_engine="csr", peer_degraded=True,
-                 respawn=True, respawn_backoff=0.05, respawn_backoff_max=2.0,
-                 heartbeat_interval=0.5, stall_timeout=2.0,
-                 hedge_delay="auto", hedge_multiplier=4.0, hedge_floor=0.01,
+                 graph=None, respawn=True, respawn_backoff=0.05,
+                 respawn_backoff_max=2.0, heartbeat_interval=0.5,
+                 stall_timeout=2.0, hedge_delay="auto", hedge_floor=0.01,
                  _fault=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -468,9 +473,7 @@ class ClusterService:
         self._heartbeat_interval = heartbeat_interval
         self._stall_timeout = stall_timeout
         self._hedge_delay = hedge_delay
-        self._hedge_multiplier = hedge_multiplier
         self._hedge_floor = hedge_floor
-        self._peer_degraded = peer_degraded
         self._latency = [collections.deque(maxlen=64)
                          for _ in range(self.plan.shards)]
         self._fallback_inflight = 0
@@ -485,7 +488,7 @@ class ClusterService:
             from repro.resilience import ResilientSPCIndex
 
             self._fallback = ResilientSPCIndex(graph,
-                                               bfs_engine=fallback_engine)
+                                               bfs_engine=FALLBACK_ENGINE)
             self._executor = _DegradedExecutor(self)
             self._executor.start()
         self._selector = selectors.DefaultSelector()
@@ -1092,8 +1095,7 @@ class ClusterService:
                 continue
             if self._pending[shard]:
                 self._dispatch_pairs(worker, shard)
-        if self._peer_degraded:
-            self._dispatch_peers()
+        self._dispatch_peers()
         self._route_stranded()
 
     def _dispatch_peers(self):
@@ -1232,8 +1234,7 @@ class ClusterService:
                     continue  # a STARTING/replacement incarnation is coming
                 if any(w.respawn_at is not None for w in own):
                     continue  # supervisor has a respawn scheduled
-                if self._peer_degraded and any(
-                        w.serving and not w.draining for w in self._workers):
+                if any(w.serving and not w.draining for w in self._workers):
                     continue  # a healthy peer will poach this queue
             if self._fallback is not None:
                 self._offload_shard(shard)
@@ -1694,7 +1695,7 @@ class ClusterService:
             return None
         ordered = sorted(samples)
         p95 = ordered[int(0.95 * (len(ordered) - 1))]
-        return max(self._hedge_floor, p95 * self._hedge_multiplier)
+        return max(self._hedge_floor, p95 * HEDGE_MULTIPLIER)
 
     def _maybe_hedge(self, now):
         if self._hedge_delay is None or not self._inflight:
@@ -1728,7 +1729,7 @@ class ClusterService:
                 continue
             if worker.shard == flight.worker.shard:
                 return worker
-            if best is None and self._peer_degraded:
+            if best is None:
                 best = worker
         return best
 

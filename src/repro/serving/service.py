@@ -171,28 +171,41 @@ class SPCService:
 
     # -- request execution ----------------------------------------------------
 
-    def _execute(self, work, timeout, started):
+    def _execute(self, work, timeout):
         """Admission, deadline and execution of one request.
 
-        Returns the served :class:`QueryResult`, tallied; a request that
-        fails raises its typed error untallied, for the caller to tally
-        (:meth:`submit_query`) or to raise (:meth:`query`).
+        Returns its :class:`QueryResult`, tallied once whatever the
+        outcome: a library error ends the request in its status (see
+        :func:`~repro.serving.admission.status_of`); any other exception
+        is a bug and propagates untallied.
         """
         life = self._life
-        deadline = life.deadline(timeout, started)
-        if life.admit(deadline):
-            self.check_reload()
-        admitted = self._clock()
+        started = self._clock()
         try:
-            with get_tracer().span("serve.request"):
-                deadline.check()
-                answer = work(deadline)
-        finally:
-            life.release(self._clock() - admitted)
+            deadline = life.deadline(timeout, started)
+            if life.admit(deadline):
+                self.check_reload()
+            admitted = self._clock()
+            try:
+                with get_tracer().span("serve.request"):
+                    deadline.check()
+                    answer = work(deadline)
+            finally:
+                life.release(self._clock() - admitted)
+        except ReproError as exc:
+            return life.fail(exc, self._clock() - started,
+                             self._resilient.generation)
         status = (SERVED_INDEX if self._resilient.status == "index"
                   else SERVED_DEGRADED)
         return life.finish(status, self._clock() - started, answer=answer,
                            generation=self._resilient.generation)
+
+    def _answer(self, work, timeout):
+        """:meth:`_execute`, then the answer or the request's typed error."""
+        result = self._execute(work, timeout)
+        if result.error is not None:
+            raise result.error
+        return result.answer
 
     def query(self, s, t, timeout=None):
         """``(sd(s,t), spc(s,t))`` under the service's defences.
@@ -200,25 +213,23 @@ class SPCService:
         Raises the typed serving errors (:class:`ServiceOverloaded`,
         :class:`DeadlineExceeded`, :class:`CircuitOpenError`) and
         :class:`VertexError`; never returns a wrong count. Like
-        :meth:`query_many` and :meth:`single_source`, it tallies only the
-        requests it answers.
+        :meth:`query_many` and :meth:`single_source`, it tallies the
+        request once, as :meth:`submit` would, before it raises.
         """
-        return self._execute(
+        return self._answer(
             lambda d: self._resilient.count_with_distance(s, t, deadline=d),
-            timeout, self._clock()).answer
+            timeout)
 
     def query_many(self, pairs, timeout=None):
         """Batched ``(sd, spc)`` tuples under one shared deadline budget."""
         pairs = list(pairs)
-        return self._execute(
-            lambda d: self._resilient.count_many(pairs, deadline=d), timeout,
-            self._clock()).answer
+        return self._answer(
+            lambda d: self._resilient.count_many(pairs, deadline=d), timeout)
 
     def single_source(self, s, timeout=None):
         """``(dist, count)`` arrays from ``s`` under the service's defences."""
-        return self._execute(
-            lambda d: self._resilient.single_source(s, deadline=d), timeout,
-            self._clock()).answer
+        return self._answer(
+            lambda d: self._resilient.single_source(s, deadline=d), timeout)
 
     def submit(self, s, t, timeout=None):
         """Non-raising :meth:`query`: always a terminal :class:`QueryResult`.
@@ -240,14 +251,8 @@ class SPCService:
         exactly the admission/deadline/breaker envelope of :meth:`submit`,
         with the same terminal :class:`QueryResult` statuses.
         """
-        started = self._clock()
-        try:
-            return self._execute(
-                lambda d: self._query_engine.run(node, deadline=d), timeout,
-                started)
-        except ReproError as exc:
-            return self._life.fail(exc, self._clock() - started,
-                                   self._resilient.generation)
+        return self._execute(
+            lambda d: self._query_engine.run(node, deadline=d), timeout)
 
     # -- observability --------------------------------------------------------
 

@@ -21,7 +21,6 @@ from repro.applications.group_betweenness import (
 )
 from repro.applications.relevance import most_relevant, relevance_ranking
 from repro.core.index import SPCIndex
-from repro.core.inverted import InvertedLabelIndex
 from repro.generators.random_graphs import barabasi_albert_graph
 from repro.observability.metrics import MetricsRegistry, scoped_registry
 from repro.utils.rng import ensure_rng
@@ -91,11 +90,11 @@ class TestRelevance:
 class TestCentrality:
     def test_sweep_values_unchanged(self):
         graph, index = _graph_and_index()
-        inverted = InvertedLabelIndex(index.labels)
-        closeness = all_closeness(inverted)
-        harmonic = all_harmonic(inverted)
+        closeness = all_closeness(index)
+        harmonic = all_harmonic(index)
         for v in (0, 7, 39):
-            dist, _ = inverted.single_source(v)
+            dist, _ = index.single_source(v)
+            dist = dist.tolist()
             reachable = [d for d in dist if d != INF]
             expected = 0.0
             if len(reachable) > 1 and sum(reachable) > 0:
@@ -140,11 +139,10 @@ class TestGroupBetweenness:
 class TestDriversUseThePlanner:
     def test_plans_are_recorded(self):
         graph, index = _graph_and_index()
-        inverted = InvertedLabelIndex(index.labels)
         with scoped_registry(MetricsRegistry()) as registry:
             sampled_betweenness(index, graph.n, samples=5, seed=0)
             relevance_ranking(index, 0, [5, 11])
-            all_harmonic(inverted)
+            all_harmonic(index)
             group_betweenness_oracle(index, [4], [(0, 7)])
 
             def planned(operator):

@@ -224,10 +224,10 @@ class ServiceTier(_Tier):
             service = SPCService(self.graph)
             oracle = service.resilient_index._oracle
 
-            def broken(s, t, deadline=None):
+            def broken(*args, deadline=None):
                 raise ReproError("injected oracle failure")
 
-            oracle.count_with_distance = broken
+            oracle.count_with_distance = oracle.single_source = broken
         elif scenario == "degraded":
             service = SPCService(self.graph)
         else:
@@ -235,8 +235,48 @@ class ServiceTier(_Tier):
         before = service.stats()["counters"]
         timeout = 1e-9 if scenario == "deadline" else None
         target = N + 3 if scenario == "invalid" else 9
-        result = service.submit(0, target, timeout=timeout)
+        result = self.request(service, target, timeout)
         return result, before, service.stats()["counters"]
+
+    def request(self, service, target, timeout):
+        return service.submit(0, target, timeout=timeout)
+
+
+class RaisingTier(ServiceTier):
+    """Drives one scenario through a raising :class:`SPCService` variant.
+
+    The error it raises, or the answer it returns, stands in for the
+    :class:`QueryResult` that :meth:`SPCService.submit` would give.
+    """
+
+    call = None
+
+    def request(self, service, target, timeout):
+        try:
+            answer = self.call(service, target, timeout)
+        except ReproError as exc:
+            return admission.QueryResult(admission.status_of(exc), error=exc)
+        status = (SERVED_INDEX if service.resilient_index.status == "index"
+                  else SERVED_DEGRADED)
+        return admission.QueryResult(status, answer)
+
+
+class QueryTier(RaisingTier):
+    @staticmethod
+    def call(service, target, timeout):
+        return service.query(0, target, timeout=timeout)
+
+
+class QueryManyTier(RaisingTier):
+    @staticmethod
+    def call(service, target, timeout):
+        return service.query_many([(0, target), (1, 2)], timeout=timeout)
+
+
+class SingleSourceTier(RaisingTier):
+    @staticmethod
+    def call(service, target, timeout):
+        return service.single_source(target, timeout=timeout)
 
 
 class ClusterTier(_Tier):
@@ -269,8 +309,10 @@ class ClusterTier(_Tier):
         return result, before, cluster.stats()["counters"]
 
 
-@pytest.mark.parametrize("tier", [ServiceTier, ClusterTier],
-                         ids=["service", "cluster"])
+@pytest.mark.parametrize(
+    "tier", [ServiceTier, ClusterTier, QueryTier, QueryManyTier,
+             SingleSourceTier],
+    ids=["service", "cluster", "query", "query_many", "single_source"])
 @pytest.mark.parametrize("scenario, status, error_type", SCENARIOS,
                          ids=[row[0] for row in SCENARIOS])
 def test_status_conformance(tier, scenario, status, error_type, graph, index,

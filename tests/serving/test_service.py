@@ -6,13 +6,16 @@ import time
 import pytest
 
 from repro.core.index import SPCIndex
-from repro.exceptions import ServiceOverloaded
+from repro.exceptions import LabelingError, ServiceOverloaded
 from repro.generators.random_graphs import barabasi_albert_graph
+from repro.graph.graph import Graph
 from repro.graph.traversal import spc_bfs
 from repro.io.serialize import save_index
+from repro.query.ast import SetToSet
 from repro.serving import (
     CIRCUIT_OPEN,
     DEADLINE,
+    ERROR,
     INVALID,
     SERVED_DEGRADED,
     SERVED_INDEX,
@@ -40,6 +43,26 @@ def index_path(tmp_path, graph, index):
 
 
 PAIRS = [(0, 50), (3, 41), (12, 12), (7, 59)]
+
+
+def twin_diamond_chains(k):
+    """Two chains of ``k`` diamonds leaving vertex 0.
+
+    Returns ``(graph, ends)``: each far end is at distance ``2k`` with
+    ``2^k`` shortest paths, so the set-to-set count from ``{0}`` to both
+    ends is ``2^(k+1)``.
+    """
+    edges, ends, fresh = [], [], 1
+    for _ in range(2):
+        left = 0
+        for _ in range(k):
+            top, bottom, right = fresh, fresh + 1, fresh + 2
+            fresh += 3
+            edges += [(left, top), (left, bottom), (top, right),
+                      (bottom, right)]
+            left = right
+        ends.append(left)
+    return Graph.from_edges(fresh, edges), tuple(ends)
 
 
 class TestHealthyService:
@@ -109,6 +132,22 @@ class TestDegradedService:
         assert slow.calls == 1
         assert service.counters[DEADLINE] == 1
 
+    def test_set_to_set_sums_past_int64(self):
+        # Two counts of 2^62 each fit int64; their sum, 2^63, does not.
+        chains, ends = twin_diamond_chains(62)
+        result = SPCService(chains).submit_query(SetToSet((0,), ends))
+        assert result.status == SERVED_DEGRADED
+        assert result.answer == (124, 2 ** 63)
+
+    def test_set_to_set_past_the_csr_guard_is_an_error(self):
+        chains, ends = twin_diamond_chains(62)
+        service = SPCService(chains, bfs_engine="csr")
+        result = service.submit_query(SetToSet((0,), ends))
+        assert result.status == ERROR
+        assert isinstance(result.error, LabelingError)
+        with pytest.raises(LabelingError):
+            service.resilient_index.set_to_set((0,), ends)
+
 
 class BlockedOracle:
     """Stalls degraded-path queries on an event, to pin execution slots."""
@@ -144,7 +183,7 @@ class TestAdmission:
         finally:
             blocker.release.set()
             worker.join(timeout=10.0)
-        assert service.counters[SHED] == 1
+        assert service.counters[SHED] == 2
 
     def test_retry_after_cap_passes_through_to_shed_hints(self, graph):
         service = SPCService(graph, capacity=1, queue_limit=0,

@@ -63,12 +63,10 @@ class TestBuildQueryRoundtrip:
         assert main(["build", str(graph_path), index_path]) == 0
         with open(index_path, "rb") as handle:
             assert handle.read(4) == b"SPCF"
-        for engine in ("python", "flat"):
-            capsys.readouterr()
-            assert main(["query", index_path, "0", "120",
-                         "--engine", engine]) == 0
-            row = capsys.readouterr().out.splitlines()[-1].split()
-            assert row == ["0", "120", "80", "1099511627776"]  # 2^40
+        capsys.readouterr()
+        assert main(["query", index_path, "0", "120"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row == ["0", "120", "80", "1099511627776"]  # 2^40
 
     def test_build_significant_path(self, graph_file, tmp_path):
         path, _ = graph_file
@@ -121,6 +119,11 @@ class TestBuildQueryRoundtrip:
         index_path = str(tmp_path / "g.idx")
         main(["build", path, index_path])
         assert main(["query", index_path]) == 2
+
+    def test_query_has_no_engine_switch(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["query", "--help"])
+        assert "--engine" not in capsys.readouterr().out
 
 
 class TestStatsVerifyBench:
@@ -298,8 +301,7 @@ class TestExitCodes:
 
     def test_invalid_vertex_is_5(self, built, capsys):
         _, index_path, graph = built
-        rc = main(["query", index_path, "0", str(graph.n + 7),
-                   "--engine", "flat"])
+        rc = main(["query", index_path, "0", str(graph.n + 7)])
         assert rc == EXIT_VERTEX
         assert "invalid vertex" in capsys.readouterr().err
 

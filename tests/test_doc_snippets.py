@@ -120,8 +120,7 @@ class TestUsageCookbook:
         namespace = {"index": build_index(small_graph, ordering="degree"),
                      "s": 0}
         self.run("count_set_query", namespace)
-        dist, count = namespace["inverted"].single_source(namespace["s"])
-        assert len(dist) == small_graph.n
+        assert len(namespace["dist"]) == len(namespace["count"]) == small_graph.n
 
     def test_batched_query_block(self, small_graph):
         import numpy as np
