@@ -443,10 +443,7 @@ def _run_cluster_drill(service, script, out=sys.stdout):
             if len(parts) != 2:
                 raise ValueError(f"expected 'S T', got {line!r}")
             result = service.submit(int(parts[0]), int(parts[1]))
-            note = ""
-            if result.degraded_shards:
-                note = f" degraded_shards={result.degraded_shards}"
-            print(f"{parts[0]} {parts[1]} -> {result.status}{note}", file=out)
+            print(f"{parts[0]} {parts[1]} -> {result.status}", file=out)
             results.append(result)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"line {line_no}: {exc}") from exc
@@ -458,7 +455,7 @@ def _cmd_serve_cluster(args):
 
     Spawns ``--workers`` processes over one shared-memory SPCF arena,
     routes ``--random`` pair requests through the batching router
-    (open-loop, then gathers every future), sprinkles in scatter-gather
+    (open-loop, then gathers every future), sprinkles in
     ``single_source`` sweeps when asked, and prints the same terminal
     status breakdown as ``serve-smoke`` plus per-worker memory-sharing
     evidence. ``--script`` switches to drill mode: a fault-injection
@@ -476,8 +473,7 @@ def _cmd_serve_cluster(args):
     hedge = "auto" if args.hedge_delay_ms is None else (
         args.hedge_delay_ms / 1000.0 if args.hedge_delay_ms > 0 else None)
     with ClusterService(
-        args.index, workers=args.workers, shards=args.shards,
-        strategy=args.strategy, max_batch=args.max_batch,
+        args.index, workers=args.workers, max_batch=args.max_batch,
         capacity=args.capacity, queue_limit=args.queue,
         default_deadline=deadline,
         respawn=args.respawn, respawn_backoff=args.respawn_backoff_ms / 1000.0,
@@ -510,13 +506,13 @@ def _cmd_serve_cluster(args):
             print(f"{status:14s}: {stats['counters'][status]}")
         print(f"batches       : {stats['counters']['batches']}")
         for counter in ("respawns", "stalls", "hedges", "hedge_wins",
-                        "degraded_requests", "drains", "replays"):
+                        "drains", "replays"):
             if stats["counters"].get(counter):
                 print(f"{counter:14s}: {stats['counters'][counter]}")
         print(f"generation    : {stats['generation']}")
         print(f"workers       : "
               f"{sum(1 for w in stats['workers'] if w['state'] != 'dead')}"
-              f"/{len(stats['workers'])} over {stats['shards']} shard(s)")
+              f"/{len(stats['workers'])}")
         if results:
             latencies = sorted(r.elapsed for r in results)
             p95 = latencies[min(len(latencies) - 1,
@@ -772,10 +768,6 @@ def build_parser():
     p.add_argument("index", help="SPCF index file (as written by build)")
     p.add_argument("--workers", type=int, default=2,
                    help="worker processes mapping the shared arena")
-    p.add_argument("--shards", type=int, default=1,
-                   help="shard pools to split routing across")
-    p.add_argument("--strategy", default="range", choices=["range", "hash"],
-                   help="vertex-to-shard assignment")
     p.add_argument("--max-batch", type=int, default=64,
                    help="max pair requests per worker round-trip")
     p.add_argument("--deadline-ms", type=float, default=50.0,
@@ -787,7 +779,7 @@ def build_parser():
     p.add_argument("--random", type=int, default=500, metavar="N",
                    help="number of random request pairs (default 500)")
     p.add_argument("--single-source", type=int, default=0, metavar="K",
-                   help="scatter-gather single-source sweeps to run too")
+                   help="single-source sweeps to run too")
     p.add_argument("--script", default=None, metavar="FILE",
                    help="fault-drill script: 'S T' requests plus !kill W, "
                         "!stall W, !resume W, !drain W, !reload, !sleep MS "
@@ -805,8 +797,8 @@ def build_parser():
                    help="fixed hedge delay for slow sub-requests "
                         "(default: auto from the p95 latency; 0 disables)")
     p.add_argument("--fallback-graph", default=None, metavar="GRAPH",
-                   help="edge-list graph enabling exact BFS answers for "
-                        "shards with no live worker (status 'degraded')")
+                   help="edge-list graph enabling exact BFS answers "
+                        "while no worker is live (status 'degraded')")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_serve_cluster)
 

@@ -434,61 +434,44 @@ def _may_wrap(flat, sigma_bound, rows, terms):
     return float(sigma_bound) * float(row_max.max()) * terms >= JOIN_BOUND
 
 
-def _posting_spans(view, hubs, lo, hi):
-    """``(starts, lens)`` of the posting lists of ``hubs`` in ``view``,
-    each cut to its vertices in ``[lo, hi)`` (a list runs in vertex order,
-    so one ``searchsorted`` per hub finds the cut)."""
-    starts, lens = _row_spans(view.indptr, hubs)
-    if lo == 0 and hi == len(view.indptr) - 1:
-        return starts, lens
-    cuts = np.array([view.vertex[a:a + k].searchsorted((lo, hi))
-                     for a, k in zip(starts.tolist(), lens.tolist())])
-    return starts + cuts[:, 0], cuts[:, 1] - cuts[:, 0]
+def single_source(flat, s, deadline=None):
+    """``(dist, count)`` arrays from ``s`` over every vertex.
 
-
-def single_source_range(flat, s, lo, hi, deadline=None):
-    """``(dist, count)`` arrays from ``s`` over targets ``lo <= t < hi``.
-
-    The sharded building block behind :func:`single_source`, swept
-    hub-major: a target meets ``s`` only at a hub of ``L(s)``, so only
-    those hubs' posting lists in :attr:`FlatLabels.hub_major
-    <repro.core.flat_labels.FlatLabels.hub_major>` are read, each cut to
-    the targets in ``[lo, hi)`` (a shard worker pays for the vertices it
-    owns). Every entry adds ``dist(s, h)`` of its hub, ``np.minimum.at``
-    takes each target's distance, and ``np.add.at`` sums the count
-    products of the entries at it. Results are positional: element ``i``
-    answers target ``lo + i``. ``count`` is int64, or an object array of
-    python ints when the store's counts could wrap int64.
+    The one single-source sweep over labels, hub-major: a target meets
+    ``s`` only at a hub of ``L(s)``, so only those hubs' posting lists in
+    :attr:`FlatLabels.hub_major
+    <repro.core.flat_labels.FlatLabels.hub_major>` are read. Every entry
+    adds ``dist(s, h)`` of its hub, ``np.minimum.at`` takes each target's
+    distance, and ``np.add.at`` sums the count products of the entries at
+    it. ``count`` is int64, or an object array of python ints when the
+    store's counts could wrap int64. ``deadline`` is checked once, before
+    the sweep.
     """
     registry = get_registry()
     if registry.enabled:
         registry.counter("spc_queries_total", engine="flat",
                          kind="single_source").inc()
     _validate_ids(flat, np.asarray([s], dtype=INT))
-    if not 0 <= lo <= hi <= flat.n:
-        raise ValueError(f"invalid target range [{lo}, {hi}) for n={flat.n}")
     if deadline is not None:
         deadline.check()
-    width = hi - lo
+    n = flat.n
     start, stop = int(flat.indptr[s]), int(flat.indptr[s + 1])
     wide = not flat.overflow_free and _may_wrap(
-        flat, flat.row_max_count[s], slice(lo, hi), stop - start)
-    mins = np.full(width, INF)
-    counts = np.zeros(width, dtype=object if wide else INT)
-    if width == 0 or start == stop:
+        flat, flat.row_max_count[s], slice(0, n), stop - start)
+    mins = np.full(n, INF)
+    counts = np.zeros(n, dtype=object if wide else INT)
+    if start == stop:
         return mins, counts
     view = flat.hub_major
-    starts, lens = _posting_spans(
-        view, np.asarray(flat.rank[start:stop], dtype=INT), lo, hi)
+    starts, lens = _row_spans(view.indptr,
+                              np.asarray(flat.rank[start:stop], dtype=INT))
     # The lists are contiguous runs: concatenating slices beats gathering
     # the same entries through an index array.
     spans = [slice(a, a + k) for a, k in zip(starts.tolist(), lens.tolist())]
     vertex = np.concatenate([view.vertex[span] for span in spans])
-    if lo:
-        vertex -= lo
     totals = np.add(np.concatenate([view.dist[span] for span in spans]),
                     np.asarray(flat.dist[start:stop]).repeat(lens), dtype=INT)
-    best = np.full(width, INT_MAX)
+    best = np.full(n, INT_MAX)
     np.minimum.at(best, vertex, totals)
     met = (totals == best[vertex]).nonzero()[0]
     # Each entry at its target's minimum: its hub's place in L(s), and its
@@ -500,20 +483,10 @@ def single_source_range(flat, s, lo, hi, deadline=None):
     np.add.at(counts, vertex[met], terms)
     reached = best < INT_MAX
     mins[reached] = best[reached]
-    if lo <= s < hi:
-        # The diagonal: the empty path, not a hub meeting.
-        mins[s - lo] = 0.0
-        counts[s - lo] = 1
+    # The diagonal: the empty path, not a hub meeting.
+    mins[s] = 0.0
+    counts[s] = 1
     return mins, counts
-
-
-def single_source(flat, s):
-    """``(dist, count)`` arrays from ``s`` over every vertex.
-
-    :func:`single_source_range` over ``[0, n)``: the one single-source
-    sweep over labels.
-    """
-    return single_source_range(flat, s, 0, flat.n)
 
 
 def count_set_to_set(flat, sources, targets):

@@ -410,9 +410,9 @@ def file_signature(path):
     """``(st_ino, st_size, st_mtime_ns)`` identity of the file at ``path``.
 
     The inode number pins the *bytes* (atomic saves replace the inode),
-    so two equal signatures mean two opens mapped the same arena. The
-    cluster router uses this as its generation token: workers report the
-    signature they mapped, and scatter-gather responses must agree.
+    so two equal signatures mean two opens mapped the same arena. Cluster
+    workers report the signature they mapped, and the reload watcher
+    polls it to see a new file.
     """
     stat = os.stat(path)
     return (stat.st_ino, stat.st_size, stat.st_mtime_ns)

@@ -93,9 +93,8 @@ METRICS = (
         "gather of the prefix into columns) or load.",
     ),
     MetricSpec(
-        "spc_cluster_batch_seconds", "histogram", ("shard",),
-        "Router-observed round-trip of one worker batch (send to reply), "
-        "labelled by the shard that served it.",
+        "spc_cluster_batch_seconds", "histogram", (),
+        "Router-observed round-trip of one worker batch (send to reply).",
     ),
     MetricSpec(
         "spc_cluster_batch_size", "histogram", (),
@@ -103,25 +102,14 @@ METRICS = (
         "grow with load, up to max_batch.",
     ),
     MetricSpec(
-        "spc_cluster_batches_total", "counter", ("shard",),
-        "Worker batches completed (pair batches and scatter subs), "
-        "labelled by shard.",
+        "spc_cluster_batches_total", "counter", (),
+        "Worker request round-trips completed: pair batches (router-"
+        "coalesced or a caller's submit_many), sweeps and set queries.",
     ),
     MetricSpec(
-        "spc_cluster_degraded_requests_total", "counter", ("shard",),
-        "Requests answered off their home shard (peer adoption or BFS "
-        "fallback) while that shard was down or respawning, labelled by "
-        "the degraded home shard.",
-    ),
-    MetricSpec(
-        "spc_cluster_drains_total", "counter", ("shard",),
+        "spc_cluster_drains_total", "counter", (),
         "Graceful worker drains completed (stop admitting, flush "
         "in-flight, swap) — rolling restarts count one per worker.",
-    ),
-    MetricSpec(
-        "spc_cluster_gather_retries_total", "counter", (),
-        "Scatter-gather responses discarded and retried whole because "
-        "their sub-replies straddled a reload generation swap.",
     ),
     MetricSpec(
         "spc_cluster_generation", "gauge", (),
@@ -163,26 +151,25 @@ METRICS = (
     ),
     MetricSpec(
         "spc_cluster_respawn_seconds", "histogram", (),
-        "Worker death to replacement HELLO (re-serving its shard), "
+        "Worker death to replacement HELLO (serving again), "
         "including the supervisor's backoff wait.",
     ),
     MetricSpec(
-        "spc_cluster_respawns_total", "counter", ("shard",),
-        "Worker processes respawned by the router's supervisor, by "
-        "shard.",
+        "spc_cluster_respawns_total", "counter", (),
+        "Worker processes respawned by the router's supervisor.",
     ),
     MetricSpec(
-        "spc_cluster_stalls_total", "counter", ("shard",),
+        "spc_cluster_stalls_total", "counter", (),
         "Workers declared stalled (missed heartbeat or batch overran "
-        "its stall allowance) and SIGKILLed for respawn, by shard.",
+        "its stall allowance) and SIGKILLed for respawn.",
     ),
     MetricSpec(
-        "spc_cluster_worker_failures_total", "counter", ("shard",),
-        "Worker processes lost (died or unreachable pipe), by shard.",
+        "spc_cluster_worker_failures_total", "counter", (),
+        "Worker processes lost (died or unreachable pipe).",
     ),
     MetricSpec(
-        "spc_cluster_workers", "gauge", ("shard",),
-        "Live worker processes per shard.",
+        "spc_cluster_workers", "gauge", (),
+        "Live worker processes.",
     ),
     MetricSpec(
         "spc_count_overflow_escapes_total", "counter", (),

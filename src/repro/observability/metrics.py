@@ -141,7 +141,7 @@ class Histogram:
     ``histogram`` semantics: ``bucket[i]`` counts observations ``<=
     buckets[i]``, cumulatively in the rendered output). ``merge`` folds
     another histogram with identical boundaries into this one — how
-    worker-process or per-shard observations aggregate.
+    worker-process observations aggregate.
     """
 
     __slots__ = ("name", "labels", "buckets", "_counts", "_sum", "_lock",

@@ -393,9 +393,9 @@ class ResilientSPCIndex:
         summed at that minimum — vectorized when healthy, one counting
         BFS per source when degraded.
 
-        This is the degraded twin of the cluster's scatter-gather
-        ``set_to_set``, so a shard pool that lost every worker can still
-        answer exactly from the logical graph.
+        This is the degraded twin of the cluster's ``set_to_set``, so a
+        cluster that lost every worker can still answer exactly from the
+        logical graph.
         """
         sources = [int(v) for v in sources]
         targets = [int(v) for v in targets]

@@ -17,11 +17,10 @@ The pieces compose bottom-up:
   door: bounded admission, load shedding, per-request deadlines,
   breaker-protected degradation and observable ``health()``/``stats()``
   snapshots.
-* :class:`~repro.serving.shards.ShardPlan` /
-  :class:`~repro.serving.cluster.ClusterService` — the multiprocess
-  front door: N workers mmap one shared label arena, a selectors-based
-  router coalesces pair queries into vectorized batches and
-  scatter-gathers ``single_source`` / ``set_to_set`` across shards.
+* :class:`~repro.serving.cluster.ClusterService` — the multiprocess
+  front door: one pool of N workers mmaps one shared label arena, and a
+  selectors-based router coalesces pair queries into vectorized batches
+  and hands each request, whole, to whichever worker is idle.
 
 The typed errors (:class:`~repro.exceptions.DeadlineExceeded`,
 :class:`~repro.exceptions.ServiceOverloaded`,
@@ -54,7 +53,6 @@ from repro.serving.cluster import ClusterService
 from repro.serving.deadline import Deadline
 from repro.serving.reload import IndexWatcher, ReloadThread
 from repro.serving.service import SPCService
-from repro.serving.shards import STRATEGIES, ShardPlan
 
 __all__ = [
     "AdmissionQueue",
@@ -68,10 +66,8 @@ __all__ = [
     "QueryResult",
     "ReloadThread",
     "SPCService",
-    "STRATEGIES",
     "ServiceOverloaded",
     "ServingError",
-    "ShardPlan",
     "SERVED_INDEX",
     "SERVED_DEGRADED",
     "SHED",

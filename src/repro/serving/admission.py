@@ -83,17 +83,14 @@ def status_of(exc):
 class QueryResult:
     """One request's terminal outcome: status, answer or typed error."""
 
-    __slots__ = ("status", "answer", "error", "elapsed", "generation",
-                 "degraded_shards")
+    __slots__ = ("status", "answer", "error", "elapsed", "generation")
 
-    def __init__(self, status, answer=None, error=None, elapsed=0.0, generation=0,
-                 degraded_shards=()):
+    def __init__(self, status, answer=None, error=None, elapsed=0.0, generation=0):
         self.status = status
         self.answer = answer
         self.error = error
         self.elapsed = elapsed
         self.generation = generation
-        self.degraded_shards = tuple(degraded_shards)
 
     @property
     def ok(self):
@@ -101,12 +98,9 @@ class QueryResult:
         return self.status in (SERVED_INDEX, SERVED_DEGRADED)
 
     def __repr__(self):
-        degraded = (f", degraded_shards={self.degraded_shards}"
-                    if self.degraded_shards else "")
         return (
             f"QueryResult(status={self.status!r}, answer={self.answer!r}, "
-            f"elapsed={self.elapsed * 1e3:.2f}ms, gen={self.generation}"
-            f"{degraded})"
+            f"elapsed={self.elapsed * 1e3:.2f}ms, gen={self.generation})"
         )
 
 
@@ -357,14 +351,12 @@ class RequestLifecycle:
         if self._seconds is not None:
             self._seconds.observe(elapsed)
 
-    def finish(self, status, elapsed, answer=None, error=None, generation=0,
-               degraded=()):
+    def finish(self, status, elapsed, answer=None, error=None, generation=0):
         """Tally one terminal outcome; returns its :class:`QueryResult`."""
         with self._lock:
             self.counters["requests"] += 1
             self.counters[status] += 1
-        return QueryResult(status, answer, error, elapsed, generation,
-                           degraded)
+        return QueryResult(status, answer, error, elapsed, generation)
 
     def fail(self, error, elapsed, generation=0):
         """:meth:`finish` for a request ended by a library error."""

@@ -1,4 +1,4 @@
-"""Shared-memory multiprocess serving cluster with scatter-gather sharding.
+"""Shared-memory multiprocess serving cluster: one pool of workers.
 
 :class:`ClusterService` is the multiprocess sibling of
 :class:`~repro.serving.service.SPCService`, and the multiprocess executor
@@ -11,35 +11,31 @@ see :func:`repro.io.flat_store.open_shared`), and a selectors-based
 router thread owns the rest of the serving defences: a circuit breaker
 over worker health, hot reload by file-signature watching, and the same
 non-raising :class:`~repro.serving.admission.QueryResult` surface. The
-scatter-gather jobs live in :mod:`repro.serving.jobs` and the frame
-decoder in :mod:`repro.serving.protocol`; this module is the router and
-its supervisor.
+job types live in :mod:`repro.serving.jobs` and the frame decoder in
+:mod:`repro.serving.protocol`; this module is the router and its
+supervisor.
+
+The workers are one pool of identical processes: any worker answers any
+query from its own map of the full arena, so every request goes, whole,
+to whichever worker is idle. A caller's pair batch, a ``single_source``
+sweep and a ``set_to_set`` query each cost one worker round-trip, and
+one reply carries one reload generation, so no answer ever mixes two
+index versions.
 
 The router earns its throughput from *batching*, not just parallelism:
-pair requests destined for the same shard are coalesced into one
-``count_many`` round-trip, so the per-request cost amortises one IPC
-hop and one vectorized kernel over the whole batch instead of paying a
-python merge-join per query. Batching is group commit, not a timer: a
-shard's pending pairs go out the moment one of its workers is idle (up
-to ``max_batch``), and whatever arrives while every worker of the shard
-is busy rides the next batch. Batches therefore stay small at light
-load and grow with load on their own.
+``submit`` pairs are coalesced into one ``count_many`` round-trip, so the
+per-request cost amortises one IPC hop and one vectorized kernel over
+the whole batch instead of paying a python merge-join per query.
+Batching is group commit, not a timer: the pending pairs go out the
+moment a worker is idle (up to ``max_batch``), and whatever arrives
+while every worker is busy rides the next batch. Batches therefore stay
+small at light load and grow with load on their own.
 
-Sharding is routing, not partitioning — every worker maps the full
-arena, and the :class:`~repro.serving.shards.ShardPlan` decides which
-worker pool answers which vertex range. ``single_source`` scatters one
-range slice per shard and concatenates; ``set_to_set`` scatters the
-target side and merges the partial ``(delta, sigma)`` answers. Every
-worker reply carries its reload generation, and a gather whose replies
-straddle a generation swap is retried whole rather than ever mixing two
-index versions in one response.
-
-Hot reload is shard-by-shard: the router bumps a target generation when
-the watcher sees a new file signature, then tells each worker to remap
-only when that worker is idle and every lower-numbered shard has already
-swapped — in-flight batches always complete on the arena they started
-on, and a worker whose remap fails keeps serving its old (still-mapped)
-inode rather than going dark.
+Hot reload is rolling: the router bumps a target generation when the
+watcher sees a new file signature, then tells each worker to remap once
+it is idle and holds no pinned work — in-flight batches always complete
+on the arena they started on, and a worker whose remap fails keeps
+serving its old (still-mapped) inode rather than going dark.
 
 The cluster *heals itself* rather than failing safe. The router is also
 a supervisor: worker death is detected three ways (the process sentinel
@@ -47,22 +43,19 @@ fd in the selector, pipe EOF through a router-side incremental frame
 decoder that treats torn frames as that worker's death, and
 heartbeat/stall timeouts that SIGKILL wedged-but-alive processes), the
 worker is respawned with bounded exponential backoff re-mapping the
-arena at the current target generation, and only *its* in-flight keys
-are replayed — other shards never stall. While a shard is down or
-respawning its traffic is answered degraded-but-exact: idle peer
-workers adopt the down shard (every worker maps the full arena), or —
-when no worker is live at all and a ``graph`` was provided — a BFS
-fallback thread answers from the logical graph via
-:class:`~repro.resilience.ResilientSPCIndex`; either way the
-:class:`~repro.serving.admission.QueryResult` carries a
-``degraded_shards`` annotation instead of an error. Tail robustness
-comes from hedging: a sub-request that outlives its latency-derived
-hedge delay is duplicated to a sibling replica and the first
-generation-consistent answer wins, deduplicated on resolve. Planned
-maintenance uses the same machinery: :meth:`ClusterService.drain` stops
-admitting to one worker, flushes its in-flight batch, then swaps the
-process — a rolling restart is just a drain per worker, and hot reload
-is the in-place special case of the same wait-until-idle state machine.
+arena at the current target generation, and only *its* in-flight work is
+replayed — the other workers never stall. While no worker is serving,
+queued work waits for a respawn; when none is coming and a ``graph`` was
+provided, a BFS fallback thread answers exactly from the logical graph
+via :class:`~repro.resilience.ResilientSPCIndex` with status
+``SERVED_DEGRADED`` instead of an error. Tail robustness comes from
+hedging: a request that outlives its latency-derived hedge delay is
+duplicated to another idle worker at the same generation and the first
+answer wins, deduplicated on resolve. Planned maintenance uses the same
+machinery: :meth:`ClusterService.drain` stops admitting to one worker,
+flushes its in-flight batch, then swaps the process — a rolling restart
+is just a drain per worker, and hot reload is the in-place special case
+of the same wait-until-idle state machine.
 """
 
 import asyncio
@@ -113,7 +106,6 @@ from repro.serving.jobs import (
 )
 from repro.serving.protocol import _FrameDecoder, _WorkerGone
 from repro.serving.reload import IndexWatcher
-from repro.serving.shards import ShardPlan
 
 #: Worker lifecycle states as the router sees them.
 STARTING = "starting"
@@ -123,16 +115,19 @@ RELOADING = "reloading"
 STOPPED = "stopped"
 DEAD = "dead"
 
-#: Whole-gather retries allowed when replies straddle a generation swap.
-GATHER_RETRY_LIMIT = 3
-
-#: BFS engine of the fallback oracle that answers shards with no live
-#: worker.
+#: BFS engine of the fallback oracle that answers while no worker is live.
 FALLBACK_ENGINE = "csr"
 
-#: An automatic hedge fires once a sub-request has waited this many
-#: times its shard's observed p95 latency.
+#: An automatic hedge fires once a request has waited this many times
+#: the cluster's observed p95 round-trip latency...
 HEDGE_MULTIPLIER = 4.0
+
+#: ...but never sooner than this many seconds.
+HEDGE_FLOOR = 0.01
+
+#: Seconds to wait for every worker's HELLO at start (also the stall
+#: allowance for a respawning worker's HELLO).
+START_TIMEOUT = 60.0
 
 
 def _deadline_error(deadline):
@@ -156,20 +151,19 @@ def _err_exception(kind, message, deadline):
 class _Worker:
     """Router-side record of one worker slot and its current process.
 
-    The slot (index, shard) is stable across the supervisor's respawns;
+    The slot index is stable across the supervisor's respawns;
     ``process``/``conn``/``decoder`` are replaced on each incarnation.
     """
 
-    __slots__ = ("index", "shard", "process", "conn", "conn_fd", "decoder",
+    __slots__ = ("index", "process", "conn", "conn_fd", "decoder",
                  "sentinel_fd", "generation", "state", "pinned",
                  "draining", "drain_respawn", "drain_futures",
                  "respawn_at", "backoff", "respawns", "died_at", "hello_at",
                  "spawned_at", "ping_sent_at", "last_seen",
                  "busy_since", "busy_budget", "gone")
 
-    def __init__(self, index, shard, backoff):
+    def __init__(self, index, backoff):
         self.index = index
-        self.shard = shard
         self.process = None
         self.conn = None
         self.conn_fd = None
@@ -210,22 +204,18 @@ class _Flight:
     ``twin`` links the two legs of a hedged request (by batch id);
     ``cancelled`` marks the losing leg once the other resolved — its
     reply is discarded on arrival, so duplicates never double-resolve.
-    ``home_shard`` is the shard the work *belongs* to (``None`` for
-    pinned stats probes), which may differ from the serving worker's
-    shard under peer adoption — ``degraded`` then carries the
-    annotation for the terminal :class:`QueryResult`.
+    ``key`` is the worker index of a pinned stats probe, ``None`` for
+    work any worker may answer.
     """
 
-    __slots__ = ("kind", "batch_id", "worker", "home_shard", "message",
+    __slots__ = ("kind", "batch_id", "worker", "message",
                  "sent_at", "budget", "members", "job", "key",
-                 "twin", "is_hedge", "cancelled", "degraded")
+                 "twin", "is_hedge", "cancelled")
 
-    def __init__(self, kind, batch_id, worker, home_shard, message, sent_at,
-                 budget):
+    def __init__(self, kind, batch_id, worker, message, sent_at, budget):
         self.kind = kind
         self.batch_id = batch_id
         self.worker = worker
-        self.home_shard = home_shard
         self.message = message
         self.sent_at = sent_at
         self.budget = budget
@@ -235,7 +225,6 @@ class _Flight:
         self.twin = None
         self.is_hedge = False
         self.cancelled = False
-        self.degraded = ()
 
 
 class _BatchMetrics:
@@ -245,30 +234,23 @@ class _BatchMetrics:
 
     __slots__ = ("batch_size", "batches", "batch_seconds")
 
-    def __init__(self, registry, shards):
+    def __init__(self, registry):
         self.batch_size = registry.histogram(
             "spc_cluster_batch_size",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256))
-        self.batches = [
-            registry.counter("spc_cluster_batches_total", shard=str(shard))
-            for shard in range(shards)
-        ]
-        self.batch_seconds = [
-            registry.histogram("spc_cluster_batch_seconds", shard=str(shard))
-            for shard in range(shards)
-        ]
+        self.batches = registry.counter("spc_cluster_batches_total")
+        self.batch_seconds = registry.histogram("spc_cluster_batch_seconds")
 
 
 class _DegradedExecutor(threading.Thread):
-    """BFS-fallback worker thread for shards with no live process.
+    """BFS-fallback thread that answers while no worker process is live.
 
-    The router hands it stranded work (whole jobs, or one shard's pair
-    batch); it executes against the cluster's
+    The router hands it stranded work (whole jobs, or the queued pairs);
+    it executes against the cluster's
     :class:`~repro.resilience.ResilientSPCIndex` and posts the outcome
     back through the router inbox, so terminal resolution stays
     single-threaded in the router. Answers are exact (online BFS on the
-    logical graph) but carry ``SERVED_DEGRADED`` and the
-    ``degraded_shards`` annotation.
+    logical graph) and carry ``SERVED_DEGRADED``.
     """
 
     def __init__(self, service):
@@ -302,7 +284,7 @@ class _DegradedExecutor(threading.Thread):
                 outcome = [self._one(lambda r=request: (
                     self._service._fallback.count_with_distance(
                         r.s, r.t, deadline=r.deadline)))
-                    for request in item[2]]
+                    for request in item[1]]
             else:
                 job = item[1]
                 outcome = self._one(
@@ -320,7 +302,7 @@ class _DegradedExecutor(threading.Thread):
 
 
 class ClusterService:
-    """Multiprocess scatter-gather serving tier over one shared arena.
+    """Multiprocess serving tier: one worker pool over one shared arena.
 
     Parameters
     ----------
@@ -328,16 +310,14 @@ class ClusterService:
         SPCF v4 index file, as written by
         :func:`~repro.io.serialize.save_index`, ``repro-spc build`` or a
         :class:`~repro.dynamic.maintenance.MaintenanceController` publish.
-    workers / shards / strategy:
-        Worker-process count, shard count (``workers >= shards``; each
-        shard gets ``workers // shards`` processes, remainder spread
-        round-robin) and the :class:`~repro.serving.shards.ShardPlan`
-        strategy (``"range"`` or ``"hash"``).
+    workers:
+        Worker-process count. Every worker maps the whole arena and
+        answers any request.
     max_batch:
-        Largest pair batch the router sends in one round-trip. A shard's
-        pending pairs are flushed as soon as one of its workers is idle;
-        pairs that arrive while every worker is busy queue up and ride
-        the next batch, so batch size follows load up to this cap.
+        Largest pair batch the router sends in one round-trip. Pending
+        pairs are flushed as soon as a worker is idle; pairs that arrive
+        while every worker is busy queue up and ride the next batch, so
+        batch size follows load up to this cap.
     capacity / queue_limit / retry_after_cap:
         Admission control (see
         :class:`~repro.serving.admission.AdmissionQueue`); the router
@@ -356,22 +336,16 @@ class ClusterService:
     verify:
         Forwarded to :func:`~repro.io.flat_store.open_shared` (CRC
         checks on map).
-    start_timeout:
-        Seconds to wait for every worker's HELLO before giving up (also
-        the stall allowance for a respawning worker's HELLO).
     clock:
         Monotonic clock, injectable for deterministic tests.
     graph:
         Optional logical :class:`~repro.graph.graph.Graph` behind the
         arena. When given, a BFS fallback
         (:class:`~repro.resilience.ResilientSPCIndex`) answers exactly
-        for shards that have *no* live worker — results come back
-        ``SERVED_DEGRADED`` with a ``degraded_shards`` annotation
-        instead of failing. Without it, stranded work waits for the
-        respawn (or fails when none is coming). Either way, idle workers
-        of healthy shards first adopt the queued work of a
-        down/respawning shard — exact answers from the same arena,
-        annotated with the degraded home shard.
+        while *no* worker is live and no respawn is coming — results
+        come back ``SERVED_DEGRADED`` instead of failing. Without it,
+        such work fails with a typed ``ERROR``. While any worker serves,
+        it answers the queued work itself.
     respawn / respawn_backoff / respawn_backoff_max:
         Supervision: a dead worker is respawned after ``respawn_backoff``
         seconds, doubling per consecutive failure up to
@@ -387,32 +361,27 @@ class ClusterService:
         request with no timeout and no ``default_deadline`` gets
         :data:`~repro.serving.admission.MAX_REQUEST_SECONDS`), so every
         batch is covered.
-    hedge_delay / hedge_floor:
-        Tail hedging. ``"auto"`` (default) duplicates a sub-request to
-        an idle sibling once it has waited :data:`HEDGE_MULTIPLIER` × the
-        shard's observed p95 latency (at least ``hedge_floor`` seconds,
-        needs 16 samples); a float pins the delay; ``None`` disables.
-        The first generation-consistent answer wins, the loser is
-        discarded on arrival — hedges never double-resolve and never
-        let two index generations into one gather.
+    hedge_delay:
+        Tail hedging. ``"auto"`` (default) duplicates a request to an
+        idle worker at the same generation once it has waited
+        :data:`HEDGE_MULTIPLIER` × the observed p95 round-trip latency
+        (at least :data:`HEDGE_FLOOR` seconds, needs 16 samples); a
+        float pins the delay; ``None`` disables. The first answer wins,
+        the loser is discarded on arrival — hedges never double-resolve.
+
+    Workers get :data:`START_TIMEOUT` seconds to say HELLO.
     """
 
-    def __init__(self, index_path, *, workers=2, shards=1, strategy="range",
-                 max_batch=64, capacity=64,
+    def __init__(self, index_path, *, workers=2, max_batch=64, capacity=64,
                  queue_limit=256, retry_after_cap=DEFAULT_RETRY_AFTER_CAP,
                  default_deadline=None, breaker=None, failure_threshold=5,
                  reset_timeout=1.0, reload_check_every=64, verify=True,
-                 start_timeout=60.0, clock=time.monotonic,
-                 graph=None, respawn=True, respawn_backoff=0.05,
-                 respawn_backoff_max=2.0, heartbeat_interval=0.5,
-                 stall_timeout=2.0, hedge_delay="auto", hedge_floor=0.01,
-                 _fault=None):
+                 clock=time.monotonic, graph=None, respawn=True,
+                 respawn_backoff=0.05, respawn_backoff_max=2.0,
+                 heartbeat_interval=0.5, stall_timeout=2.0,
+                 hedge_delay="auto", _fault=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if shards < 1 or shards > workers:
-            raise ValueError(
-                f"shards must be in [1, workers], got {shards} "
-                f"(workers={workers})")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if respawn_backoff <= 0 or respawn_backoff_max < respawn_backoff:
@@ -429,7 +398,6 @@ class ClusterService:
         self.index_path = str(index_path)
         meta = read_flat_meta(self.index_path)
         self.n = meta.n
-        self.plan = ShardPlan(meta.n, shards, strategy=strategy)
         self.max_batch = max_batch
         self.default_deadline = default_deadline
         self._clock = clock
@@ -438,10 +406,9 @@ class ClusterService:
             queue_limit=queue_limit, retry_after_cap=retry_after_cap,
             default_deadline=default_deadline,
             reload_check_every=reload_check_every,
-            counters=("batches", "gather_retries", "reloads",
-                      "reload_failures", "worker_failures", "respawns",
-                      "stalls", "hedges", "hedge_wins", "degraded_requests",
-                      "drains", "replays"),
+            counters=("batches", "reloads", "reload_failures",
+                      "worker_failures", "respawns", "stalls", "hedges",
+                      "hedge_wins", "drains", "replays"),
             clock=clock)
         self._admission = self._life.admission
         if breaker is None:
@@ -453,12 +420,11 @@ class ClusterService:
         self._closing = False
         self._closed = False
         registry = get_registry()
-        self._metrics = (_BatchMetrics(registry, self.plan.shards)
-                         if registry.enabled else None)
+        self._metrics = _BatchMetrics(registry) if registry.enabled else None
         self._asleep = False
         self._inbox = collections.deque()
-        self._pending = [collections.deque() for _ in range(self.plan.shards)]
-        self._subs = [collections.deque() for _ in range(self.plan.shards)]
+        self._pending = collections.deque()
+        self._jobs = collections.deque()
         self._inflight = {}
         self._next_batch_id = 0
         self._start_error = None
@@ -466,16 +432,13 @@ class ClusterService:
         self._ready = threading.Event()
         self._verify = verify
         self._fault = _fault
-        self._start_timeout = start_timeout
         self._respawn = respawn
         self._respawn_backoff = respawn_backoff
         self._respawn_backoff_max = respawn_backoff_max
         self._heartbeat_interval = heartbeat_interval
         self._stall_timeout = stall_timeout
         self._hedge_delay = hedge_delay
-        self._hedge_floor = hedge_floor
-        self._latency = [collections.deque(maxlen=64)
-                         for _ in range(self.plan.shards)]
+        self._latency = collections.deque(maxlen=64)
         self._fallback_inflight = 0
         self._reaped = []
         self._fallback = None
@@ -497,22 +460,20 @@ class ClusterService:
         self._selector.register(self._wake_r, selectors.EVENT_READ, None)
         self._workers = []
         for index in range(workers):
-            worker = _Worker(index, index % self.plan.shards, respawn_backoff)
+            worker = _Worker(index, respawn_backoff)
             self._workers.append(worker)
             self._spawn_process(worker, 0)
         workers = self._workers
-        for shard in range(self.plan.shards):
-            get_registry().gauge("spc_cluster_workers", shard=str(shard)).track(
-                lambda shard=shard: sum(1 for w in workers
-                                        if w.live and w.shard == shard))
+        registry.gauge("spc_cluster_workers").track(
+            lambda: sum(1 for w in workers if w.live))
         self._router = threading.Thread(target=self._run,
                                         name="spc-cluster-router",
                                         daemon=True)
         self._router.start()
-        if not self._ready.wait(start_timeout):
+        if not self._ready.wait(START_TIMEOUT):
             self.close()
             raise SerializationError(
-                f"cluster workers did not come up within {start_timeout}s")
+                f"cluster workers did not come up within {START_TIMEOUT}s")
         if self._start_error is not None:
             error = self._start_error
             self.close()
@@ -621,10 +582,10 @@ class ClusterService:
         ``pairs``. Admission, deadline, breaker, and the router hop are
         paid once for the batch — the high-throughput front door for
         callers that already hold many pairs, where per-pair futures
-        would dominate the (vectorized) kernel cost. The whole batch
-        shares one terminal status: an invalid vertex, expired deadline,
-        or shed rejects all of it, and scatter-gather across shards
-        never merges replies from different index generations.
+        would dominate the (vectorized) kernel cost. One worker answers
+        the whole batch in one round-trip, so it shares one terminal
+        status and one index generation: an invalid vertex, expired
+        deadline, or shed rejects all of it.
         """
         pairs = list(pairs)
         if not pairs:
@@ -642,7 +603,8 @@ class ClusterService:
         extremes += [int(ids.max()) for ids in (sources, targets)]
         return self._submit_job(
             lambda future, deadline, started: _PairBatchJob(
-                future, deadline, started, sources, targets, self.plan),
+                future, deadline, started, sources.tolist(),
+                targets.tolist()),
             extremes, timeout)
 
     def submit_many(self, pairs, timeout=None):
@@ -650,38 +612,35 @@ class ClusterService:
         return self.submit_many_nowait(pairs, timeout=timeout).result()
 
     def single_source(self, s, timeout=None):
-        """Scatter-gather ``(dist, count)`` arrays from ``s``.
+        """``(dist, count)`` arrays from ``s``, swept by one worker.
 
-        Range plans scatter one contiguous slice per shard and
-        concatenate; hash plans run the full sweep on the source's home
-        shard. Returns a :class:`QueryResult` whose ``answer`` is the
+        Returns a :class:`QueryResult` whose ``answer`` is the
         ``(dist, count)`` array pair.
         """
         return self._submit_job(
             lambda future, deadline, started: _SingleSourceJob(
-                future, deadline, started, int(s), self.plan),
+                future, deadline, started, int(s)),
             [s], timeout).result()
 
     def set_to_set(self, sources, targets, timeout=None):
-        """Scatter-gather ``(sd(S, T), spc(S, T))`` over target shards."""
+        """``(sd(S, T), spc(S, T))``, answered by one worker."""
         sources = [int(v) for v in sources]
         targets = [int(v) for v in targets]
         if not sources or not targets:
             return self._served_empty((INF, 0)).result()
-        buckets = self.plan.split_targets(targets)
         return self._submit_job(
             lambda future, deadline, started: _SetToSetJob(
-                future, deadline, started, sources, buckets),
+                future, deadline, started, sources, targets),
             sources + targets, timeout).result()
 
     def submit_query(self, node, timeout=None):
         """Run a compiled query AST node against the cluster.
 
-        Operators the cluster serves natively map straight onto the
-        scatter-gather entry points — :class:`~repro.query.ast.Count` is
+        Operators the cluster serves natively map straight onto its
+        entry points — :class:`~repro.query.ast.Count` is
         :meth:`submit`, a :class:`~repro.query.ast.Batch` of pair
         operators is one :meth:`submit_many` round-trip, single-source
-        and set-to-set queries keep their sharded gathers. Everything
+        and set-to-set queries are one round-trip each. Everything
         else (relevance, top-k betweenness, mixed batches) compiles
         through a :class:`~repro.query.engine.QueryEngine` whose backend
         issues cluster requests, so composite answers inherit the
@@ -736,8 +695,7 @@ class ClusterService:
             result = QueryResult(status_of(exc), error=exc)
         else:
             status = SERVED_DEGRADED if adapter.degraded else SERVED_INDEX
-            result = QueryResult(status, answer=answer,
-                                 degraded_shards=adapter.degraded_shards)
+            result = QueryResult(status, answer=answer)
         result.elapsed = self._clock() - started
         result.generation = self.generation
         return result
@@ -772,7 +730,7 @@ class ClusterService:
         return deadline
 
     def _submit_job(self, factory, vertices, timeout):
-        """:meth:`_admit` a scatter-gather job and queue it; returns the
+        """:meth:`_admit` a job and queue it; returns the
         future (blocking entry points call ``.result()`` on it)."""
         started = self._clock()
         future = Future()
@@ -802,7 +760,7 @@ class ClusterService:
         return True
 
     def reload(self):
-        """Force a rolling, shard-by-shard remap of every worker."""
+        """Force a rolling remap of every worker."""
         self._inbox.append(("reload", None))
         self._wake()
 
@@ -868,13 +826,11 @@ class ClusterService:
             "counters": self._life.snapshot(),
             "generation": self.generation,
             "target_generation": self._target_generation,
-            "shards": self.plan.shards,
-            "strategy": self.plan.strategy,
             "ema_latency": self._admission.ema_latency,
             "admission": self._admission.snapshot(),
             "breaker": self.breaker.snapshot(),
             "workers": [
-                {"index": w.index, "shard": w.shard, "state": w.state,
+                {"index": w.index, "state": w.state,
                  "generation": w.generation,
                  "pid": w.process.pid if w.process is not None else None,
                  "alive": (w.process.is_alive()
@@ -960,7 +916,7 @@ class ClusterService:
     def __repr__(self):
         live = sum(1 for w in self._workers if w.live)
         return (f"ClusterService(workers={live}/{len(self._workers)}, "
-                f"shards={self.plan.shards}, generation={self.generation})")
+                f"generation={self.generation})")
 
     # -- router thread --------------------------------------------------------
 
@@ -1034,14 +990,13 @@ class ClusterService:
             kind = item[0]
             payload = item[1] if len(item) > 1 else None
             if kind == "pair":
-                self._pending[self.plan.shard_of(payload.s)].append(payload)
+                self._pending.append(payload)
             elif kind == "job":
-                for key in payload.keys():
-                    shard = payload.shard_for(key)
-                    if shard is None:
-                        self._workers[key].pinned.append((payload, key))
-                    else:
-                        self._subs[shard].append((payload, key))
+                if isinstance(payload, _StatsJob):
+                    for index in payload.workers:
+                        self._workers[index].pinned.append((payload, index))
+                else:
+                    self._jobs.append(payload)
             elif kind == "reload":
                 self._target_generation += 1
             elif kind == "drain":
@@ -1054,19 +1009,11 @@ class ClusterService:
     def _quiescent(self):
         if self._inflight or self._inbox or self._fallback_inflight:
             return False
-        if any(self._pending) or any(self._subs):
+        if self._pending or self._jobs:
             return False
         if any(w.state == RELOADING for w in self._workers):
             return False
         return all(not w.pinned for w in self._workers)
-
-    def _shard_can_reload(self, shard):
-        """Shard-by-shard ordering: lower shards must finish swapping."""
-        for worker in self._workers:
-            if (worker.live and worker.shard < shard
-                    and worker.generation < self._target_generation):
-                return False
-        return True
 
     def _dispatch(self):
         now = self._clock()
@@ -1077,8 +1024,7 @@ class ClusterService:
                 self._complete_drain(worker)
                 continue
             if (worker.generation < self._target_generation
-                    and not worker.pinned
-                    and self._shard_can_reload(worker.shard)):
+                    and not worker.pinned):
                 if self._send(worker, (protocol.RELOAD,
                                        self._target_generation)):
                     worker.state = RELOADING
@@ -1086,41 +1032,14 @@ class ClusterService:
                 continue
             if worker.pinned:
                 job, key = worker.pinned.popleft()
-                self._dispatch_sub(worker, job, key)
+                self._dispatch_job(worker, job, key)
                 continue
-            shard = worker.shard
-            if self._subs[shard]:
-                job, key = self._subs[shard].popleft()
-                self._dispatch_sub(worker, job, key)
+            if self._jobs:
+                self._dispatch_job(worker, self._jobs.popleft())
                 continue
-            if self._pending[shard]:
-                self._dispatch_pairs(worker, shard)
-        self._dispatch_peers()
+            if self._pending:
+                self._dispatch_pairs(worker)
         self._route_stranded()
-
-    def _dispatch_peers(self):
-        """Idle workers adopt the queued work of shards with no serving
-        worker. Every worker maps the full arena (sharding here is
-        routing, not partitioning), so a peer's answer is exact; it is
-        annotated with the degraded home shard so callers can see the
-        cluster was running thin."""
-        for worker in self._workers:
-            if worker.state != IDLE or worker.draining:
-                continue
-            if worker.generation < self._target_generation:
-                # Mid-reload stragglers don't poach: their answers could
-                # drag a stale generation into another shard's gather.
-                continue
-            for shard in self.plan.peer_order(worker.shard):
-                if self._shard_serving(shard):
-                    continue
-                if self._subs[shard]:
-                    job, key = self._subs[shard].popleft()
-                    self._dispatch_sub(worker, job, key)
-                    break
-                if self._pending[shard]:
-                    self._dispatch_pairs(worker, shard)
-                    break
 
     def _next_id(self):
         self._next_batch_id += 1
@@ -1135,8 +1054,8 @@ class ClusterService:
             self._on_worker_death(worker)
             return False
 
-    def _dispatch_pairs(self, worker, shard):
-        pending = self._pending[shard]
+    def _dispatch_pairs(self, worker):
+        pending = self._pending
         members = []
         budget = 0.0
         now = self._clock()
@@ -1161,12 +1080,8 @@ class ClusterService:
                 pending.appendleft(request)
             return
         now = self._clock()
-        flight = _Flight("pairs", batch_id, worker, shard, message, now,
-                         budget)
+        flight = _Flight("pairs", batch_id, worker, message, now, budget)
         flight.members = members
-        if worker.shard != shard:
-            flight.degraded = (shard,)
-            self._note_degraded(shard, len(members))
         worker.state = BUSY
         worker.busy_since = now
         worker.busy_budget = flight.budget
@@ -1175,124 +1090,71 @@ class ClusterService:
         if metrics is not None:
             metrics.batch_size.observe(len(members))
 
-    def _dispatch_sub(self, worker, job, key):
-        if job.done or job.offloaded:
+    def _dispatch_job(self, worker, job, key=None):
+        """Send ``job`` to ``worker``; ``key`` names a pinned stats probe."""
+        if job.done:
             return
         budget = job.deadline.remaining()
         if budget <= 0:
             self._finish_job(job, DEADLINE, error=_deadline_error(job.deadline))
             return
         batch_id = self._next_id()
-        shard = job.shard_for(key)
-        message = job.message(key, batch_id, budget)
+        message = job.message(batch_id, budget)
         if not self._send(worker, message):
-            if shard is not None:
-                self._subs[shard].append((job, key))
+            if key is None:
+                self._jobs.append(job)
             else:
                 self._finish_job(job, ERROR,
                                  error=ReproError("worker died"))
             return
         now = self._clock()
-        flight = _Flight("sub", batch_id, worker, shard
-                         if shard is not None else worker.shard,
-                         message, now, budget)
+        flight = _Flight("job", batch_id, worker, message, now, budget)
         flight.job = job
         flight.key = key
-        if shard is not None and worker.shard != shard:
-            flight.degraded = (shard,)
-            self._note_degraded(shard)
         worker.state = BUSY
         worker.busy_since = now
         worker.busy_budget = budget
         self._inflight[batch_id] = flight
 
-    def _shard_serving(self, shard):
-        """A shard is serving while some non-draining worker of its pool
-        can still take (or is taking) work. A STARTING respawn does not
-        count — its queue must not wait on an arena map."""
-        return any(w.shard == shard and w.serving and not w.draining
-                   for w in self._workers)
-
     def _route_stranded(self):
-        """Decide the fate of queued work on non-serving shards.
+        """Decide the fate of queued work while no worker is serving.
 
-        The ladder, in order: wait for an in-progress respawn/start;
-        wait for a peer to poach (exact answers, just annotated); hand
-        the whole backlog to the BFS fallback executor (exact answers,
-        ``SERVED_DEGRADED``); fail. Only the last rung loses work, and
-        it is only reached when nothing can ever answer again.
+        A serving worker answers it; otherwise wait for a starting or
+        respawning worker; otherwise hand the backlog to the BFS fallback
+        executor (exact answers, ``SERVED_DEGRADED``); otherwise fail.
+        Only the last rung loses work, and it is only reached when
+        nothing can ever answer again.
         """
-        for shard in range(self.plan.shards):
-            if not self._pending[shard] and not self._subs[shard]:
-                continue
-            if self._shard_serving(shard):
-                continue
-            own = [w for w in self._workers if w.shard == shard]
-            if not self._closing:
-                if any(w.live and (not w.draining or w.drain_respawn)
-                       for w in own):
-                    continue  # a STARTING/replacement incarnation is coming
-                if any(w.respawn_at is not None for w in own):
-                    continue  # supervisor has a respawn scheduled
-                if any(w.serving and not w.draining for w in self._workers):
-                    continue  # a healthy peer will poach this queue
-            if self._fallback is not None:
-                self._offload_shard(shard)
-                continue
-            self._fail_queued(shard, ReproError(
-                f"no live workers for shard {shard}"))
-
-    def _fail_queued(self, shard, error):
-        """Fail every pair and job sub still queued on ``shard``."""
-        while self._pending[shard]:
-            self._finish_pair(self._pending[shard].popleft(), ERROR,
-                              error=error)
-        while self._subs[shard]:
-            job, _ = self._subs[shard].popleft()
-            self._finish_job(job, ERROR, error=error)
-
-    def _offload_shard(self, shard):
-        """Move a dead shard's backlog onto the BFS fallback thread."""
-        members = []
-        while self._pending[shard]:
-            request = self._pending[shard].popleft()
-            if not request.done:
-                members.append(request)
+        if not self._pending and not self._jobs:
+            return
+        workers = self._workers
+        if any(w.serving and not w.draining for w in workers):
+            return
+        if not self._closing and any(
+                w.respawn_at is not None
+                or (w.live and (not w.draining or w.drain_respawn))
+                for w in workers):
+            return  # a STARTING, respawning or replacement worker is coming
+        if self._fallback is None:
+            self._fail_queued(ReproError("no live workers"))
+            return
+        members = [r for r in self._pending if not r.done]
+        self._pending.clear()
         if members:
             self._fallback_inflight += 1
-            self._note_degraded(shard, len(members))
-            self._executor.submit(("pairs", shard, members))
-        while self._subs[shard]:
-            job, _ = self._subs[shard].popleft()
-            self._offload_job(job)
+            self._executor.submit(("pairs", members))
+        while self._jobs:
+            job = self._jobs.popleft()
+            if not job.done:
+                self._fallback_inflight += 1
+                self._executor.submit(("job", job))
 
-    def _offload_job(self, job):
-        """Send a whole scatter-gather job down the BFS path.
-
-        All-or-nothing: the job's queued subs are pulled from every
-        shard queue and any in-flight subs are ignored on arrival, so a
-        BFS answer is never merged with arena replies in one gather.
-        """
-        if job.done or job.offloaded:
-            return
-        job.offloaded = True
-        for shard in range(self.plan.shards):
-            if self._subs[shard]:
-                self._subs[shard] = collections.deque(
-                    (j, k) for j, k in self._subs[shard] if j is not job)
-        for worker in self._workers:
-            if worker.pinned:
-                worker.pinned = collections.deque(
-                    (j, k) for j, k in worker.pinned if j is not job)
-        self._fallback_inflight += 1
-        for shard in job.home_shards():
-            job.degraded.add(shard)
-        self._executor.submit(("job", job))
-
-    def _note_degraded(self, shard, count=1):
-        self._life.bump("degraded_requests", count,
-                        "spc_cluster_degraded_requests_total",
-                        shard=str(shard))
+    def _fail_queued(self, error):
+        """Fail every queued pair and job."""
+        while self._pending:
+            self._finish_pair(self._pending.popleft(), ERROR, error=error)
+        while self._jobs:
+            self._finish_job(self._jobs.popleft(), ERROR, error=error)
 
     # -- reply handling -------------------------------------------------------
 
@@ -1358,16 +1220,11 @@ class ClusterService:
                 self._life.bump("hedge_wins",
                                 family="spc_cluster_hedge_wins_total")
         if message[0] == protocol.OK:
-            self._latency[flight.home_shard].append(
-                self._clock() - flight.sent_at)
-        if flight.job is not None and flight.job.offloaded:
-            # The whole job went down the BFS path; arena replies for it
-            # are ignored so generations never mix in one gather.
-            return
+            self._latency.append(self._clock() - flight.sent_at)
         if flight.kind == "pairs":
-            self._on_pairs_reply(worker, flight, message)
+            self._on_pairs_reply(flight, message)
         else:
-            self._on_sub_reply(worker, flight, message)
+            self._on_job_reply(flight, message)
 
     def _on_hello(self, worker, message):
         now = self._clock()
@@ -1387,16 +1244,15 @@ class ClusterService:
                 get_registry().histogram("spc_cluster_respawn_seconds").observe(
                     now - worker.died_at)
             get_event_log().emit("cluster_worker_up", worker=worker.index,
-                                 shard=worker.shard,
                                  generation=worker.generation,
                                  respawns=worker.respawns)
         worker.died_at = None
         self._resolve_drains(worker, True)
 
-    def _on_pairs_reply(self, worker, flight, message):
+    def _on_pairs_reply(self, flight, message):
         members = flight.members
         now = self._clock()
-        self._count_batch(worker, flight, now)
+        self._count_batch(flight, now)
         if message[0] == protocol.ERR:
             errors = [_err_exception(message[2], message[3], request.deadline)
                       for request in members]
@@ -1413,16 +1269,15 @@ class ClusterService:
                                   error=_deadline_error(request.deadline))
             else:
                 self._finish_pair(request, SERVED_INDEX, answer=answer,
-                                  generation=generation,
-                                  degraded=flight.degraded, now=now)
+                                  generation=generation, now=now)
 
-    def _count_batch(self, worker, flight, now):
+    def _count_batch(self, flight, now):
         """Tally one worker round-trip; returns the batch metric handles."""
         self._life.bump("batches")
         metrics = self._metrics
         if metrics is not None:
-            metrics.batches[worker.shard].inc()
-            metrics.batch_seconds[worker.shard].observe(now - flight.sent_at)
+            metrics.batches.inc()
+            metrics.batch_seconds.observe(now - flight.sent_at)
         return metrics
 
     def _failed_status(self, error):
@@ -1433,55 +1288,26 @@ class ClusterService:
             self.breaker.record_failure()
         return status
 
-    def _on_sub_error(self, job, kind, detail):
-        error = _err_exception(kind, detail, job.deadline)
-        self._finish_job(job, self._failed_status(error), error=error)
-
-    def _on_sub_reply(self, worker, flight, message):
-        job, key = flight.job, flight.key
-        if isinstance(job, _PairBatchJob):
-            # A bulk sub is one coalesced worker round-trip, same as a
-            # router-built pair batch — account it under the same
-            # counters so the batching instruments cover both doors.
-            metrics = self._count_batch(worker, flight, self._clock())
-            if metrics is not None:
-                metrics.batch_size.observe(len(job.subs[key][0]))
+    def _on_job_reply(self, flight, message):
+        job = flight.job
+        if flight.key is None:
+            # A job is one worker round-trip, same as a router-built pair
+            # batch; a caller's pair batch also feeds the batch sizes.
+            metrics = self._count_batch(flight, self._clock())
+            if metrics is not None and isinstance(job, _PairBatchJob):
+                metrics.batch_size.observe(len(job.sources))
         if message[0] == protocol.ERR:
-            self._on_sub_error(job, message[2], message[3])
+            error = _err_exception(message[2], message[3], job.deadline)
+            self._finish_job(job, self._failed_status(error), error=error)
             return
         self.breaker.record_success()
-        if flight.degraded:
-            for shard in flight.degraded:
-                job.degraded.add(shard)
-        outcome = job.register_reply(key, message[2], message[3])
-        if outcome in ("dup", "pending"):
-            return
-        if outcome == "mixed":
-            # A rolling swap landed mid-gather: never merge two index
-            # generations into one answer — retry the whole scatter.
-            generations = {gen for gen, _ in job.replies.values()}
-            self._life.bump("gather_retries",
-                            family="spc_cluster_gather_retries_total")
-            if job.retries >= GATHER_RETRY_LIMIT:
-                self._finish_job(job, ERROR, error=ReproError(
-                    f"gather saw mixed generations {sorted(generations)} "
-                    f"after {job.retries} retries"))
+        answer = message[3]
+        if flight.key is not None:
+            if not job.register_reply(flight.key, answer):
                 return
-            job.retries += 1
-            job.replies.clear()
-            job.degraded.clear()
-            for sub_key in job.keys():
-                shard = job.shard_for(sub_key)
-                if shard is None:
-                    self._workers[sub_key].pinned.append((job, sub_key))
-                else:
-                    self._subs[shard].append((job, sub_key))
-            return
-        generations = {gen for gen, _ in job.replies.values()}
-        payloads = {k: payload for k, (_, payload) in job.replies.items()}
-        answer = job.merge(payloads)
+            answer = job.merge()
         self._finish_job(job, SERVED_INDEX, answer=answer,
-                         generation=min(generations))
+                         generation=message[2])
 
     def _on_reloaded(self, worker, message):
         generation, ok, detail = message[1], message[2], message[3]
@@ -1495,15 +1321,13 @@ class ClusterService:
             if registry.enabled:
                 registry.gauge("spc_cluster_generation").set(self.generation)
             get_event_log().emit("cluster_worker_reloaded",
-                                 worker=worker.index, shard=worker.shard,
-                                 generation=generation)
+                                 worker=worker.index, generation=generation)
         else:
             self._life.bump("reload_failures",
                             family="spc_cluster_reloads_total",
                             outcome="failure")
             get_event_log().emit("cluster_reload_failed",
-                                 worker=worker.index, shard=worker.shard,
-                                 detail=str(detail))
+                                 worker=worker.index, detail=str(detail))
 
     def _on_worker_death(self, worker):
         if worker.state in (DEAD, STOPPED):
@@ -1522,13 +1346,11 @@ class ClusterService:
             self._reaped.append(worker.process)
             worker.process = None
         self._life.bump("worker_failures",
-                        family="spc_cluster_worker_failures_total",
-                        shard=str(worker.shard))
+                        family="spc_cluster_worker_failures_total")
         self.breaker.record_failure()
-        get_event_log().emit("cluster_worker_died", worker=worker.index,
-                             shard=worker.shard)
-        # Replay, don't fail: only this worker's in-flight keys are
-        # touched — other shards never notice.
+        get_event_log().emit("cluster_worker_died", worker=worker.index)
+        # Replay, don't fail: only this worker's in-flight work is
+        # touched — the other workers never notice.
         dead_batches = [bid for bid, flight in self._inflight.items()
                         if flight.worker is worker]
         for batch_id in dead_batches:
@@ -1573,17 +1395,16 @@ class ClusterService:
         if flight.kind == "pairs":
             for request in reversed(flight.members):
                 if not request.done:
-                    self._pending[flight.home_shard].appendleft(request)
+                    self._pending.appendleft(request)
             return
-        job, key = flight.job, flight.key
-        if job.done or job.offloaded or key in job.replies:
+        job = flight.job
+        if job.done:
             return
-        shard = job.shard_for(key)
-        if shard is None:
+        if flight.key is not None:
             # A worker-pinned probe (STATS) cannot run anywhere else.
             self._finish_job(job, ERROR, error=ReproError("worker died"))
         else:
-            self._subs[shard].append((job, key))
+            self._jobs.append(job)
 
     # -- supervision ----------------------------------------------------------
 
@@ -1596,7 +1417,7 @@ class ClusterService:
                     self._respawn_now(worker)
                 continue
             if worker.state == STARTING:
-                if now - worker.spawned_at > self._start_timeout:
+                if now - worker.spawned_at > START_TIMEOUT:
                     self._stall_kill(worker, "no HELLO within start_timeout")
                 continue
             if worker.state == BUSY:
@@ -1632,7 +1453,7 @@ class ClusterService:
             if worker.state == DEAD:
                 consider(worker.respawn_at)
             elif worker.state == STARTING:
-                consider(worker.spawned_at + self._start_timeout)
+                consider(worker.spawned_at + START_TIMEOUT)
             elif worker.state == BUSY:
                 consider(worker.busy_since + worker.busy_budget
                          + self._stall_timeout)
@@ -1644,13 +1465,11 @@ class ClusterService:
                     consider(worker.ping_sent_at + self._stall_timeout)
                 else:
                     consider(worker.last_seen + self._heartbeat_interval)
-        if self._hedge_delay is not None:
+        delay = self._hedge_delay_for() if self._inflight else None
+        if delay is not None:
             for flight in self._inflight.values():
-                if (flight.twin is not None or flight.is_hedge
-                        or flight.cancelled):
-                    continue
-                delay = self._hedge_delay_for(flight.home_shard)
-                if delay is not None:
+                if not (flight.twin is not None or flight.is_hedge
+                        or flight.cancelled or flight.key is not None):
                     consider(flight.sent_at + delay)
         if deadline is None:
             return None
@@ -1660,11 +1479,9 @@ class ClusterService:
         """A stalled worker is indistinguishable from a dead one to its
         callers — SIGKILL it (works through SIGSTOP too) and let the
         ordinary death path replay and respawn."""
-        self._life.bump("stalls", family="spc_cluster_stalls_total",
-                        shard=str(worker.shard))
+        self._life.bump("stalls", family="spc_cluster_stalls_total")
         get_event_log().emit("cluster_worker_stalled", worker=worker.index,
-                             shard=worker.shard, reason=reason,
-                             state=worker.state)
+                             reason=reason, state=worker.state)
         if worker.process is not None:
             try:
                 worker.process.kill()
@@ -1675,43 +1492,40 @@ class ClusterService:
     def _respawn_now(self, worker):
         worker.respawn_at = None
         worker.respawns += 1
-        self._life.bump("respawns", family="spc_cluster_respawns_total",
-                        shard=str(worker.shard))
+        self._life.bump("respawns", family="spc_cluster_respawns_total")
         get_event_log().emit("cluster_worker_respawn", worker=worker.index,
-                             shard=worker.shard, attempt=worker.respawns)
+                             attempt=worker.respawns)
         self._spawn_process(worker, self._target_generation)
 
     # -- hedging --------------------------------------------------------------
 
-    def _hedge_delay_for(self, shard):
-        """Seconds a sub-request may wait before a hedge fires, or None."""
+    def _hedge_delay_for(self):
+        """Seconds a request may wait before a hedge fires, or None."""
         delay = self._hedge_delay
         if delay is None:
             return None
         if delay != "auto":
             return delay
-        samples = self._latency[shard]
+        samples = self._latency
         if len(samples) < 16:
             return None
         ordered = sorted(samples)
         p95 = ordered[int(0.95 * (len(ordered) - 1))]
-        return max(self._hedge_floor, p95 * HEDGE_MULTIPLIER)
+        return max(HEDGE_FLOOR, p95 * HEDGE_MULTIPLIER)
 
     def _maybe_hedge(self, now):
-        if self._hedge_delay is None or not self._inflight:
+        if not self._inflight:
+            return
+        delay = self._hedge_delay_for()
+        if delay is None:
             return
         for flight in list(self._inflight.values()):
             if (flight.twin is not None or flight.is_hedge
                     or flight.cancelled):
                 continue
-            if flight.message[0] not in (protocol.PAIRS,
-                                         protocol.SINGLE_SOURCE,
-                                         protocol.SET_TO_SET):
-                continue  # pinned probes and control traffic never hedge
-            if flight.job is not None and flight.job.offloaded:
-                continue
-            delay = self._hedge_delay_for(flight.home_shard)
-            if delay is None or now - flight.sent_at < delay:
+            if flight.key is not None:
+                continue  # a pinned probe runs on its own worker only
+            if now - flight.sent_at < delay:
                 continue
             sibling = self._hedge_sibling(flight)
             if sibling is None:
@@ -1719,31 +1533,23 @@ class ClusterService:
             self._dispatch_hedge(flight, sibling, now)
 
     def _hedge_sibling(self, flight):
-        """An idle worker that could answer the same sub-request with
-        the same generation; same-shard replicas first."""
-        best = None
+        """Any idle worker at the same generation as the primary's."""
         for worker in self._workers:
-            if (worker is flight.worker or worker.state != IDLE
-                    or worker.draining
-                    or worker.generation != flight.worker.generation):
-                continue
-            if worker.shard == flight.worker.shard:
+            if (worker is not flight.worker and worker.state == IDLE
+                    and not worker.draining
+                    and worker.generation == flight.worker.generation):
                 return worker
-            if best is None:
-                best = worker
-        return best
+        return None
 
     def _dispatch_hedge(self, flight, sibling, now):
         batch_id = self._next_id()
         message = flight.message[:1] + (batch_id,) + flight.message[2:]
         if not self._send(sibling, message):
             return
-        hedge = _Flight(flight.kind, batch_id, sibling, flight.home_shard,
-                        message, now, flight.budget)
+        hedge = _Flight(flight.kind, batch_id, sibling, message, now,
+                        flight.budget)
         hedge.members = flight.members
         hedge.job = flight.job
-        hedge.key = flight.key
-        hedge.degraded = flight.degraded
         hedge.is_hedge = True
         hedge.twin = flight
         flight.twin = hedge
@@ -1753,8 +1559,7 @@ class ClusterService:
         self._inflight[batch_id] = hedge
         self._life.bump("hedges", family="spc_cluster_hedges_total")
         get_event_log().emit("cluster_hedge", worker=flight.worker.index,
-                             sibling=sibling.index,
-                             shard=flight.home_shard)
+                             sibling=sibling.index)
 
     # -- drains ---------------------------------------------------------------
 
@@ -1766,11 +1571,9 @@ class ClusterService:
         if not worker.draining:
             worker.draining = True
             worker.drain_respawn = respawn
-            self._life.bump("drains", family="spc_cluster_drains_total",
-                            shard=str(worker.shard))
+            self._life.bump("drains", family="spc_cluster_drains_total")
             get_event_log().emit("cluster_worker_drain",
-                                 worker=worker.index, shard=worker.shard,
-                                 respawn=respawn)
+                                 worker=worker.index, respawn=respawn)
         worker.drain_respawn = worker.drain_respawn and respawn
         worker.drain_futures.append(future)
 
@@ -1791,8 +1594,7 @@ class ClusterService:
         if worker.process is not None:
             self._reaped.append(worker.process)
             worker.process = None
-        get_event_log().emit("cluster_worker_drained", worker=worker.index,
-                             shard=worker.shard)
+        get_event_log().emit("cluster_worker_drained", worker=worker.index)
         if worker.drain_respawn and not self._closing:
             self._spawn_process(worker, self._target_generation)
         else:
@@ -1807,10 +1609,9 @@ class ClusterService:
     def _on_degraded_done(self, item, outcome):
         self._fallback_inflight -= 1
         if item[0] == "pairs":
-            _, shard, members = item
-            for request, (status, answer, error) in zip(members, outcome):
+            for request, (status, answer, error) in zip(item[1], outcome):
                 self._finish_pair(request, status, answer=answer,
-                                  error=error, degraded=(shard,))
+                                  error=error)
             return
         job = item[1]
         status, answer, error = outcome
@@ -1835,8 +1636,7 @@ class ClusterService:
         and callable from the closing thread as a last resort, so no
         ``submit()`` caller can ever hang across shutdown.
         """
-        for shard in range(self.plan.shards):
-            self._fail_queued(shard, error)
+        self._fail_queued(error)
         for flight in list(self._inflight.values()):
             if flight.cancelled:
                 continue
@@ -1869,7 +1669,7 @@ class ClusterService:
     # -- terminal bookkeeping -------------------------------------------------
 
     def _finish_pair(self, request, status, answer=None, error=None,
-                     generation=0, degraded=(), now=None):
+                     generation=0, now=None):
         if request.done:
             return
         request.done = True
@@ -1877,7 +1677,7 @@ class ClusterService:
         elapsed = (self._clock() if now is None else now) - request.started
         life.release(elapsed)
         _set_result(request.future, life.finish(
-            status, elapsed, answer, error, generation, degraded))
+            status, elapsed, answer, error, generation))
 
     def _finish_job(self, job, status, answer=None, error=None, generation=0):
         if job.done:
@@ -1887,8 +1687,7 @@ class ClusterService:
         if job.admitted:
             self._life.release(elapsed)
             job.resolve(self._life.finish(status, elapsed, answer, error,
-                                          generation,
-                                          tuple(sorted(job.degraded))))
+                                          generation))
         else:
             job.resolve(QueryResult(status, answer, error, elapsed))
 

@@ -11,8 +11,8 @@ greppable.
 Router → worker requests::
 
     (PAIRS, batch_id, sources, targets, budget)      # count_many batch
-    (SINGLE_SOURCE, batch_id, s, lo, hi, budget)     # one shard's slice
-    (SET_TO_SET, batch_id, sources, targets, budget) # one shard's targets
+    (SINGLE_SOURCE, batch_id, s, budget)             # full sweep from s
+    (SET_TO_SET, batch_id, sources, targets, budget) # whole set query
     (RELOAD, generation)                             # remap the arena
     (STATS, batch_id)                                # memory/identity probe
     (PING,)                                          # heartbeat probe
@@ -43,8 +43,8 @@ unlimited); the worker rebuilds a local
 :class:`~repro.serving.deadline.Deadline` from it, so expiry surfaces as
 an ``ERR`` with kind :data:`ERR_DEADLINE` within one scan chunk.
 ``generation`` is the router-assigned reload ordinal the worker's mapped
-arena corresponds to — scatter-gather responses must agree on it, which
-is how the router guarantees a response never mixes index generations.
+arena corresponds to. Every request goes whole to one worker, so one
+reply answers it from one index generation.
 
 The protocol is deliberately *sequential per worker*: a worker owns at
 most one outstanding batch, so the router's view of worker state (idle,

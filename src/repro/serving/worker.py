@@ -20,11 +20,7 @@ failure and keeps answering from the generation it has.
 
 import os
 
-from repro.core.batch_query import (
-    count_many,
-    count_set_to_set,
-    single_source_range,
-)
+from repro.core.batch_query import count_many, count_set_to_set, single_source
 from repro.exceptions import (
     DeadlineExceeded,
     ReproError,
@@ -86,10 +82,8 @@ def _execute(flat, message):
         return count_many(flat, list(zip(sources, targets)),
                           deadline=deadline)
     if kind == protocol.SINGLE_SOURCE:
-        _, _, s, lo, hi, budget = message
-        deadline = Deadline.of(budget)
-        dist, count = single_source_range(flat, s, lo, hi, deadline=deadline)
-        return dist, count
+        _, _, s, budget = message
+        return single_source(flat, s, deadline=Deadline.of(budget))
     if kind == protocol.SET_TO_SET:
         _, _, sources, targets, budget = message
         deadline = Deadline.of(budget)

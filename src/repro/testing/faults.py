@@ -32,8 +32,8 @@ deterministic, so the chaos tests can assert the *exact* recovery path:
   supervision must SIGKILL + respawn the worker.
 * :class:`TornPipeWrite` — a cluster worker that dies mid-frame while
   replying (a torn pipe write): the router's frame decoder must treat
-  the short read as *that worker's* death, replay its in-flight keys,
-  and keep every other shard serving.
+  the short read as *that worker's* death, replay its in-flight work,
+  and keep every other worker serving.
 """
 
 import os

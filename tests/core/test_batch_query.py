@@ -214,46 +214,12 @@ class TestVertexValidation:
 
 
 class TestSingleSourceRange:
-    """The sharded kernel: positional slices that concatenate exactly."""
+    """The hub-major view the single-source sweep reads."""
 
     @pytest.fixture(scope="class")
     def flat(self):
         graph = barabasi_albert_graph(60, 2, seed=21)
         return SPCIndex.build(graph).to_flat()
-
-    def test_slices_concatenate_to_full_sweep(self, flat):
-        from repro.core.batch_query import single_source_range
-
-        n = flat.n
-        want_d, want_c = single_source(flat, 5)
-        for cuts in ([0, n], [0, 17, n], [0, 1, 30, 59, n]):
-            parts = [single_source_range(flat, 5, lo, hi)
-                     for lo, hi in zip(cuts, cuts[1:])]
-            dist = np.concatenate([p[0] for p in parts])
-            count = np.concatenate([p[1] for p in parts])
-            assert np.array_equal(dist, want_d)
-            assert np.array_equal(count, want_c)
-
-    def test_empty_range(self, flat):
-        from repro.core.batch_query import single_source_range
-
-        dist, count = single_source_range(flat, 0, 10, 10)
-        assert dist.size == 0 and count.size == 0
-
-    def test_diagonal_only_in_owning_slice(self, flat):
-        from repro.core.batch_query import single_source_range
-
-        dist, count = single_source_range(flat, 20, 20, 21)
-        assert dist[0] == 0.0 and count[0] == 1
-        dist, count = single_source_range(flat, 20, 21, 22)
-        assert dist[0] != 0.0 or count[0] != 1 or flat.n == 21
-
-    def test_bad_bounds_rejected(self, flat):
-        from repro.core.batch_query import single_source_range
-
-        for lo, hi in ((-1, 5), (5, 3), (0, flat.n + 1)):
-            with pytest.raises(ValueError):
-                single_source_range(flat, 0, lo, hi)
 
     def test_hub_major_view(self, flat, tmp_path):
         from repro.io.flat_store import load_flat_labels, save_flat_labels
@@ -730,17 +696,11 @@ class TestOverflowExact:
         assert list(answers) == [(130, 2 ** 64), (130, 2 ** 64), (0, 1)]
 
     def test_single_source_is_exact(self, chains):
-        from repro.core.batch_query import single_source_range
-
         _, s, t, index = chains
         flat = index.to_flat()
         dist, count = single_source(flat, s)
         assert (dist[t], count[t]) == (130.0, 2 ** 64)
         assert type(count[t]) is int
-        parts = [single_source_range(flat, s, 0, 100),
-                 single_source_range(flat, s, 100, flat.n)]
-        assert np.concatenate([p[0] for p in parts]).tolist() == dist.tolist()
-        assert np.concatenate([p[1] for p in parts]).tolist() == count.tolist()
 
     def test_query_engine_flat_single_source(self, chains):
         from repro.query.ast import SingleSource

@@ -96,8 +96,7 @@ class TestClusterSubmitQuery:
 
         path = tmp_path_factory.mktemp("query_cluster") / "labels.spcf"
         save_flat_labels(index.to_flat(), path)
-        with ClusterService(str(path), workers=2, shards=2,
-                            graph=graph) as service:
+        with ClusterService(str(path), workers=2, graph=graph) as service:
             yield service
 
     def test_pair_operators(self, cluster, graph):

@@ -1,11 +1,11 @@
-"""ClusterService: multiprocess scatter-gather serving over one arena.
+"""ClusterService: one pool of worker processes serving one arena.
 
-Covers the tentpole contract end to end: pair batches match the
-in-process oracle, scatter-gather ``single_source``/``set_to_set``
-merge correctly across shards, terminal statuses mirror
-:class:`SPCService.submit`, hot reload rolls shard-by-shard without
-ever mixing generations in one response, and workers prove they share
-(not duplicate) the label arena.
+Covers the contract end to end: pair batches match the in-process
+oracle, ``submit_many``/``single_source``/``set_to_set`` each go whole
+to one worker in one round-trip, terminal statuses mirror
+:class:`SPCService.submit`, a rolling hot reload never mixes
+generations in one response, and workers prove they share (not
+duplicate) the label arena.
 """
 
 import os
@@ -53,7 +53,7 @@ def arena(flat, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cluster(arena):
-    with ClusterService(arena, workers=2, shards=2) as service:
+    with ClusterService(arena, workers=2) as service:
         yield service
 
 
@@ -216,16 +216,6 @@ class TestScatterGather:
             assert np.array_equal(dist, want_d)
             assert np.array_equal(count, want_c)
 
-    def test_single_source_hash_plan(self, arena, flat):
-        with ClusterService(arena, workers=2, shards=2,
-                            strategy="hash") as service:
-            result = service.single_source(11)
-            assert result.ok
-            dist, count = result.answer
-            want_d, want_c = single_source(flat, 11)
-            assert np.array_equal(dist, want_d)
-            assert np.array_equal(count, want_c)
-
     def test_set_to_set_merges_partials(self, cluster, flat):
         sources = [0, 3, 9]
         targets = [5, 100, 150, 200, N - 1]
@@ -241,6 +231,17 @@ class TestScatterGather:
     def test_gather_validates_vertices(self, cluster):
         result = cluster.set_to_set([0], [N + 1])
         assert result.status == INVALID
+
+    def test_each_request_is_one_round_trip(self, cluster, flat):
+        calls = (
+            lambda: cluster.submit_many(list(random_pairs(N, 96, rng=12))),
+            lambda: cluster.single_source(7),
+            lambda: cluster.set_to_set([0, 3, 9], [5, 100, N - 1]),
+        )
+        for call in calls:
+            before = cluster.stats()["counters"]["batches"]
+            assert call().status == SERVED_INDEX
+            assert cluster.stats()["counters"]["batches"] == before + 1
 
 
 class TestSharedMemory:
@@ -309,8 +310,6 @@ class TestLifecycleAndFailure:
         with pytest.raises(ValueError):
             ClusterService(arena, workers=0)
         with pytest.raises(ValueError):
-            ClusterService(arena, workers=2, shards=3)
-        with pytest.raises(ValueError):
             ClusterService(arena, workers=1, max_batch=0)
 
 
@@ -320,7 +319,7 @@ class TestHotReload:
     def test_rolling_reload_bumps_every_worker(self, flat, tmp_path):
         path = tmp_path / "labels.spcf"
         save_flat_labels(flat, path)
-        with ClusterService(path, workers=2, shards=2) as service:
+        with ClusterService(path, workers=2) as service:
             assert service.generation == 0
             time.sleep(0.05)  # let mtime_ns tick past the first save
             save_flat_labels(flat, path)
@@ -340,17 +339,17 @@ class TestHotReload:
             assert service.check_reload() is False
 
     def test_no_response_ever_mixes_generations(self, flat, tmp_path):
-        """Scatter-gathers racing a live swap stay generation-uniform.
+        """Sweeps racing a live swap each come from one generation.
 
         A writer thread rewrites the arena (bumping the generation)
-        while readers hammer sharded ``single_source`` gathers. Every
-        successful answer must match the oracle — a mixed-generation
-        merge would be caught by the router and retried, never returned.
+        while readers hammer ``single_source`` on a two-worker pool.
+        Every answer must be served and match the oracle: one worker
+        answers each sweep whole, from the one arena it has mapped.
         """
         path = tmp_path / "labels.spcf"
         save_flat_labels(flat, path)
         want = {s: single_source(flat, s) for s in range(0, N, 37)}
-        with ClusterService(path, workers=2, shards=2,
+        with ClusterService(path, workers=2,
                             reload_check_every=0) as service:
             stop = threading.Event()
             swaps = []
@@ -378,6 +377,3 @@ class TestHotReload:
                 dist, count = result.answer
                 assert np.array_equal(dist, want[s][0])
                 assert np.array_equal(count, want[s][1])
-            # The mixing guard is allowed to retry, never to give up
-            # silently: retries show up in the counters when they fire.
-            assert service.stats()["counters"]["gather_retries"] >= 0

@@ -1,14 +1,15 @@
 """Self-healing cluster: supervision, degraded answers, hedging, drains.
 
-The tentpole contract under fire: a SIGKILLed worker is respawned with
-bounded backoff and its in-flight keys are replayed (other shards never
+The contract under fire: a SIGKILLed worker is respawned with bounded
+backoff and its in-flight work is replayed (the other workers never
 stall); a SIGSTOPped worker is declared stalled, killed, and respawned;
-a torn pipe write is *that worker's* death, not a router crash; shards
-with no live worker are covered exactly by peers or by the BFS fallback
-(``SERVED_DEGRADED`` + ``degraded_shards``); slow legs are hedged to a
-sibling and duplicates never double-resolve; drains and rolling
-restarts swap processes without dropping answers; and ``close()``
-resolves every outstanding future even when a worker is wedged.
+a torn pipe write is *that worker's* death, not a router crash; a
+surviving worker answers everything exactly, and with no live worker at
+all the BFS fallback does (``SERVED_DEGRADED``); slow requests are
+hedged to another idle worker and duplicates never double-resolve;
+drains and rolling restarts swap processes without dropping answers;
+and ``close()`` resolves every outstanding future even when a worker is
+wedged.
 """
 
 import os
@@ -30,7 +31,8 @@ from repro.serving import (
     SERVED_INDEX,
     ClusterService,
 )
-from repro.serving.jobs import _Job
+from repro.serving.cluster import HEDGE_FLOOR
+from repro.serving.jobs import _StatsJob
 from repro.testing.faults import StalledWorker, TornPipeWrite
 from repro.utils.rng import random_pairs
 
@@ -67,7 +69,7 @@ class TestRespawn:
     def test_sigkill_respawns_and_replays(self, arena, flat):
         pairs = list(random_pairs(N, 24, rng=5))
         oracle = count_many(flat, pairs)
-        with ClusterService(arena, workers=2, shards=2,
+        with ClusterService(arena, workers=2,
                             respawn_backoff=0.05) as service:
             victim = service._workers[0]
             pid = victim.process.pid
@@ -157,7 +159,7 @@ class TestTornPipe:
 class TestHedging:
     def test_hedge_beats_stalled_worker(self, arena, tmp_path):
         fault = StalledWorker(tmp_path, after_replies=1, times=1)
-        with ClusterService(arena, workers=2, shards=1, hedge_delay=0.05,
+        with ClusterService(arena, workers=2, hedge_delay=0.05,
                             heartbeat_interval=0, respawn_backoff=0.05,
                             _fault=fault) as service:
             pids = [w["pid"] for w in service.stats()["workers"]]
@@ -179,45 +181,70 @@ class TestHedging:
             assert service.stats()["counters"][SERVED_INDEX] >= 2
 
     def test_auto_hedge_needs_latency_samples(self, arena):
-        with ClusterService(arena, workers=2, shards=1,
+        with ClusterService(arena, workers=2,
                             hedge_delay="auto") as service:
-            assert service._hedge_delay_for(0) is None
+            assert service._hedge_delay_for() is None
             for _ in range(16):
-                service._latency[0].append(0.01)
-            delay = service._hedge_delay_for(0)
+                service._latency.append(0.01)
+            delay = service._hedge_delay_for()
             assert delay is not None
-            assert delay >= service._hedge_floor
+            assert delay >= HEDGE_FLOOR
 
 
 class TestDegradedRouting:
-    def test_peer_covers_dead_shard_exactly(self, arena, flat):
-        with ClusterService(arena, workers=2, shards=2, respawn=False,
-                            heartbeat_interval=0) as service:
-            # Kill shard 1's only worker; shard 0's worker must adopt
-            # its traffic (same arena ⇒ exact), annotated as degraded.
-            victim = service._workers[1]
+    def test_peer_covers_dead_shard_exactly(self, arena, flat, tmp_path):
+        # One of two workers dies for good while work is queued: the
+        # survivor answers every queued pair, sweep and set query from
+        # the same arena, exactly and with status index.
+        fault = StalledWorker(tmp_path, after_replies=1, times=1)
+        with ClusterService(arena, workers=2, respawn=False,
+                            heartbeat_interval=0, hedge_delay=None,
+                            _fault=fault) as service:
+            held = service.submit_many_nowait([(0, 1)], timeout=None)
+            marker = os.path.join(str(tmp_path), "stall-0")
+            assert _wait(lambda: os.path.exists(marker))
+            victim = next(w for w in service._workers
+                          if w.state == "busy")
+            pairs = list(random_pairs(N, 24, rng=15))
+            futures = [service.submit_nowait(s, t) for s, t in pairs]
             os.kill(victim.process.pid, signal.SIGKILL)
-            assert _wait(lambda: not service.stats()["workers"][1]["alive"])
-            s = N - 1  # homed on shard 1 under the range plan
-            want = count_many(flat, [(s, 0)])[0]
-            result = service.submit(s, 0)
-            assert result.status == SERVED_INDEX, result.error
-            assert result.answer == want
-            assert result.degraded_shards == (1,)
-            assert service.stats()["counters"]["degraded_requests"] >= 1
+            sweep = service.single_source(3)
+            sts = service.set_to_set([0, 1], [N - 1, N - 2])
+            assert held.result(timeout=30).status == SERVED_INDEX
+            for future, want in zip(futures, count_many(flat, pairs)):
+                result = future.result(timeout=30)
+                assert result.status == SERVED_INDEX, result.error
+                assert result.answer == want
+            assert sweep.status == SERVED_INDEX, sweep.error
+            want = single_source(flat, 3)
+            assert (sweep.answer[0] == want[0]).all()
+            assert (sweep.answer[1] == want[1]).all()
+            assert sts.status == SERVED_INDEX, sts.error
+            assert sts.answer == count_set_to_set(flat, [0, 1],
+                                                  [N - 1, N - 2])
+            stats = service.stats()
+            assert stats["counters"]["worker_failures"] == 1
+            assert sum(w["alive"] for w in stats["workers"]) == 1
 
     def test_peer_covers_scatter_gather(self, arena, flat):
-        with ClusterService(arena, workers=2, shards=2, respawn=False,
+        with ClusterService(arena, workers=2, respawn=False,
                             heartbeat_interval=0) as service:
             os.kill(service._workers[1].process.pid, signal.SIGKILL)
             assert _wait(lambda: not service.stats()["workers"][1]["alive"])
+            pairs = list(random_pairs(N, 32, rng=16))
+            batch = service.submit_many(pairs)
+            assert batch.status == SERVED_INDEX, batch.error
+            assert batch.answer == count_many(flat, pairs)
             want = single_source(flat, 3)
             result = service.single_source(3)
             assert result.status == SERVED_INDEX, result.error
-            assert 1 in result.degraded_shards
             dist, count = result.answer
             assert (dist == want[0]).all()
             assert (count == want[1]).all()
+            sts = service.set_to_set([0, 3, 9], [5, 100, N - 1])
+            assert sts.status == SERVED_INDEX, sts.error
+            assert sts.answer == count_set_to_set(flat, [0, 3, 9],
+                                                  [5, 100, N - 1])
 
     def test_bfs_fallback_when_pool_is_gone(self, arena, graph, flat):
         with ClusterService(arena, workers=1, respawn=False,
@@ -231,7 +258,6 @@ class TestDegradedRouting:
                 assert result.status == SERVED_DEGRADED, result.error
                 assert result.ok
                 assert result.answer == want, (s, t)
-                assert result.degraded_shards == (0,)
             # Scatter-gather jobs take the whole-job BFS path too.
             ss = service.single_source(2)
             assert ss.status == SERVED_DEGRADED
@@ -255,7 +281,7 @@ class TestDegradedRouting:
 
 class TestDrains:
     def test_drain_swaps_the_process(self, arena):
-        with ClusterService(arena, workers=2, shards=1) as service:
+        with ClusterService(arena, workers=2) as service:
             old_pid = service.stats()["workers"][0]["pid"]
             assert service.drain(0).result(timeout=30) is True
             stats = service.stats()
@@ -265,11 +291,11 @@ class TestDrains:
             assert service.submit(0, 1).status == SERVED_INDEX
 
     def test_drain_without_respawn_retires_the_slot(self, arena):
-        with ClusterService(arena, workers=2, shards=1) as service:
+        with ClusterService(arena, workers=2) as service:
             assert service.drain(1, respawn=False).result(timeout=30) is True
             stats = service.stats()
             assert stats["workers"][1]["state"] == "stopped"
-            # The surviving worker still serves the shard.
+            # The surviving worker still serves.
             assert service.submit(0, 1).status == SERVED_INDEX
 
     def test_drain_flushes_inflight_first(self, arena, flat, tmp_path):
@@ -290,7 +316,7 @@ class TestDrains:
             assert drained.result(timeout=30) is True
 
     def test_rolling_restart_replaces_every_worker(self, arena):
-        with ClusterService(arena, workers=2, shards=2) as service:
+        with ClusterService(arena, workers=2) as service:
             before = [w["pid"] for w in service.stats()["workers"]]
             assert service.rolling_restart(timeout=30) is True
             after = [w["pid"] for w in service.stats()["workers"]]
@@ -378,38 +404,31 @@ class TestBreakerRecovery:
 
 
 class TestGatherRegression:
-    """Mixed-generation hedged answers are never merged (unit level)."""
+    """The stats fan-out gathers one probe per worker (unit level)."""
 
     def _job(self):
         from concurrent.futures import Future
 
-        job = _Job(Future(), None, 0.0)
-        job.subs = {0: (0, 100), 1: (100, 240)}
-        return job
+        return _StatsJob(Future(), None, 0.0, [0, 1])
 
     def test_duplicate_replies_are_deduped(self):
         job = self._job()
-        assert job.register_reply(0, 1, "a") == "pending"
-        # The hedge twin's duplicate answer for the same key: discarded.
-        assert job.register_reply(0, 1, "a-dup") == "dup"
-        assert job.replies[0] == (1, "a")
-        assert job.register_reply(1, 1, "b") == "complete"
-
-    def test_mixed_generations_never_merge(self):
-        job = self._job()
-        assert job.register_reply(0, 1, "a") == "pending"
-        # A hedged leg answered from a newer index generation: the
-        # gather must classify as mixed, never merge.
-        assert job.register_reply(1, 2, "b") == "mixed"
+        assert job.register_reply(0, "a") is False
+        # A replayed probe's duplicate answer for the same worker: dropped.
+        assert job.register_reply(0, "a-dup") is False
+        assert job.replies[0] == "a"
+        assert job.register_reply(1, "b") is True
+        assert job.merge() == ["a", "b"]
 
     def test_done_job_rejects_stragglers(self):
         job = self._job()
         job.done = True
-        assert job.register_reply(0, 1, "late") == "dup"
+        assert job.register_reply(0, "late") is False
         assert job.replies == {}
 
     def test_non_uniform_jobs_accept_mixed(self):
+        # Workers mid-reload answer from different generations; a stats
+        # probe reports each one as it is.
         job = self._job()
-        job.requires_uniform = False
-        job.register_reply(0, 1, "a")
-        assert job.register_reply(1, 2, "b") == "complete"
+        job.register_reply(0, {"generation": 1})
+        assert job.register_reply(1, {"generation": 2}) is True

@@ -484,7 +484,7 @@ class TestServeCluster:
         return str(path)
 
     def test_burst_reports_stats(self, arena, capsys):
-        rc = main(["serve-cluster", arena, "--workers", "2", "--shards", "2",
+        rc = main(["serve-cluster", arena, "--workers", "2",
                    "--random", "60", "--single-source", "2"])
         out = capsys.readouterr().out
         assert rc == 0

@@ -31,9 +31,9 @@ every worker must prove the label arena is mapped shared, not copied
 A third tier, ``--tier resilience``, points the self-healing layer at
 live process faults: while closed-loop drivers hammer the cluster, a
 chaos thread SIGKILLs workers, SIGSTOPs another mid-burst (exercising
-heartbeat stall detection and request hedging), blacks out a whole
-shard (both replicas at once, forcing peer-degraded coverage), and
-rolls a graceful drain. Gates: zero wrong answers ever, >= 99%
+heartbeat stall detection and request hedging), kills two of the four
+workers at once (the survivors cover all traffic), and rolls a graceful
+drain. Gates: zero wrong answers ever, >= 99%
 availability across the burst, at least one supervised respawn per
 injected kill, at least one stall kill, and at least one hedge win.
 
@@ -219,8 +219,7 @@ def run_sustained(args):
         if not os.path.exists(arena):
             save_flat_labels(flat, arena)
         with ClusterService(
-            arena, workers=args.workers, shards=args.shards,
-            max_batch=256, capacity=1024, queue_limit=4096,
+            arena, workers=args.workers, max_batch=256, capacity=1024, queue_limit=4096,
             default_deadline=deadline, reload_check_every=0,
         ) as cluster:
             # Warm up before the clock starts: the first windows fault the
@@ -263,7 +262,6 @@ def run_sustained(args):
         section["cluster"] = {
             "qps": cluster_qps, "served": cluster_served,
             "seconds": cluster_seconds, "workers": args.workers,
-            "shards": args.shards,
             "window": window,
             "p50_ms": percentile(cluster_latencies, 0.50) * 1e3,
             "p95_ms": percentile(cluster_latencies, 0.95) * 1e3,
@@ -299,9 +297,9 @@ def run_sustained(args):
 
 
 def run_resilience(args):
-    """Self-healing gates: kills, stalls, shard blackouts, drains.
+    """Self-healing gates: kills, stalls, a double kill, drains.
 
-    Closed-loop threads drive pair requests through a 2-replica/2-shard
+    Closed-loop threads drive pair requests through a four-worker
     cluster for ``--duration`` seconds while a chaos script injects
     process faults on a fixed schedule. Every answer that claims success
     is checked bit-exact against ``count_many`` on the same labels; the
@@ -333,7 +331,7 @@ def run_resilience(args):
         arena = os.path.join(scratch, "labels.spcf")
         save_flat_labels(flat, arena)
         with ClusterService(
-            arena, workers=4, shards=2, graph=graph,
+            arena, workers=4, graph=graph,
             max_batch=128, capacity=512,
             queue_limit=2048, default_deadline=deadline,
             respawn_backoff=0.1, heartbeat_interval=0.25,
@@ -367,14 +365,14 @@ def run_resilience(args):
             def chaos():
                 step = args.duration / 6.0
                 time.sleep(step)
-                sigkill(0)                      # replica loss, shard 0
+                sigkill(0)                      # one worker lost
                 time.sleep(step)
                 pid = cluster.stats()["workers"][2]["pid"]
-                os.kill(pid, signal.SIGSTOP)    # silent stall, shard 0
+                os.kill(pid, signal.SIGSTOP)    # silent stall
                 print(f"chaos: SIGSTOP worker 2 (pid {pid})")
                 time.sleep(step)
-                sigkill(1)                      # shard-1 blackout: both
-                sigkill(3)                      # replicas at once
+                sigkill(1)                      # two of four workers
+                sigkill(3)                      # killed at once
                 time.sleep(step)
                 try:
                     cluster.drain(0).result(timeout=30)
@@ -455,8 +453,7 @@ def run_resilience(args):
             "stalls": counters["stalls"],
             "hedges": counters["hedges"],
             "hedge_wins": counters["hedge_wins"],
-            "degraded_requests": counters["degraded_requests"],
-            "degraded_served": tally.get(SERVED_DEGRADED, 0),
+            "degraded": tally.get(SERVED_DEGRADED, 0),
             "drains": counters["drains"],
             "replays": counters["replays"],
             "worker_failures": counters["worker_failures"],
@@ -489,8 +486,6 @@ def main(argv=None):
                         help="seconds of sustained load per side")
     parser.add_argument("--workers", type=int, default=2,
                         help="cluster worker processes (sustained tier)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="cluster shards (sustained tier)")
     parser.add_argument("--speedup-floor", type=float, default=5.0,
                         help="minimum cluster/single QPS ratio (sustained)")
     parser.add_argument("--availability-floor", type=float, default=0.99,

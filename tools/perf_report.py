@@ -196,8 +196,7 @@ def render_serving(record):
             f"{_fmt(single.get('p50_ms'), '.2f')} ms | "
             f"{_fmt(single.get('p95_ms'), '.2f')} ms | "
             f"{_fmt(single.get('p99_ms'), '.2f')} ms |",
-            f"| cluster ({_fmt(cluster.get('workers'))} workers, "
-            f"{_fmt(cluster.get('shards'))} shards) | "
+            f"| cluster ({_fmt(cluster.get('workers'))} workers) | "
             f"{_fmt(cluster.get('qps'), ',.0f')} | "
             f"{_fmt(cluster.get('p50_ms'), '.2f')} ms | "
             f"{_fmt(cluster.get('p95_ms'), '.2f')} ms | "
@@ -220,7 +219,8 @@ def render_serving(record):
             f"m = {_fmt(resilience.get('m'))}; "
             f"{_fmt(_get(resilience, 'config', 'duration'))} s burst with "
             f"{_fmt(resilience.get('kills_injected'))} SIGKILLed worker(s), "
-            f"one SIGSTOP stall, a shard blackout and a graceful drain.",
+            f"one SIGSTOP stall, two workers killed at once and a "
+            f"graceful drain.",
             "",
             "| Metric | Value |", "|---|---|",
             f"| Requests | {_fmt(resilience.get('requests'))} "
@@ -232,9 +232,8 @@ def render_serving(record):
             f"(incl. {_fmt(resilience.get('stalls'))} stall kill(s)) |",
             f"| Hedges / wins | {_fmt(resilience.get('hedges'))} / "
             f"{_fmt(resilience.get('hedge_wins'))} |",
-            f"| Degraded-shard requests | "
-            f"{_fmt(resilience.get('degraded_requests'))} annotated, "
-            f"{_fmt(resilience.get('degraded_served'))} BFS-served |",
+            f"| Degraded (BFS-served) answers | "
+            f"{_fmt(tally.get('degraded', 0))} |",
             f"| Replays / drains | {_fmt(resilience.get('replays'))} / "
             f"{_fmt(resilience.get('drains'))} |",
             "",
