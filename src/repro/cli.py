@@ -13,7 +13,6 @@ Usage (also available as ``python -m repro``):
     repro-spc serve-smoke index.bin graph.txt --random 500 --deadline-ms 20
     repro-spc build  graph.txt index.bin --trace build-trace.json
     repro-spc query  index.spcf --random 5 --mmap
-    repro-spc churn-smoke --vertices 800 --duration 5 --rate 8
     repro-spc metrics --vertices 500 --format prom
 
 Graphs are whitespace edge lists (SNAP/KONECT style; ``#``/``%``
@@ -530,80 +529,6 @@ def _cmd_serve_cluster(args):
         return 0 if stats["counters"][ERROR] == 0 else EXIT_ERROR
 
 
-def _cmd_churn_smoke(args):
-    """Rehearse rebuild-behind maintenance under sustained edge churn.
-
-    Runs :func:`repro.dynamic.streaming.run_streaming_scenario` — a
-    mutator applying insert/delete batches through a
-    :class:`~repro.dynamic.maintenance.MaintenanceController`, concurrent
-    query threads checking every answer against a BFS oracle on the
-    logical graph, and (optionally) an :class:`SPCService` fronting the
-    published index file. Prints a summary; exits non-zero when any
-    served answer was wrong or a harness thread failed. SLO breaches are
-    reported but do not fail the command — they mean rebuilds lag the
-    churn, not that answers went wrong.
-    """
-    import os
-    import tempfile
-
-    from repro.dynamic import MaintenanceSLO, run_streaming_scenario
-
-    if args.graph:
-        graph, _ = read_edge_list(args.graph)
-    else:
-        from repro.generators.random_graphs import barabasi_albert_graph
-
-        graph = barabasi_albert_graph(args.vertices, 2, seed=args.seed)
-
-    slo = MaintenanceSLO(max_staleness_seconds=args.slo_seconds,
-                         max_pending_mutations=args.slo_pending)
-    with tempfile.TemporaryDirectory() as tmp:
-        workdir = args.workdir or tmp
-        os.makedirs(workdir, exist_ok=True)
-        report = run_streaming_scenario(
-            graph, workdir, duration=args.duration,
-            churn_per_second=args.rate, delete_fraction=args.delete_fraction,
-            query_threads=args.threads, rebuild_threshold=args.threshold,
-            slo=slo, engine=args.engine, seed=args.seed,
-            use_service=not args.no_service,
-        )
-
-    queries = report["queries"]
-    staleness = report["staleness"]
-    counters = report["controller"]["counters"]
-    print(f"churn: {report['mutations']['inserts']} inserts, "
-          f"{report['mutations']['deletes']} deletes over "
-          f"{report['elapsed']:.1f}s")
-    print(f"queries: {queries['total']} checked "
-          f"({queries['qps']:.0f}/s), {len(queries['mismatches'])} wrong, "
-          f"{queries['overlay_fallbacks']} BFS fallbacks")
-    print(f"rebuilds: {counters['publishes']} published, "
-          f"{counters['rebuild_retries']} retries, "
-          f"{counters['rebuild_failures']} failures")
-    print(f"staleness: p95={staleness['p95']:.2f}s "
-          f"max={staleness['max']:.2f}s "
-          f"pending_max={staleness['pending_max']} "
-          f"(SLO {slo.max_staleness_seconds:.0f}s/"
-          f"{slo.max_pending_mutations}; "
-          f"{counters['slo_staleness_breaches']}+"
-          f"{counters['slo_pending_breaches']} breaches)")
-    if report.get("service") is not None:
-        svc = report["service"]
-        print(f"service: generation {svc['generation']}, "
-              f"{svc['checked']} generation-checked answers, "
-              f"{len(svc['mismatches'])} wrong, "
-              f"{svc['counters']['reload_failures']} reload failures")
-    for error in report["errors"]:
-        print(f"harness error: {error}", file=sys.stderr)
-    wrong = (len(queries["mismatches"])
-             + len(report.get("service", {}).get("mismatches", ())))
-    if wrong or report["errors"] or report["final_exact"] is False:
-        print("churn smoke: FAILED", file=sys.stderr)
-        return EXIT_ERROR
-    print("churn smoke: every served answer exact")
-    return 0
-
-
 def _cmd_metrics(args):
     """Exercise build/query/serving on a small graph; dump the registry.
 
@@ -801,37 +726,6 @@ def build_parser():
                         "while no worker is live (status 'degraded')")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_serve_cluster)
-
-    p = sub.add_parser("churn-smoke",
-                       help="rehearse rebuild-behind maintenance under "
-                            "sustained edge churn with checked queries")
-    p.add_argument("--graph", default=None,
-                   help="edge-list graph to churn (default: generated "
-                        "scale-free graph)")
-    p.add_argument("--vertices", type=int, default=800, metavar="N",
-                   help="size of the generated graph when no --graph is given")
-    p.add_argument("--duration", type=float, default=5.0,
-                   help="seconds of sustained churn (default 5)")
-    p.add_argument("--rate", type=float, default=8.0,
-                   help="target mutations per second (default 8)")
-    p.add_argument("--delete-fraction", type=float, default=0.4,
-                   help="fraction of mutations that delete an edge")
-    p.add_argument("--threads", type=int, default=2,
-                   help="concurrent query threads (default 2)")
-    p.add_argument("--threshold", type=int, default=16,
-                   help="pending mutations triggering a background rebuild")
-    p.add_argument("--slo-seconds", type=float, default=30.0,
-                   help="max-staleness SLO in seconds")
-    p.add_argument("--slo-pending", type=int, default=64,
-                   help="max-staleness SLO in pending mutations")
-    p.add_argument("--engine", default="csr", choices=["python", "csr"],
-                   help="rebuild construction engine (default csr)")
-    p.add_argument("--no-service", action="store_true",
-                   help="skip the SPCService front (facade checks only)")
-    p.add_argument("--workdir", default=None,
-                   help="where to publish index files (default: temp dir)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_churn_smoke)
 
     p = sub.add_parser("metrics",
                        help="run a small instrumented workload and dump "

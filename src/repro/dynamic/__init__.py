@@ -1,24 +1,23 @@
 """Dynamic updates over a static counting index (§8).
 
-Three layers, smallest to largest:
+Two layers, smaller first:
 
 * :class:`~repro.dynamic.incremental.DynamicSPCIndex` — the overlay
   facade: exact answers under pending insertions *and* deletions.
 * :class:`~repro.dynamic.maintenance.MaintenanceController` — rebuild
   behind: supervised background worker rebuilds, atomic publish, a
   versioned journal and a bounded-staleness SLO.
-* :func:`~repro.dynamic.streaming.run_streaming_scenario` — the churn
-  harness proving both under sustained mutations with every served
-  answer checked against a BFS oracle.
+
+``tests/integration/test_tier_state_machine.py`` checks both, with the
+serving tiers on their published files, against BFS under churn;
+``perfbench``'s ``churn`` workload measures them.
 """
 
 from repro.dynamic.incremental import DynamicSPCIndex
 from repro.dynamic.maintenance import MaintenanceController, MaintenanceSLO
-from repro.dynamic.streaming import run_streaming_scenario
 
 __all__ = [
     "DynamicSPCIndex",
     "MaintenanceController",
     "MaintenanceSLO",
-    "run_streaming_scenario",
 ]

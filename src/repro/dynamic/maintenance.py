@@ -183,9 +183,10 @@ class MaintenanceController:
         each successful swap (outside the internal lock) — the place to
         call ``service.set_graph(graph); service.check_reload()``.
     start:
-        When True (default) the supervisor thread starts immediately;
-        ``False`` leaves rebuilds to explicit :meth:`rebuild_now` calls
-        plus a later :meth:`start`.
+        When True (default) the supervisor thread starts immediately.
+        ``False`` defers it to a later :meth:`start`: the supervisor runs
+        every rebuild, so until then none happens and :meth:`rebuild_now`
+        only waits.
     clock:
         Monotonic clock, injectable for deterministic tests.
     _fault / _before_retry:
@@ -193,7 +194,7 @@ class MaintenanceController:
         after every checkpoint save
         (:class:`repro.testing.faults.KillDuringRebuild`);
         ``_before_retry(controller, attempt)`` runs before each retry —
-        the chaos tier uses it to corrupt the surviving checkpoint.
+        the chaos tests use it to corrupt the surviving checkpoint.
     """
 
     def __init__(self, graph, index_path, *, ordering="degree", engine="csr", rebuild_threshold=16,
@@ -232,6 +233,7 @@ class MaintenanceController:
         self._worker = None
         self._supervisor = None
         self._last_error = None
+        self._waiters = 0  # rebuild_now callers: a rebuild is due for them
 
         self._version = 0
         self._published_version = 0
@@ -429,8 +431,8 @@ class MaintenanceController:
                 self._dirty_since = None
                 self._published.notify_all()
             return False
-        if (self._rebuild_threshold is not None
-                and pending >= self._rebuild_threshold):
+        if self._waiters or (self._rebuild_threshold is not None
+                             and pending >= self._rebuild_threshold):
             return True
         age = (0.0 if self._dirty_since is None
                else self._clock() - self._dirty_since)
@@ -573,22 +575,27 @@ class MaintenanceController:
 
         Returns True when the target version got published within
         ``timeout`` seconds (``None`` = wait indefinitely); False on
-        timeout or controller shutdown. The supervisor does the building —
-        this only waits (and nudges it awake).
+        timeout or controller shutdown. While a caller waits here a
+        rebuild is due at once, whatever the threshold and the debounce
+        age; the supervisor does the building, so a controller that was
+        never started only waits.
         """
-        with self._lock:
-            target = self._version
         deadline = None if timeout is None else self._clock() + timeout
         with self._lock:
-            while self._published_version < target and not self._stop:
-                self._wake.set()
-                remaining = self._poll_interval * 4
-                if deadline is not None:
-                    remaining = min(remaining, deadline - self._clock())
-                    if remaining <= 0:
-                        return False
-                self._published.wait(remaining)
-            return self._published_version >= target
+            target = self._version
+            self._waiters += 1
+            try:
+                while self._published_version < target and not self._stop:
+                    self._wake.set()
+                    remaining = self._poll_interval * 4
+                    if deadline is not None:
+                        remaining = min(remaining, deadline - self._clock())
+                        if remaining <= 0:
+                            return False
+                    self._published.wait(remaining)
+                return self._published_version >= target
+            finally:
+                self._waiters -= 1
 
     # -- introspection --------------------------------------------------------
 
@@ -629,7 +636,7 @@ class MaintenanceController:
 
     @property
     def checkpoint_path(self):
-        """Where the rebuild worker checkpoints (the chaos tier corrupts it)."""
+        """Where the rebuild worker checkpoints (the chaos tests corrupt it)."""
         return self._checkpoint_path
 
     @property

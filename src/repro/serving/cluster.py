@@ -66,6 +66,7 @@ import selectors
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 
@@ -842,7 +843,9 @@ class ClusterService:
 
     def worker_stats(self, timeout=30.0):
         """Memory/identity probes from every live worker (RSS, mapping
-        sharing evidence, arena signature). Raises on a closed cluster."""
+        sharing evidence, arena signature). Raises on a closed cluster,
+        and :class:`DeadlineExceeded` when a worker (a stopped one, say)
+        has not answered within ``timeout`` seconds."""
         if self._closed or self._closing or self._failed:
             raise ReproError("cluster is closed")
         live = [w.index for w in self._workers if w.live]
@@ -854,7 +857,10 @@ class ClusterService:
                         live)
         self._inbox.append(("job", job))
         self._wake()
-        return future.result(timeout=timeout)
+        try:
+            return future.result(timeout=timeout)
+        except FutureTimeout:
+            raise DeadlineExceeded(timeout, self._clock() - started) from None
 
     # -- lifecycle ------------------------------------------------------------
 

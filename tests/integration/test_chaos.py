@@ -84,7 +84,9 @@ class TestQueryDegradation:
         flip_bit(path, offset, bit)
         resilient = ResilientSPCIndex(graph, index_path=path)
         assert resilient.status == "degraded"
+        assert isinstance(resilient.last_error, SerializationError)
         assert_answers_match(resilient, dist, count, PROBE_PAIRS)
+        assert resilient.counters["fallback_queries"] == len(PROBE_PAIRS)
 
     def test_missing_index_degrades_correctly(self, world, tmp_path):
         graph, dist, count, _ = world

@@ -22,6 +22,7 @@ from tests.conftest import hold_worker, holding_cluster
 
 from repro.core.batch_query import count_many, count_set_to_set, single_source
 from repro.core.index import SPCIndex
+from repro.exceptions import DeadlineExceeded
 from repro.generators.random_graphs import barabasi_albert_graph
 from repro.io.flat_store import save_flat_labels
 from repro.serving import (
@@ -134,6 +135,22 @@ class TestStallSupervision:
             assert _wait(lambda: service.stats()["workers"][0]["alive"]
                          and service.stats()["workers"][0]["pid"] != pid)
             assert service.submit(0, 2).status == SERVED_INDEX
+
+
+    def test_worker_stats_on_a_stopped_worker_ends_at_its_timeout(self,
+                                                                 arena):
+        # A stopped worker looks idle until its next heartbeat is due, so
+        # its pinned STATS probe goes to it and never comes back.
+        with ClusterService(arena, workers=2) as service:
+            pid = service.stats()["workers"][0]["pid"]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                started = time.monotonic()
+                with pytest.raises(DeadlineExceeded):
+                    service.worker_stats(timeout=1.0)
+                assert time.monotonic() - started < 1.0 + 0.5
+            finally:
+                os.kill(pid, signal.SIGCONT)
 
 
 class TestTornPipe:

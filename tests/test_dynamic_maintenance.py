@@ -110,6 +110,17 @@ class TestRebuildBehind:
             counters = controller.stats()["counters"]
             assert counters["publishes"] == publishes_before
 
+    def test_rebuild_now_skips_the_debounce(self, graph, tmp_path):
+        # At default settings one mutation is below the threshold and the
+        # age trigger is 7.5 s away; a waiting caller makes it due now.
+        with MaintenanceController(
+                graph, str(tmp_path / "index.spc1")) as controller:
+            (u, v), = missing_edges(graph, 1)
+            controller.insert_edge(u, v)
+            assert controller.rebuild_now(timeout=2.0)
+            assert controller.published_version == controller.version
+            assert_exact(controller, [(0, 40), (u, v)])
+
     def test_staleness_slo_breach_is_counted(self, graph, tmp_path):
         slo = MaintenanceSLO(max_staleness_seconds=1e9,
                              max_pending_mutations=1)
@@ -316,21 +327,3 @@ class TestServingIntegration:
             assert promoted.status == "index"
             assert promoted.answer == spc_bfs(new_graph, 0, 40)
 
-
-class TestStreamingRunner:
-    def test_short_scenario_zero_mismatches(self, tmp_path):
-        from repro.dynamic import run_streaming_scenario
-
-        graph = barabasi_albert_graph(200, 2, seed=11)
-        report = run_streaming_scenario(
-            graph, str(tmp_path), duration=2.0, churn_per_second=10.0,
-            query_threads=2, rebuild_threshold=5, seed=11,
-            task_timeout=60.0)
-        assert not report["errors"]
-        assert report["queries"]["total"] > 0
-        assert not report["queries"]["mismatches"]
-        assert report["drained"]
-        assert report["final_exact"]
-        if report["service"] is not None:
-            assert not report["service"]["mismatches"]
-            assert report["service"]["counters"]["reload_failures"] == 0

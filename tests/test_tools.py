@@ -1,7 +1,6 @@
 """Tests for repository tooling (doc generator, CI smoke gates)."""
 
 import importlib
-import importlib.util
 import inspect
 import json
 import os
@@ -136,23 +135,6 @@ class TestObservabilitySmoke:
         )
         assert result.returncode == 1
         assert "STALE" in result.stderr
-
-
-def _load_perf_report():
-    spec = importlib.util.spec_from_file_location(
-        "perf_report", ROOT / "tools" / "perf_report.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestPerfReport:
-    def test_streaming_section_names_graph_size(self):
-        perf_report = _load_perf_report()
-        record = json.loads((ROOT / "BENCH_streaming.json").read_text())
-        text = "\n".join(perf_report.render_streaming(record))
-        assert "10000-vertex graph" in text
-        assert "\u2014-vertex" not in text
 
 
 class TestPerfbenchPatches:

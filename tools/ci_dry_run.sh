@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Local replica of .github/workflows/ci.yml for environments without `act`.
 #
-# Runs the same three jobs against the current checkout:
+# Runs the same jobs against the current checkout:
 #   lint        ruff check . (falls back to tools/mini_lint.py when ruff is
 #               not installed) + the CHANGES.md non-empty gate
 #   tests       the tier-1 pytest suite with PYTHONPATH=src (current python
 #               only; CI runs the 3.10/3.11/3.12 matrix), then perfbench's
-#               own tests (tiny analytics, serve and churn runs end to end)
-#   chaos-smoke tools/ci_chaos_smoke.py fault-injection gate (corrupt files,
-#               killed builds)
+#               own tests (tiny analytics, serve and churn runs end to end).
+#               Tier-1 holds the fault-injection chaos tests and the tier
+#               state machine (every serving tier against BFS under churn)
 #   serving-smoke tools/ci_serving_smoke.py SPCService gate (deadlines,
 #               shedding, circuit breaker, hot reload), writing
 #               BENCH_serving.json
@@ -27,10 +27,10 @@
 #   observability-smoke tools/ci_observability_smoke.py (metric coverage,
 #               bit-identity, disabled-instrumentation overhead), writing
 #               BENCH_observability.json
-#   streaming-gate tools/ci_streaming_smoke.py, scaled down (CI runs 60s of
-#               insert/delete churn on the 10k graph plus the kill/corrupt
-#               chaos legs; the dry run keeps the same gates on a small
-#               graph and short window), writing BENCH_streaming.json
+#   churn-gate  perfbench/run.py --workload churn --seed 7 --seconds 60, as
+#               CI runs it: sampled answers exact, no failed operation,
+#               every mutation published within the drain bound, two or
+#               more publish cycles, publish-lag p95 <= 60 s
 #   bench-smoke tools/ci_bench_smoke.py + tools/ci_construction_smoke.py at
 #               CI scale, writing BENCH_ci_smoke.json / BENCH_construction.json.
 #               The bench smoke also gates the query compilation layer:
@@ -85,9 +85,6 @@ step "docs-check"
 python tools/gen_api_docs.py --check || failures=$((failures + 1))
 python tools/perf_report.py --check || failures=$((failures + 1))
 
-step "chaos-smoke"
-python tools/ci_chaos_smoke.py || failures=$((failures + 1))
-
 step "serving-smoke"
 python tools/ci_serving_smoke.py \
     --output "${TMPDIR:-/tmp}/BENCH_serving.local.json" \
@@ -123,13 +120,33 @@ else
         || failures=$((failures + 1))
 fi
 
-step "streaming-gate"
-# CI runs 60 seconds of churn on the 10k graph; the dry run keeps the
-# same zero-wrong-answer and chaos-recovery gates on a small graph.
-python tools/ci_streaming_smoke.py \
-    --vertices 1500 --duration 6 --chaos-vertices 500 --chaos-duration 4 \
-    --output "${TMPDIR:-/tmp}/BENCH_streaming.local.json" \
-    || failures=$((failures + 1))
+step "churn-gate"
+# The same run and inline check as CI's churn-gate job.
+(cd "${TMPDIR:-/tmp}" \
+    && python "$OLDPWD/perfbench/run.py" --workload churn --seed 7 \
+        --seconds 60 > churn.out \
+    && python - <<'EOF'
+import json, sys
+*_, envelope, result = open("churn.out").read().splitlines()
+with open("churn-envelope.json", "w") as handle:
+    handle.write(envelope + "\n")
+envelope, result = json.loads(envelope), json.loads(result)
+detail = envelope["detail"]
+checks = {
+    "sampled answers agree with BFS": result["correct"],
+    "no operation failed": result["failed"] == 0,
+    "answers were sampled": envelope["checked"] > 0,
+    "inserts and deletes both ran": detail["mutations"] >= 2,
+    "publish lag p95 <= 60 s": detail["publish_lag_p95_s"] <= 60.0,
+    "drained, two or more publish cycles": not any(
+        "drain timeout" in p or "publish cycles" in p
+        for p in envelope["problems"]),
+}
+for name, ok in checks.items():
+    print(("ok: " if ok else "FAIL: ") + name)
+sys.exit(0 if all(checks.values()) else 1)
+EOF
+) || failures=$((failures + 1))
 
 if [ "${1:-}" != "--skip-bench" ]; then
     step "bench-smoke"

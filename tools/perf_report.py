@@ -27,7 +27,6 @@ BENCH_FILES = (
     "BENCH_construction.json",
     "BENCH_ci_smoke.json",
     "BENCH_serving.json",
-    "BENCH_streaming.json",
     "BENCH_observability.json",
 )
 
@@ -243,65 +242,6 @@ def render_serving(record):
     return lines
 
 
-def render_streaming(record):
-    streaming = record.get("streaming", {})
-    chaos = record.get("chaos", {})
-    lines = []
-    if streaming:
-        config = streaming.get("config", {})
-        lines += [
-            f"{_fmt(config.get('n'))}-vertex graph under "
-            f"{_fmt(config.get('duration'), '.0f')} s of mixed insert/delete "
-            f"churn ({_fmt(config.get('churn_per_second'), '.0f')} "
-            f"mutations/s, delete fraction "
-            f"{_fmt(config.get('delete_fraction'))}) with "
-            f"{_fmt(config.get('query_threads'))} concurrent query "
-            f"thread(s); every served answer checked against a BFS oracle.",
-            "",
-            "| Metric | Value |", "|---|---|",
-            f"| Answers checked | {_fmt(streaming.get('queries_checked'))} "
-            f"({_fmt(streaming.get('mismatches'))} wrong) |",
-            f"| Served QPS under churn | "
-            f"{_fmt(streaming.get('served_qps'), ',.0f')} |",
-            f"| Background publishes | {_fmt(streaming.get('publishes'))} |",
-            f"| Overlay→BFS fallbacks | "
-            f"{_fmt(streaming.get('overlay_fallbacks'))} |",
-            f"| Staleness p95 / max | "
-            f"{_fmt(streaming.get('staleness_p95_s'), '.2f')} s / "
-            f"{_fmt(streaming.get('staleness_max_s'), '.2f')} s "
-            f"(SLO breaches: {_fmt(streaming.get('slo_breaches'))}) |",
-        ]
-        svc = streaming.get("service")
-        if svc:
-            lines.append(
-                f"| Service generation / checked answers | "
-                f"{_fmt(svc.get('generation'))} / {_fmt(svc.get('checked'))} "
-                f"({_fmt(svc.get('mismatches'))} wrong, "
-                f"{_fmt(svc.get('reload_failures'))} reload failures) |")
-    if chaos:
-        resume = chaos.get("resume", {})
-        corrupt = chaos.get("corrupt", {})
-        lines += [
-            "",
-            "### Chaos: kill the rebuild worker mid-build",
-            "",
-            "| Leg | Worker crashes | Recovery | Wrong answers |",
-            "|---|---|---|---|",
-            f"| kill → resume | {_fmt(resume.get('worker_crashes'))} | "
-            f"{_fmt(resume.get('resumed_pushes'))} pushes resumed from "
-            f"checkpoint, {_fmt(resume.get('publishes'))} publish(es) | "
-            f"{_fmt(resume.get('mismatches'))} of "
-            f"{_fmt(resume.get('queries_checked'))} |",
-            f"| kill → corrupt checkpoint | "
-            f"{_fmt(corrupt.get('worker_crashes'))} | "
-            f"{_fmt(corrupt.get('checkpoint_discards'))} corrupt "
-            f"checkpoint(s) discarded, {_fmt(corrupt.get('publishes'))} "
-            f"publish(es) | {_fmt(corrupt.get('mismatches'))} of "
-            f"{_fmt(corrupt.get('queries_checked'))} |",
-        ]
-    return lines or ["*Empty record.*"]
-
-
 def render_observability(record):
     overhead = record.get("overhead", {})
     serving = record.get("serving_overhead", {})
@@ -333,8 +273,6 @@ _SECTIONS = {
     "BENCH_construction.json": ("Construction", render_construction),
     "BENCH_ci_smoke.json": ("Query engines", render_ci_smoke),
     "BENCH_serving.json": ("Serving", render_serving),
-    "BENCH_streaming.json": ("Streaming churn and chaos recovery",
-                             render_streaming),
     "BENCH_observability.json": ("Observability overhead",
                                  render_observability),
 }
