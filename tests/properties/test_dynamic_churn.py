@@ -1,20 +1,20 @@
-"""Property-based churn test for the dynamic facade's in-process rebuild.
+"""Property-based churn tests for the dynamic facade.
 
-Random interleavings of insertions and deletions straddling the
-``auto_rebuild`` threshold, followed by exact comparison against BFS on
-the logical graph: folding the overlay into a fresh static index
-mid-sequence must never change an answer. Mixed churn, retraction
-round-trips and rejected mutations, with rebuilds behind a
-``MaintenanceController``, are rules of the tier state machine in
-``tests/integration/test_tier_state_machine.py``.
+Random interleavings of insertions, deletions, retractions, rebuilds and
+rejected mutations, each followed by exact comparison against BFS on the
+logical graph — the overlay decomposition (insert fixpoint + deletion
+invalidation with BFS fallback) must never return a wrong count, and a
+rejected mutation must leave the facade's state untouched.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic.incremental import DynamicSPCIndex
+from repro.exceptions import GraphError, VertexError
 from repro.generators.random_graphs import gnp_random_graph
 from repro.graph.traversal import spc_bfs
 
@@ -56,6 +56,15 @@ def assert_exact_sample(index, rng, pairs=20):
 
 class TestChurnStaysExact:
     @churn_settings
+    @given(seed=st.integers(0, 2**16), steps=st.integers(1, 10))
+    def test_mixed_churn_without_rebuild(self, seed, steps):
+        rng = random.Random(seed)
+        graph = gnp_random_graph(12, 0.25, seed=seed % 101)
+        index = DynamicSPCIndex(graph, auto_rebuild=None)
+        apply_random_churn(index, rng, steps)
+        assert_exact_sample(index, rng)
+
+    @churn_settings
     @given(seed=st.integers(0, 2**16), steps=st.integers(4, 12))
     def test_churn_straddling_auto_rebuild_threshold(self, seed, steps):
         # auto_rebuild=3 makes every third net mutation fold the overlay
@@ -67,3 +76,71 @@ class TestChurnStaysExact:
         apply_random_churn(index, rng, steps)
         assert index.pending_mutations < 3
         assert_exact_sample(index, rng)
+
+    @churn_settings
+    @given(seed=st.integers(0, 2**16))
+    def test_retraction_roundtrip_is_identity(self, seed):
+        # insert then delete (and delete then reinsert) must each leave
+        # every query answer exactly where it started.
+        rng = random.Random(seed)
+        graph = gnp_random_graph(10, 0.3, seed=seed % 67)
+        index = DynamicSPCIndex(graph, auto_rebuild=None)
+        before = {
+            (s, t): index.count_with_distance(s, t)
+            for s in range(graph.n)
+            for t in range(s, graph.n)
+        }
+        non_edges = [
+            (u, v)
+            for u in range(graph.n)
+            for v in range(u + 1, graph.n)
+            if not graph.has_edge(u, v)
+        ]
+        if non_edges:
+            u, v = rng.choice(non_edges)
+            index.insert_edge(u, v)
+            index.delete_edge(u, v)
+        edges = list(graph.edges())
+        if edges:
+            u, v = rng.choice(edges)
+            index.delete_edge(u, v)
+            index.insert_edge(u, v)
+        assert index.pending_mutations == 0
+        for pair, want in before.items():
+            assert index.count_with_distance(*pair) == want
+
+
+class TestRejectionLeavesStateConsistent:
+    @churn_settings
+    @given(seed=st.integers(0, 2**16))
+    def test_rejected_mutations_change_nothing(self, seed):
+        rng = random.Random(seed)
+        graph = gnp_random_graph(10, 0.3, seed=seed % 53)
+        index = DynamicSPCIndex(graph, auto_rebuild=None)
+        apply_random_churn(index, rng, 3)
+        current = index.current_graph()
+        pending = index.pending_mutations
+        edges = list(current.edges())
+
+        if edges:
+            with pytest.raises(GraphError, match="already present"):
+                index.insert_edge(*edges[0])
+        non_edges = [
+            (u, v)
+            for u in range(current.n)
+            for v in range(u + 1, current.n)
+            if not current.has_edge(u, v)
+        ]
+        if non_edges:
+            with pytest.raises(GraphError, match="not present"):
+                index.delete_edge(*non_edges[0])
+        with pytest.raises(GraphError, match="self-loop"):
+            index.insert_edge(0, 0)
+        with pytest.raises(VertexError):
+            index.insert_edge(0, current.n + 5)
+        with pytest.raises(VertexError):
+            index.delete_edge(0, current.n + 5)
+
+        assert index.pending_mutations == pending
+        assert sorted(index.current_graph().edges()) == sorted(edges)
+        assert_exact_sample(index, rng, pairs=10)
