@@ -40,7 +40,6 @@ exactly on the logical graph — it only lets staleness grow, which is
 precisely what the SLO breach counters make visible.
 """
 
-import multiprocessing
 import os
 import threading
 import time
@@ -52,6 +51,7 @@ from repro.io.checkpoint import BuildCheckpoint
 from repro.io.serialize import load_index, save_index
 from repro.observability.events import get_event_log
 from repro.observability.metrics import get_registry
+from repro.utils.forking import start_child
 
 __all__ = ["MaintenanceSLO", "MaintenanceController"]
 
@@ -491,22 +491,13 @@ class MaintenanceController:
         reporting — the chaos kill, an OOM, a segfault) or ``"error"``
         (worker reported a typed failure).
         """
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = multiprocessing.get_context()
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_rebuild_worker,
-            args=(send, graph, self._ordering, self._engine, self._index_path,
-                  self._checkpoint_path, self._checkpoint_every, self._fault),
-            daemon=True,
-        )
+        proc, recv = start_child(
+            _rebuild_worker,
+            (graph, self._ordering, self._engine, self._index_path,
+             self._checkpoint_path, self._checkpoint_every, self._fault))
         with self._lock:
             self._worker = proc
         try:
-            proc.start()
-            send.close()
             proc.join(self._task_timeout)
             if proc.is_alive():
                 proc.kill()

@@ -6,8 +6,10 @@ the same bookkeeping around a label join, written once here: the
 :class:`AdmissionQueue` that bounds concurrency and sheds with a typed
 :class:`~repro.exceptions.ServiceOverloaded`; the :class:`RequestLifecycle`
 that turns a timeout into a deadline, admits, tallies the outcome and
-returns the :class:`QueryResult`; and :func:`status_of`, the one table
-from a library error to a terminal status.
+returns the :class:`QueryResult` (or, for a batch of cluster pairs that
+ends together, releases and tallies the whole batch in one step); and
+:func:`status_of`, the one table from a library error to a terminal
+status.
 
 The retry-after hint is ``ema_latency x backlog depth``, clamped to
 ``retry_after_cap`` seconds: the raw estimate is unbounded (a 20 ms
@@ -141,7 +143,11 @@ class AdmissionQueue:
         self.queue_limit = queue_limit
         self.retry_after_cap = retry_after_cap
         self._clock = clock
-        self._cond = threading.Condition()
+        # A plain lock under the condition: the non-blocking paths
+        # (offer, release) take it directly, skipping the condition's
+        # python-level enter and exit.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._in_flight = 0
         self._waiters = collections.deque()
         self._admissions = 0
@@ -217,21 +223,26 @@ class AdmissionQueue:
         ``deadline`` is unused: it gives :meth:`admit` and :meth:`offer`
         one call shape. Returns the admission ordinal.
         """
-        with self._cond:
+        with self._lock:
             self._admissions += 1
             if self._in_flight >= self.capacity + self.queue_limit:
                 raise self._shed()
             self._in_flight += 1
             return self._admissions
 
-    def release(self, elapsed):
-        """Give the slot back and fold ``elapsed`` into the latency EMA."""
-        with self._cond:
-            self._in_flight -= 1
+    def release(self, *elapsed):
+        """Give back one slot per ``elapsed`` time, folding each into the
+        latency EMA in order (a batch that ends together takes the lock
+        once)."""
+        with self._lock:
+            self._in_flight -= len(elapsed)
             if self._waiters:
                 self._cond.notify_all()
             # EMA over completed requests drives the retry-after hint.
-            self._ema_latency += 0.2 * (elapsed - self._ema_latency)
+            ema = self._ema_latency
+            for seconds in elapsed:
+                ema += 0.2 * (seconds - ema)
+            self._ema_latency = ema
 
     # -- observability --------------------------------------------------------
 
@@ -272,8 +283,12 @@ class RequestLifecycle:
     A tier calls :meth:`deadline` on arrival, :meth:`admit` for a slot,
     :meth:`release` to give it back, then exactly one of :meth:`finish`
     or :meth:`fail`, which tally the outcome and build the
-    :class:`QueryResult`. ``requests`` is bumped in the same step as the
-    outcome, so it equals the sum of the outcome counters by construction.
+    :class:`QueryResult`. The cluster's ``submit`` pairs keep their
+    budget as floats (no :class:`Deadline` unless an error or the BFS
+    fallback needs one) and end a whole coalesced batch with one
+    :meth:`settle`. ``requests`` is bumped in the same step as the
+    outcomes, so it equals the sum of the outcome counters by
+    construction.
 
     ``prefix`` names the tier's metric families (``"spc"`` or
     ``"spc_cluster"``); ``take`` is its admission call,
@@ -357,6 +372,24 @@ class RequestLifecycle:
             self.counters["requests"] += 1
             self.counters[status] += 1
         return QueryResult(status, answer, error, elapsed, generation)
+
+    def settle(self, elapsed, outcomes):
+        """:meth:`release` and tally a batch of requests that ended together.
+
+        ``elapsed`` lists each request's seconds, in order; ``outcomes``
+        maps each terminal status to its count (the counts sum to
+        ``len(elapsed)``). One admission lock and one tally lock for the
+        whole batch; the caller builds the :class:`QueryResult` objects.
+        """
+        self.admission.release(*elapsed)
+        if self._seconds is not None:
+            for seconds in elapsed:
+                self._seconds.observe(seconds)
+        with self._lock:
+            counters = self.counters
+            counters["requests"] += len(elapsed)
+            for status, count in outcomes.items():
+                counters[status] += count
 
     def fail(self, error, elapsed, generation=0):
         """:meth:`finish` for a request ended by a library error."""

@@ -16,7 +16,8 @@ deadline). The classic circuit-breaker pattern bounds the damage:
 
 Successes anywhere reset the consecutive-failure count. All transitions
 and per-state outcomes are counted for observability, and every method is
-thread-safe. The clock is injectable so tests can drive transitions
+thread-safe (:meth:`CircuitBreaker.before_call` reads a closed state
+without the lock). The clock is injectable so tests can drive transitions
 deterministically.
 """
 
@@ -113,7 +114,11 @@ class CircuitBreaker:
 
         In half-open state only ``half_open_probes`` concurrent trials are
         admitted; the rest short-circuit exactly like the open state.
+        A closed breaker admits without taking the lock: a call racing a
+        trip is admitted as one arriving a moment earlier would have been.
         """
+        if self._state == CLOSED:
+            return
         with self._lock:
             state = self._advance()
             if state == CLOSED:

@@ -31,11 +31,20 @@ moment a worker is idle (up to ``max_batch``), and whatever arrives
 while every worker is busy rides the next batch. Batches therefore stay
 small at light load and grow with load on their own.
 
+A ``submit`` pair is one ``(s, t, budget, expires, started, future)``
+tuple in the pair queue, not an object; a batch travels as the columns
+of its tuples, and its reply settles every pair in one step (one
+admission release and one outcome tally for the batch, then one
+:class:`~repro.serving.admission.QueryResult` per future).
+
 Hot reload is rolling: the router bumps a target generation when the
 watcher sees a new file signature, then tells each worker to remap once
 it is idle and holds no pinned work — in-flight batches always complete
 on the arena they started on, and a worker whose remap fails keeps
-serving its old (still-mapped) inode rather than going dark.
+serving its old (still-mapped) inode rather than going dark. Each
+generation names the file signature read when it was made; a worker
+that mapped another (respawned onto a file published since) answers
+nothing until the next reload.
 
 The cluster *heals itself* rather than failing safe. The router is also
 a supervisor: worker death is detected three ways (the process sentinel
@@ -60,7 +69,7 @@ of the same wait-until-idle state machine.
 
 import asyncio
 import collections
-import multiprocessing
+import itertools
 import os
 import selectors
 import threading
@@ -76,13 +85,13 @@ from repro.exceptions import (
     SerializationError,
     VertexError,
 )
-from repro.io.flat_store import read_flat_meta
+from repro.io.flat_store import file_signature, read_flat_meta
 from repro.observability.events import get_event_log
 from repro.observability.metrics import get_registry
 from repro.query.ast import PAIR_OPS, Batch, Count, SetToSet, SingleSource
 from repro.query.backends import normalize_pair, normalize_single_source
 from repro.query.engine import QueryEngine
-from repro.serving import protocol
+from repro.serving import admission, protocol
 from repro.serving.admission import (
     DEADLINE,
     DEFAULT_RETRY_AFTER_CAP,
@@ -95,11 +104,11 @@ from repro.serving.admission import (
     status_of,
 )
 from repro.serving.breaker import CircuitBreaker
+from repro.serving.deadline import Deadline
 from repro.serving.jobs import (
     INF,
     _ClusterOracle,
     _PairBatchJob,
-    _PairRequest,
     _SetToSetJob,
     _SingleSourceJob,
     _StatsJob,
@@ -107,6 +116,7 @@ from repro.serving.jobs import (
 )
 from repro.serving.protocol import _FrameDecoder, _WorkerGone
 from repro.serving.reload import IndexWatcher
+from repro.utils.forking import start_child
 
 #: Worker lifecycle states as the router sees them.
 STARTING = "starting"
@@ -136,6 +146,14 @@ def _deadline_error(deadline):
     return DeadlineExceeded(deadline.budget, deadline.elapsed())
 
 
+def _pair_deadline(budget, expires, clock):
+    """The :class:`Deadline` a queued pair's float budget and expiry
+    stand for; built only for an error or the BFS fallback."""
+    if budget is None:
+        return Deadline(None, clock=clock)
+    return Deadline(budget, clock=clock, start=expires - budget)
+
+
 def _err_exception(kind, message, deadline):
     """Rehydrate a worker's ERR reply as the typed error it was raised as."""
     if kind == protocol.ERR_DEADLINE:
@@ -154,10 +172,12 @@ class _Worker:
 
     The slot index is stable across the supervisor's respawns;
     ``process``/``conn``/``decoder`` are replaced on each incarnation.
+    ``stale`` marks a worker whose arena is not the one its generation
+    names: it answers nothing until the next reload.
     """
 
     __slots__ = ("index", "process", "conn", "conn_fd", "decoder",
-                 "sentinel_fd", "generation", "state", "pinned",
+                 "sentinel_fd", "generation", "stale", "state", "pinned",
                  "draining", "drain_respawn", "drain_futures",
                  "respawn_at", "backoff", "respawns", "died_at", "hello_at",
                  "spawned_at", "ping_sent_at", "last_seen",
@@ -171,6 +191,7 @@ class _Worker:
         self.decoder = None
         self.sentinel_fd = None
         self.generation = 0
+        self.stale = False
         self.state = STARTING
         self.pinned = collections.deque()
         self.draining = False
@@ -195,13 +216,18 @@ class _Worker:
 
     @property
     def serving(self):
-        """True while the worker's process is up and past HELLO."""
-        return self.state in (IDLE, BUSY, RELOADING)
+        """True while the worker's process is up, past HELLO, and on the
+        arena its generation names (or remapping onto a new one)."""
+        if self.state == RELOADING:
+            return True
+        return self.state in (IDLE, BUSY) and not self.stale
 
 
 class _Flight:
     """One in-flight worker round-trip the router is waiting on.
 
+    A pair flight's ``members`` are the columns of the pairs it sent,
+    ``(sources, targets, budgets, expires, started, futures)``.
     ``twin`` links the two legs of a hedged request (by batch id);
     ``cancelled`` marks the losing leg once the other resolved — its
     reply is discarded on arrival, so duplicates never double-resolve.
@@ -282,10 +308,13 @@ class _DegradedExecutor(threading.Thread):
                     return
                 item = self._items.popleft()
             if item[0] == "pairs":
-                outcome = [self._one(lambda r=request: (
-                    self._service._fallback.count_with_distance(
-                        r.s, r.t, deadline=r.deadline)))
-                    for request in item[1]]
+                sources, targets, budgets, expires, _, _ = item[1]
+                count = self._service._fallback.count_with_distance
+                clock = self._service._clock
+                outcome = [self._one(lambda s=s, t=t, budget=budget, at=at: (
+                    count(s, t, deadline=_pair_deadline(budget, at, clock))))
+                    for s, t, budget, at in zip(sources, targets, budgets,
+                                                expires)]
             else:
                 job = item[1]
                 outcome = self._one(
@@ -424,7 +453,10 @@ class ClusterService:
         self._metrics = _BatchMetrics(registry) if registry.enabled else None
         self._asleep = False
         self._inbox = collections.deque()
-        self._pending = collections.deque()
+        self._pending = collections.deque()  # appended by submit_nowait
+        # The arena signature each generation names, read when the
+        # generation is made (None: the file was unreadable then).
+        self._signatures = {0: self._arena_signature()}
         self._jobs = collections.deque()
         self._inflight = {}
         self._next_batch_id = 0
@@ -481,29 +513,14 @@ class ClusterService:
             raise SerializationError(f"cluster worker failed to start: "
                                      f"{error}")
 
-    @staticmethod
-    def _mp_context():
-        """Fork context when available (cheap, inherits nothing mutable
-        the worker uses); the platform default otherwise."""
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()
-
     def _spawn_process(self, worker, generation):
         """Fork a fresh process behind ``worker`` and wire it into the
         selector. Reusable by the supervisor: respawns after a death and
         replacements after a drain both come through here."""
-        ctx = self._mp_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
-            target=worker_entry,
-            args=(child_conn, self.index_path, generation, self._verify,
-                  self._fault),
-            name=f"spc-cluster-worker-{worker.index}", daemon=True,
-        )
-        process.start()
-        child_conn.close()
+        process, parent_conn = start_child(
+            worker_entry, (self.index_path, generation, self._verify,
+                           self._fault),
+            name=f"spc-cluster-worker-{worker.index}", duplex=True)
         fd = parent_conn.fileno()
         os.set_blocking(fd, False)
         worker.process = process
@@ -512,6 +529,7 @@ class ClusterService:
         worker.decoder = _FrameDecoder(fd)
         worker.sentinel_fd = process.sentinel
         worker.generation = generation
+        worker.stale = False
         worker.state = STARTING
         worker.gone = False
         worker.pinned.clear()
@@ -557,13 +575,28 @@ class ClusterService:
         matching terminal status, exactly like
         :meth:`SPCService.submit <repro.serving.service.SPCService.submit>`
         but without blocking the caller.
+
+        The pair's budget and expiry stay floats: a
+        :class:`~repro.serving.deadline.Deadline` is built only for an
+        error or the BFS fallback.
         """
         started = self._clock()
         future = Future()
-        deadline = self._admit(future, started, timeout, (s, t))
-        if deadline is not None:
-            self._inbox.append(("pair", _PairRequest(
-                int(s), int(t), deadline, started, future)))
+        if timeout is None:
+            timeout = self.default_deadline
+        if timeout is None:
+            budget = admission.MAX_REQUEST_SECONDS
+            expires = started + budget
+        elif isinstance(timeout, Deadline):
+            budget, expires = timeout.budget, timeout.expires_at
+        elif timeout > 0:
+            budget, expires = timeout, started + timeout
+        else:
+            raise ValueError(
+                f"deadline budget must be positive, got {timeout!r}")
+        if self._admit(future, started, (s, t)):
+            self._pending.append((int(s), int(t), budget, expires, started,
+                                  future))
             self._wake()
         return future
 
@@ -701,15 +734,14 @@ class ClusterService:
         result.generation = self.generation
         return result
 
-    def _admit(self, future, started, timeout, vertices):
+    def _admit(self, future, started, vertices):
         """The gate every request passes: closed check, vertex validation,
         breaker and admission, in that order.
 
-        Returns the request's deadline, or ``None`` after resolving
-        ``future`` with the terminal result of whichever step refused it.
+        Returns True when admitted, or False after resolving ``future``
+        with the terminal result of whichever step refused it.
         """
         life = self._life
-        deadline = life.deadline(timeout, started)
         try:
             if self._closed or self._closing or self._failed:
                 raise ReproError("cluster is closed")
@@ -721,22 +753,22 @@ class ClusterService:
                     pass
                 raise VertexError(v, self.n)
             self.breaker.before_call()
-            poll = life.admit(deadline)
+            poll = life.admit(None)
         except ReproError as exc:
             future.set_result(life.fail(exc, self._clock() - started,
                                         self.generation))
-            return None
+            return False
         if poll:
             self.check_reload()
-        return deadline
+        return True
 
     def _submit_job(self, factory, vertices, timeout):
         """:meth:`_admit` a job and queue it; returns the
         future (blocking entry points call ``.result()`` on it)."""
         started = self._clock()
         future = Future()
-        deadline = self._admit(future, started, timeout, vertices)
-        if deadline is not None:
+        deadline = self._life.deadline(timeout, started)
+        if self._admit(future, started, vertices):
             self._inbox.append(("job", factory(future, deadline, started)))
             self._wake()
         return future
@@ -761,9 +793,16 @@ class ClusterService:
         return True
 
     def reload(self):
-        """Force a rolling remap of every worker."""
-        self._inbox.append(("reload", None))
+        """Force a rolling remap of every worker onto the file as it is
+        now; the new generation names that file's signature."""
+        self._inbox.append(("reload", self._arena_signature()))
         self._wake()
+
+    def _arena_signature(self):
+        try:
+            return file_signature(self.index_path)
+        except OSError:
+            return None
 
     def drain(self, worker_index, respawn=True):
         """Gracefully retire one worker; returns a future.
@@ -950,10 +989,12 @@ class ClusterService:
                 now = self._clock()
                 self._check_health(now)
                 self._dispatch()
-                self._maybe_hedge(self._clock())
+                # One sort of the latency window per loop, for both uses.
+                delay = self._hedge_delay_for() if self._inflight else None
+                self._maybe_hedge(self._clock(), delay)
                 if self._closing and self._quiescent():
                     break
-                timer = self._health_timer(self._clock())
+                timer = self._health_timer(self._clock(), delay)
                 self._asleep = True
                 if self._inbox:
                     self._asleep = False
@@ -995,9 +1036,7 @@ class ClusterService:
                 break
             kind = item[0]
             payload = item[1] if len(item) > 1 else None
-            if kind == "pair":
-                self._pending.append(payload)
-            elif kind == "job":
+            if kind == "job":
                 if isinstance(payload, _StatsJob):
                     for index in payload.workers:
                         self._workers[index].pinned.append((payload, index))
@@ -1005,6 +1044,7 @@ class ClusterService:
                     self._jobs.append(payload)
             elif kind == "reload":
                 self._target_generation += 1
+                self._signatures[self._target_generation] = payload
             elif kind == "drain":
                 self._on_drain_request(*payload)
             elif kind == "degraded_done":
@@ -1040,6 +1080,8 @@ class ClusterService:
                 job, key = worker.pinned.popleft()
                 self._dispatch_job(worker, job, key)
                 continue
+            if worker.stale:
+                continue  # waits for the reload that names its arena
             if self._jobs:
                 self._dispatch_job(worker, self._jobs.popleft())
                 continue
@@ -1060,30 +1102,38 @@ class ClusterService:
             self._on_worker_death(worker)
             return False
 
-    def _dispatch_pairs(self, worker):
+    def _take_pending(self, limit):
+        """Pop up to ``limit`` queued pairs, oldest first (router only)."""
         pending = self._pending
-        members = []
-        budget = 0.0
+        popleft = pending.popleft
+        return [popleft() for _ in range(min(len(pending), limit))]
+
+    def _dispatch_pairs(self, worker):
+        """Send the oldest queued pairs, up to ``max_batch``, as one batch.
+
+        Pairs whose own budget is already spent end ``DEADLINE`` here and
+        are not sent. The batch's budget is its latest expiry.
+        """
         now = self._clock()
-        while pending and len(members) < self.max_batch:
-            request = pending.popleft()
-            if request.done:
-                continue
-            remaining = request.deadline.expires_at - now
-            if remaining <= 0:
-                self._finish_pair(request, DEADLINE,
-                                  error=_deadline_error(request.deadline))
-                continue
-            budget = max(budget, remaining)
-            members.append(request)
-        if not members:
+        while self._pending:
+            batch = self._take_pending(self.max_batch)
+            members = tuple(zip(*batch))
+            if min(members[3]) > now:
+                break
+            expired = tuple(zip(*[pair for pair in batch if pair[3] <= now]))
+            self._settle(expired, DEADLINE, errors=map(
+                self._pair_error, expired[2], expired[3]), now=now)
+            batch = [pair for pair in batch if pair[3] > now]
+            if batch:
+                members = tuple(zip(*batch))
+                break
+        else:
             return
+        budget = max(members[3]) - now
         batch_id = self._next_id()
-        message = (protocol.PAIRS, batch_id,
-                   [r.s for r in members], [r.t for r in members], budget)
+        message = (protocol.PAIRS, batch_id, members[0], members[1], budget)
         if not self._send(worker, message):
-            for request in reversed(members):
-                pending.appendleft(request)
+            self._pending.extendleft(reversed(batch))
             return
         now = self._clock()
         flight = _Flight("pairs", batch_id, worker, message, now, budget)
@@ -1094,7 +1144,7 @@ class ClusterService:
         self._inflight[batch_id] = flight
         metrics = self._metrics
         if metrics is not None:
-            metrics.batch_size.observe(len(members))
+            metrics.batch_size.observe(len(batch))
 
     def _dispatch_job(self, worker, job, key=None):
         """Send ``job`` to ``worker``; ``key`` names a pinned stats probe."""
@@ -1138,17 +1188,17 @@ class ClusterService:
             return
         if not self._closing and any(
                 w.respawn_at is not None
-                or (w.live and (not w.draining or w.drain_respawn))
+                or (w.live and not w.stale
+                    and (not w.draining or w.drain_respawn))
                 for w in workers):
             return  # a STARTING, respawning or replacement worker is coming
         if self._fallback is None:
             self._fail_queued(ReproError("no live workers"))
             return
-        members = [r for r in self._pending if not r.done]
-        self._pending.clear()
-        if members:
+        batch = self._take_pending(len(self._pending))
+        if batch:
             self._fallback_inflight += 1
-            self._executor.submit(("pairs", members))
+            self._executor.submit(("pairs", tuple(zip(*batch))))
         while self._jobs:
             job = self._jobs.popleft()
             if not job.done:
@@ -1157,8 +1207,10 @@ class ClusterService:
 
     def _fail_queued(self, error):
         """Fail every queued pair and job."""
-        while self._pending:
-            self._finish_pair(self._pending.popleft(), ERROR, error=error)
+        batch = self._take_pending(len(self._pending))
+        if batch:
+            self._settle(tuple(zip(*batch)), ERROR,
+                         errors=itertools.repeat(error))
         while self._jobs:
             self._finish_job(self._jobs.popleft(), ERROR, error=error)
 
@@ -1234,7 +1286,7 @@ class ClusterService:
 
     def _on_hello(self, worker, message):
         now = self._clock()
-        worker.generation = message[1]
+        self._adopt(worker, message[1], message[3])
         worker.state = IDLE
         worker.hello_at = now
         worker.busy_since = None
@@ -1255,27 +1307,45 @@ class ClusterService:
         worker.died_at = None
         self._resolve_drains(worker, True)
 
+    def _adopt(self, worker, generation, signature):
+        """Take a worker's HELLO or reload: it serves ``generation`` only
+        over the arena that generation names. One that mapped a file
+        published since (a respawn racing a publish, ahead of
+        :meth:`check_reload`) is stale until the next reload."""
+        worker.generation = generation
+        known = self._signatures.get(generation)
+        if known is None:  # unreadable when named: the first map names it
+            known = self._signatures[generation] = signature
+        worker.stale = known != signature
+
     def _on_pairs_reply(self, flight, message):
+        """Settle a pair batch in one step: every pair ``SERVED_INDEX``,
+        but ``DEADLINE`` where its own budget ran out first."""
         members = flight.members
         now = self._clock()
         self._count_batch(flight, now)
+        _, _, budgets, expires, _, _ = members
         if message[0] == protocol.ERR:
-            errors = [_err_exception(message[2], message[3], request.deadline)
-                      for request in members]
-            status = self._failed_status(errors[0])
-            for request, error in zip(members, errors):
-                self._finish_pair(request, status, error=error, now=now)
+            errors = [self._pair_error(budget, at, message[2], message[3])
+                      for budget, at in zip(budgets, expires)]
+            self._settle(members, self._failed_status(errors[0]),
+                         errors=errors, now=now)
             return
         self.breaker.record_success()
-        generation = message[2]
-        answers = message[3]
-        for request, answer in zip(members, answers):
-            if now >= request.deadline.expires_at:
-                self._finish_pair(request, DEADLINE, now=now,
-                                  error=_deadline_error(request.deadline))
-            else:
-                self._finish_pair(request, SERVED_INDEX, answer=answer,
-                                  generation=generation, now=now)
+        status, answers, errors = SERVED_INDEX, message[3], None
+        if now >= min(expires):  # some pair's own budget ran out in flight
+            errors = [self._pair_error(budget, at) if now >= at else None
+                      for budget, at in zip(budgets, expires)]
+            status = [SERVED_INDEX if e is None else DEADLINE for e in errors]
+            answers = [a if e is None else None
+                       for a, e in zip(answers, errors)]
+        self._settle(members, status, answers, errors, message[2], now)
+
+    def _pair_error(self, budget, expires, kind=protocol.ERR_DEADLINE,
+                    text=None):
+        """One pair's typed error; a deadline one carries its own budget."""
+        return _err_exception(kind, text,
+                              _pair_deadline(budget, expires, self._clock))
 
     def _count_batch(self, flight, now):
         """Tally one worker round-trip; returns the batch metric handles."""
@@ -1321,7 +1391,7 @@ class ClusterService:
         worker.busy_since = None
         registry = get_registry()
         if ok:
-            worker.generation = generation
+            self._adopt(worker, generation, detail)
             self._life.bump("reloads", family="spc_cluster_reloads_total",
                             outcome="success")
             if registry.enabled:
@@ -1399,9 +1469,7 @@ class ClusterService:
             return
         self._life.bump("replays")
         if flight.kind == "pairs":
-            for request in reversed(flight.members):
-                if not request.done:
-                    self._pending.appendleft(request)
+            self._pending.extendleft(reversed(list(zip(*flight.members))))
             return
         job = flight.job
         if job.done:
@@ -1446,8 +1514,9 @@ class ClusterService:
                     if self._send(worker, (protocol.PING,)):
                         worker.ping_sent_at = now
 
-    def _health_timer(self, now):
-        """Earliest supervision or hedge deadline, as a select() timeout."""
+    def _health_timer(self, now, hedge_delay):
+        """Earliest supervision or hedge deadline, as a select() timeout;
+        ``hedge_delay`` is this loop's :meth:`_hedge_delay_for`."""
         deadline = None
 
         def consider(at):
@@ -1471,12 +1540,11 @@ class ClusterService:
                     consider(worker.ping_sent_at + self._stall_timeout)
                 else:
                     consider(worker.last_seen + self._heartbeat_interval)
-        delay = self._hedge_delay_for() if self._inflight else None
-        if delay is not None:
+        if hedge_delay is not None:
             for flight in self._inflight.values():
                 if not (flight.twin is not None or flight.is_hedge
                         or flight.cancelled or flight.key is not None):
-                    consider(flight.sent_at + delay)
+                    consider(flight.sent_at + hedge_delay)
         if deadline is None:
             return None
         return max(deadline - now, 0.0)
@@ -1519,10 +1587,8 @@ class ClusterService:
         p95 = ordered[int(0.95 * (len(ordered) - 1))]
         return max(HEDGE_FLOOR, p95 * HEDGE_MULTIPLIER)
 
-    def _maybe_hedge(self, now):
-        if not self._inflight:
-            return
-        delay = self._hedge_delay_for()
+    def _maybe_hedge(self, now, delay):
+        """Hedge every primary flight older than ``delay`` seconds."""
         if delay is None:
             return
         for flight in list(self._inflight.values()):
@@ -1542,7 +1608,7 @@ class ClusterService:
         """Any idle worker at the same generation as the primary's."""
         for worker in self._workers:
             if (worker is not flight.worker and worker.state == IDLE
-                    and not worker.draining
+                    and not worker.draining and not worker.stale
                     and worker.generation == flight.worker.generation):
                 return worker
         return None
@@ -1615,9 +1681,8 @@ class ClusterService:
     def _on_degraded_done(self, item, outcome):
         self._fallback_inflight -= 1
         if item[0] == "pairs":
-            for request, (status, answer, error) in zip(item[1], outcome):
-                self._finish_pair(request, status, answer=answer,
-                                  error=error)
+            status, answers, errors = zip(*outcome)
+            self._settle(item[1], status, answers, errors)
             return
         job = item[1]
         status, answer, error = outcome
@@ -1647,8 +1712,11 @@ class ClusterService:
             if flight.cancelled:
                 continue
             if flight.kind == "pairs":
-                for request in flight.members:
-                    self._finish_pair(request, ERROR, error=error)
+                if not (flight.is_hedge and flight.twin is not None):
+                    # Racing hedge legs share their pairs: the primary
+                    # leg fails them once.
+                    self._settle(flight.members, ERROR,
+                                 errors=itertools.repeat(error))
             elif flight.job is not None:
                 self._finish_job(flight.job, ERROR, error=error)
         self._inflight.clear()
@@ -1663,9 +1731,7 @@ class ClusterService:
             except IndexError:  # pragma: no cover - racing producer
                 break
             kind = item[0]
-            if kind == "pair":
-                self._finish_pair(item[1], ERROR, error=error)
-            elif kind == "job":
+            if kind == "job":
                 self._finish_job(item[1], ERROR, error=error)
             elif kind == "drain":
                 _set_result(item[1][2], False)
@@ -1674,16 +1740,27 @@ class ClusterService:
 
     # -- terminal bookkeeping -------------------------------------------------
 
-    def _finish_pair(self, request, status, answer=None, error=None,
-                     generation=0, now=None):
-        if request.done:
-            return
-        request.done = True
-        life = self._life
-        elapsed = (self._clock() if now is None else now) - request.started
-        life.release(elapsed)
-        _set_result(request.future, life.finish(
-            status, elapsed, answer, error, generation))
+    def _settle(self, members, status, answers=None, errors=None,
+                generation=0, now=None):
+        """End a batch of pairs together: one lifecycle settle (admission
+        slots, latency EMA, outcome tally), then one :class:`QueryResult`
+        per future. ``status`` is one status for every pair or one per
+        pair; ``answers`` and ``errors`` align with the columns of
+        ``members``."""
+        _, _, _, _, started, futures = members
+        if now is None:
+            now = self._clock()
+        elapsed = [now - start for start in started]
+        if isinstance(status, str):
+            outcomes, status = {status: len(elapsed)}, itertools.repeat(status)
+        else:
+            outcomes = collections.Counter(status)
+        self._life.settle(elapsed, outcomes)
+        nothing = itertools.repeat(None)
+        results = map(QueryResult, status, answers or nothing,
+                      errors or nothing, elapsed, itertools.repeat(generation))
+        for future, result in zip(futures, results):
+            _set_result(future, result)
 
     def _finish_job(self, job, status, answer=None, error=None, generation=0):
         if job.done:
@@ -1691,11 +1768,8 @@ class ClusterService:
         job.done = True
         elapsed = self._clock() - job.started
         if job.admitted:
-            self._life.release(elapsed)
-            job.resolve(self._life.finish(status, elapsed, answer, error,
-                                          generation))
-        else:
-            job.resolve(QueryResult(status, answer, error, elapsed))
+            self._life.settle([elapsed], {status: 1})
+        job.resolve(QueryResult(status, answer, error, elapsed, generation))
 
 
 def worker_entry(conn, path, generation, verify, fault=None):

@@ -1,13 +1,16 @@
-"""Router-side units of cluster work: pair requests and whole jobs.
+"""Router-side units of cluster work: whole jobs.
 
-A :class:`_PairRequest` is one ``submit`` pair waiting to be coalesced
-into a pair batch. A :class:`_Job` is a request that one worker answers
-whole in one round-trip: a caller's pair batch, a single-source sweep or
-a set-to-set query. Only :class:`_StatsJob` fans out, one probe pinned to
-each live worker, gathered on completion. :class:`_ClusterOracle` adapts
-cluster requests to the query layer's pair oracle, so composite compiled
-queries run over the cluster. :class:`~repro.serving.cluster
-.ClusterService` owns their dispatch, replay and terminal resolution.
+A :class:`_Job` is a request that one worker answers whole in one
+round-trip: a caller's pair batch, a single-source sweep or a set-to-set
+query. Only :class:`_StatsJob` fans out, one probe pinned to each live
+worker, gathered on completion. ``submit`` pairs are no objects at all:
+each is one ``(s, t, budget, expires, started, future)`` tuple in the
+router's queue, and a coalesced batch travels as the columns of its
+tuples (see :meth:`~repro.serving.cluster.ClusterService.submit_nowait`).
+:class:`_ClusterOracle` adapts cluster requests to the query layer's pair
+oracle, so composite compiled queries run over the cluster.
+:class:`~repro.serving.cluster.ClusterService` owns their dispatch,
+replay and terminal resolution.
 """
 
 from concurrent.futures import InvalidStateError
@@ -31,22 +34,6 @@ def _set_result(future, result):
         future.set_result(result)
     except InvalidStateError:  # pragma: no cover - shutdown race
         pass
-
-
-class _PairRequest:
-    """One ``submit`` request waiting to be coalesced into a pair batch."""
-
-    __slots__ = ("s", "t", "deadline", "started", "future", "done")
-
-    def __init__(self, s, t, deadline, started, future):
-        self.s = s
-        self.t = t
-        self.deadline = deadline
-        self.started = started
-        self.future = future
-        # Terminal guard: hedged twins and death-replays can hand the
-        # same request to two finishers; only the first one counts.
-        self.done = False
 
 
 class _Job:

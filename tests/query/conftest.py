@@ -33,10 +33,16 @@ def parse_graph_table(spec):
     return Graph.from_edges(n, edges)
 
 
-def build_engine(kind, graph):
-    """A QueryEngine forced onto one backend (``only`` planner filter)."""
+def build_engine(kind, graph, index=None):
+    """A QueryEngine forced onto one backend (``only`` planner filter).
+
+    ``index`` is a prebuilt :class:`SPCIndex` of ``graph`` for the
+    ``flat`` and ``oracle`` kinds (built here when ``None``).
+    """
+    if kind in ("flat", "oracle") and index is None:
+        index = SPCIndex.build(graph)
     if kind == "flat":
-        return QueryEngine(index=SPCIndex.build(graph))
+        return QueryEngine(index=index)
     if kind == "bfs":
         return QueryEngine(graph=graph, backends=("bfs",))
     if kind == "bfs-csr":
@@ -44,7 +50,7 @@ def build_engine(kind, graph):
     if kind == "matrix":
         return QueryEngine(oracle=CountMatrixOracle.build(graph), n=graph.n)
     if kind == "oracle":
-        return QueryEngine(oracle=SPCIndex.build(graph), n=graph.n)
+        return QueryEngine(oracle=index, n=graph.n)
     raise ValueError(f"unknown backend kind {kind!r}")
 
 

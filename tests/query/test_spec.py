@@ -137,6 +137,57 @@ def test_counts_past_int64(kind, expr, expected, diamond_engines):
         assert answer == expected
 
 
+#: Square grids, corner to corner: ``C(2(k-1), k-1)`` shortest paths of
+#: length ``2(k-1)``. The 34x34 count fits int64, the 35x35 one is past
+#: 2^64. Rows name the label construction engine: the csr engine's int64
+#: guard refuses the 35x35 grid, the python engine carries exact ints.
+GRID_SPEC = (
+    (34, (66, 7219428434016265740), "csr"),
+    (35, (68, 28453041475240576740), "python"),
+)
+
+
+@pytest.fixture(scope="module")
+def grid_engines():
+    """Memoising engine factory over the spec grids; ``flat`` and
+    ``oracle`` share one index per grid."""
+    from repro.core.index import SPCIndex
+    from repro.generators.classic import grid_graph
+
+    cache = {}
+
+    def factory(kind, side, engine):
+        if (kind, side) not in cache:
+            graph = grid_graph(side, side)
+            index = None
+            if kind in ("flat", "oracle"):
+                if (None, side) not in cache:
+                    cache[None, side] = SPCIndex.build(graph, engine=engine)
+                index = cache[None, side]
+            cache[kind, side] = build_engine(kind, graph, index=index)
+        return cache[kind, side]
+
+    return factory
+
+
+@pytest.mark.parametrize("kind", BACKEND_KINDS)
+@pytest.mark.parametrize("side,expected,engine", GRID_SPEC,
+                         ids=[f"grid{row[0]}" for row in GRID_SPEC])
+def test_large_grid_corners(kind, side, expected, engine, grid_engines):
+    node = Count(0, side * side - 1)
+    assert 2 ** 62 < expected[1]
+    if kind == "bfs-csr":
+        # The int64 csr BFS kernel's guard (INT64_MAX over the largest
+        # degree) refuses both counts; it never wraps.
+        with pytest.raises(LabelingError):
+            grid_engines(kind, side, engine).run(node)
+        return
+    answer = grid_engines(kind, side, engine).run(node)
+    assert answer == grid_engines("bfs", side, engine).run(node)
+    assert answer == expected
+    assert type(answer[1]) is int
+
+
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 def test_empty_set_sides(kind, engine_for):
     engine = engine_for(kind, SPEC_GRAPH)

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from tests.conftest import hold_worker, holding_cluster
+from tests.conftest import hold_worker, holding_cluster, wait_for
 
 from repro.core.batch_query import count_many, count_set_to_set, single_source
 from repro.core.index import SPCIndex
@@ -26,6 +26,7 @@ from repro.serving import (
     INVALID,
     SERVED_INDEX,
     SHED,
+    TERMINAL_STATUSES,
     ClusterService,
 )
 from repro.testing.faults import StalledWorker
@@ -204,6 +205,82 @@ class TestCountsPastInt64:
         assert batch.status == SERVED_INDEX, batch.error
         assert [tuple(a) for a in batch.answer] == [(130, 2 ** 64),
                                                     (130, 2 ** 64), (0, 1)]
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    """The 2^64 diamond chains, their arena, and their free ends."""
+    from tests.conftest import diamond_chains_through_hub
+
+    graph, s, t = diamond_chains_through_hub()
+    path = tmp_path_factory.mktemp("chains") / "chains.spcf"
+    save_flat_labels(SPCIndex.build(graph, engine="csr").to_flat(), path)
+    return graph, str(path), s, t
+
+
+class TestCoalescedBatches:
+    """``submit`` pairs queued behind a held worker go out as one batch,
+    and the batch's reply settles every pair at once."""
+
+    def test_exact_past_int64(self, chains, tmp_path):
+        from repro.graph.traversal import spc_bfs
+
+        graph, path, s, t = chains
+        pairs = [(s, t), (t, s)] + list(random_pairs(graph.n, 40, rng=9))
+        pairs += [(s, 40), (t, t), (s, t)]
+        with holding_cluster(path, tmp_path) as service:
+            held, pid = hold_worker(service, tmp_path)
+            futures = [service.submit_nowait(u, v, timeout=30)
+                       for u, v in pairs]
+            StalledWorker.resume(pid)
+            results = [future.result(timeout=30) for future in futures]
+            assert held.result(timeout=30).ok
+            counters = service.stats()["counters"]
+        assert counters["batches"] < counters["requests"]
+        for (u, v), result in zip(pairs, results):
+            assert result.status == SERVED_INDEX, result.error
+            dist, count = result.answer
+            assert type(count) is int
+            assert (dist, count) == spc_bfs(graph, u, v), (u, v)
+        assert tuple(results[0].answer) == (130, 2 ** 64)
+        assert tuple(results[1].answer) == (130, 2 ** 64)
+
+    def test_spent_budget_ends_one_pair(self, chains, tmp_path):
+        """The worker holds its first reply and the coalesced batch's reply
+        both; one pair's budget runs out while its batch is in flight."""
+        from repro.graph.traversal import spc_bfs
+
+        graph, path, s, t = chains
+        fault = StalledWorker(tmp_path, after_replies=1, times=2)
+        pairs = [(s, t), (0, 5), (t, 3), (7, 11)]
+        with ClusterService(path, workers=1, heartbeat_interval=0,
+                            hedge_delay=None, _fault=fault) as service:
+            held, pid = hold_worker(service, tmp_path)
+            futures = [service.submit_nowait(u, v, timeout=30)
+                       for u, v in pairs]
+            short = service.submit_nowait(s, t, timeout=0.5)
+            futures.append(service.submit_nowait(t, s, timeout=30))
+            StalledWorker.resume(pid)
+            assert held.result(timeout=30).ok
+            # The coalesced batch is computed; its reply is held past the
+            # short pair's budget.
+            assert wait_for(lambda: os.path.exists(
+                os.path.join(str(tmp_path), "stall-1")))
+            time.sleep(0.6)
+            StalledWorker.resume(pid)
+            results = [future.result(timeout=30) for future in futures]
+            late = short.result(timeout=30)
+            counters = service.stats()["counters"]
+        assert late.status == DEADLINE
+        assert late.error.budget == 0.5
+        for (u, v), result in zip(pairs + [(t, s)], results):
+            assert result.status == SERVED_INDEX, result.error
+            assert tuple(result.answer) == spc_bfs(graph, u, v)
+        assert counters["batches"] == 2
+        assert counters["requests"] == 1 + len(pairs) + 2
+        assert counters["requests"] == sum(
+            counters[status] for status in TERMINAL_STATUSES)
+        assert counters[DEADLINE] == 1
 
 
 class TestScatterGather:

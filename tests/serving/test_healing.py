@@ -103,6 +103,38 @@ class TestRespawn:
             assert worker.backoff == pytest.approx(base * 4)
             assert service.submit(0, 1).ok
 
+    def test_respawn_onto_a_newer_file_answers_under_no_old_generation(
+            self, tmp_path):
+        """The worker dies, a publish replaces the file before
+        ``check_reload``, then the worker respawns: it maps the new file,
+        so it must not answer as generation 0."""
+        from repro.graph.graph import Graph
+        from repro.graph.traversal import spc_bfs
+
+        old = barabasi_albert_graph(30, 2, seed=1)
+        new = Graph.from_edges(30, list(old.edges()) + [(0, 29)])
+        assert spc_bfs(old, 0, 29)[0] > 1
+        path = tmp_path / "labels.spcf"
+        save_flat_labels(SPCIndex.build(old).to_flat(), path)
+        new_flat = SPCIndex.build(new).to_flat()
+        with ClusterService(str(path), workers=1, respawn_backoff=0.5,
+                            reload_check_every=0) as service:
+            assert service.submit(0, 29, timeout=10).answer == spc_bfs(
+                old, 0, 29)
+            os.kill(service._workers[0].process.pid, signal.SIGKILL)
+            save_flat_labels(new_flat, path)  # lands inside the backoff
+            result = service.submit(0, 29, timeout=10)
+            if result.ok:  # only a worker still on the old file may answer
+                assert result.generation == 0
+                assert result.answer == spc_bfs(old, 0, 29)
+            else:
+                assert result.status == ERROR, result
+            assert service.check_reload()
+            result = service.submit(0, 29, timeout=10)
+        assert result.status == SERVED_INDEX, result.error
+        assert result.generation == 1
+        assert result.answer == spc_bfs(new, 0, 29) == (1, 1)
+
 
 class TestStallSupervision:
     def test_sigstop_is_killed_and_respawned(self, arena, tmp_path):

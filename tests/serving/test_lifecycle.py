@@ -178,6 +178,50 @@ class TestEveryRequestCountedOnce:
         assert counters[INVALID] == 8 * 30
         assert_counted_once(counters, registry, "spc")
 
+    def test_threads_racing_the_cluster_queue(self, arena, index):
+        # Eight submitters share the router's pair queue under a 10 µs
+        # switch interval; batches settle many pairs at once. A torn
+        # queue entry or a lost slot release would break an equality.
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            cluster = ClusterService(arena, workers=2, capacity=4,
+                                     queue_limit=4096)
+        results = {}
+
+        def client(seed):
+            pairs = [(seed % N, (seed * 31 + i) % N) for i in range(150)]
+            futures = [cluster.submit_nowait(s, t, timeout=30)
+                       for s, t in pairs]
+            results[seed] = (pairs, [f.result(timeout=60) for f in futures])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            counters = cluster.stats()["counters"]
+            in_flight = cluster.stats()["admission"]["in_flight"]
+        finally:
+            cluster.close()
+        assert counters["requests"] == 8 * 150
+        assert counters["batches"] < counters["requests"]
+        assert in_flight == 0
+        assert_counted_once(counters, registry, "spc_cluster")
+        assert len(results) == 8
+        for pairs, answers in results.values():
+            for (s, t), result in zip(pairs, answers):
+                assert result.status == SERVED_INDEX, result
+                assert tuple(result.answer) == tuple(
+                    index.count_with_distance(s, t))
+
 
 # -- one status table, both tiers ----------------------------------------------
 

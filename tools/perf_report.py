@@ -28,6 +28,7 @@ BENCH_FILES = (
     "BENCH_ci_smoke.json",
     "BENCH_serving.json",
     "BENCH_observability.json",
+    "BENCH_perfbench_ab.json",
 )
 
 _HEADER = """\
@@ -269,12 +270,62 @@ def render_observability(record):
     ]
 
 
+def _median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def render_perfbench_ab(record):
+    """The last performance claim: alternating parent/change perfbench
+    runs, one row per pair, then the traced stage that moved."""
+    claim = record.get("metric", "pairs_per_s")
+    pairs = record.get("pairs", [])
+    lines = [
+        f"{_fmt(record.get('change'))}. Workload `{_fmt(record.get('workload'))}`, "
+        f"`--seconds {_fmt(record.get('seconds'))}`, {len(pairs)} pairs of "
+        f"runs on fresh seeds, the side that ran first alternating; "
+        f"{_fmt(record.get('host'))}.",
+        "",
+        f"| Seed | First | {claim} parent | {claim} change | Ratio "
+        "| latency_p50_ms parent | latency_p50_ms change |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for pair in pairs:
+        before, after = pair["parent"], pair["change"]
+        lines.append(
+            f"| {pair['seed']} | {pair['first']} | {before[claim]:,.0f} | "
+            f"{after[claim]:,.0f} | {after[claim] / before[claim]:.3f} | "
+            f"{before['latency_p50_ms']:.3f} | {after['latency_p50_ms']:.3f} |")
+    if pairs:
+        before = _median([pair["parent"][claim] for pair in pairs])
+        after = _median([pair["change"][claim] for pair in pairs])
+        wins = sum(pair["change"][claim] > pair["parent"][claim]
+                   for pair in pairs)
+        lines += ["", f"Median {claim} {before:,.0f} → {after:,.0f} "
+                      f"({after / before - 1:+.1%}); the change was higher in "
+                      f"{wins} of {len(pairs)} pairs."]
+    traced = record.get("traced", {})
+    if traced:
+        lines += ["", "| Traced stage (`--trace 1`) | Parent | Change |",
+                  "|---|---|---|"]
+        for name, (before, after) in traced.items():
+            lines.append(f"| `{name}` | {_fmt(before)} | {_fmt(after)} |")
+    if record.get("stage"):
+        lines += ["", f"Stage that moved: {record['stage']}"]
+    return lines
+
+
 _SECTIONS = {
     "BENCH_construction.json": ("Construction", render_construction),
     "BENCH_ci_smoke.json": ("Query engines", render_ci_smoke),
     "BENCH_serving.json": ("Serving", render_serving),
     "BENCH_observability.json": ("Observability overhead",
                                  render_observability),
+    "BENCH_perfbench_ab.json": ("Last performance claim (perfbench A/B)",
+                                render_perfbench_ab),
 }
 
 
